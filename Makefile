@@ -6,7 +6,7 @@
 BENCH_JSON ?= BENCH_micro.json
 PYTHON ?= python
 
-.PHONY: install lint test bench bench-smoke bench-check trace-smoke ts-smoke serve-smoke live-obs-smoke spans-smoke charts examples report csv all clean
+.PHONY: install lint test bench bench-smoke bench-check claims trace-smoke ts-smoke serve-smoke live-obs-smoke spans-smoke charts examples report csv all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -41,12 +41,19 @@ bench-check:
 	$(PYTHON) scripts/check_bench.py --baseline BENCH_micro.json \
 		--fresh BENCH_fresh.json \
 		--strict test_system_replay_throughput \
-		--strict test_system_replay_interned_throughput \
 		--strict test_aggregating_replay_fast_throughput \
-		--strict test_columnar_kernel_replay_throughput \
 		--strict test_columnar_kernel_v2_replay_throughput \
 		--strict test_array_lru_throughput \
 		--strict test_columnar_scan_pure_int_throughput
+
+# The paper's claims: the qualitative assertions of Figures 3-8, the
+# headline numbers, the ablations and the extensions, with timing off.
+claims:
+	PYTHONPATH=src pytest benchmarks/test_bench_fig3.py benchmarks/test_bench_fig4.py \
+		benchmarks/test_bench_fig5.py benchmarks/test_bench_fig7.py \
+		benchmarks/test_bench_fig8.py benchmarks/test_bench_headline.py \
+		benchmarks/test_bench_ablation.py benchmarks/test_bench_extensions.py \
+		--benchmark-disable
 
 # Tracing smoke: record a real traced replay, then validate the JSONL
 # export against the repro.trace/1 schema and its own meta accounting.

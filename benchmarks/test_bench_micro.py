@@ -177,22 +177,6 @@ def test_system_replay_throughput(benchmark):
     _record_throughput(benchmark, len(trace))
 
 
-def test_system_replay_interned_throughput(benchmark):
-    from repro.sim.engine import DistributedFileSystem
-
-    trace = _system_trace()
-
-    def run():
-        system = DistributedFileSystem(
-            client_capacity=250, server_capacity=300, group_size=5
-        )
-        return system.replay(trace, intern=True)
-
-    metrics = benchmark(run)
-    assert metrics.total_client_accesses == len(trace)
-    _record_throughput(benchmark, len(trace))
-
-
 def test_system_replay_generic_path_throughput(benchmark):
     # The pre-optimization baseline: per-event access() calls.  Kept as
     # a benchmark so the fast-loop speedup is measurable in one run.
@@ -230,35 +214,15 @@ def test_aggregating_replay_fast_throughput(benchmark):
 # -- columnar kernel -------------------------------------------------------
 #
 # The batch kernel consumes int columns straight off the (mmap-backed)
-# columnar trace.  Two numbers matter: the full-system replay (stateful
-# LRU loop, bounded by python dict ops) and the pure-int column scan —
-# the 10M+ events/s hot path the strict gate tracks.
+# columnar trace.  Two numbers matter: the full-system replay through
+# the array-backed eviction core and the pure-int column scan — the
+# 10M+ events/s hot path the strict gate tracks.
 
 
 def _columnar_trace():
     from repro.experiments.common import FAST_EVENTS, workload_columnar
 
     return workload_columnar("server", FAST_EVENTS)
-
-
-def test_columnar_kernel_replay_throughput(benchmark):
-    # The dict-based kernel, invoked directly: the engine's dispatch
-    # now prefers the array kernel, but this baseline stays pinned to
-    # replay_columns so the two eviction cores remain comparable.
-    from repro.sim.engine import DistributedFileSystem
-    from repro.sim.kernel import replay_columns
-
-    ctrace = _columnar_trace()
-
-    def run():
-        system = DistributedFileSystem(
-            client_capacity=250, server_capacity=300, group_size=5
-        )
-        return replay_columns(system, ctrace)
-
-    metrics = benchmark(run)
-    assert metrics.total_client_accesses == len(ctrace)
-    _record_throughput(benchmark, len(ctrace))
 
 
 def test_columnar_kernel_v2_replay_throughput(benchmark):

@@ -303,10 +303,10 @@ def _engine_section(events: int) -> str:
         "The fused loop the engine's dispatch selected for each input "
         "form of the reference workload, from the "
         "`engine.replay.path.*` counters.  `kernel_v2` is the "
-        "array-backed eviction core (columnar traces above the size "
-        "floor); `fast` is the string-keyed fused loop for event "
-        "traces.  Throughput is gated separately by `make "
-        "bench-check`.\n\n" + rows_to_markdown(engine_path_rows(events)) + "\n"
+        "array-backed eviction core (columnar traces of any length); "
+        "`fast` is the string-keyed fused loop for event traces.  "
+        "Throughput is gated separately by `make bench-check`.\n\n"
+        + rows_to_markdown(engine_path_rows(events)) + "\n"
     )
 
 

@@ -1283,11 +1283,11 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
 def _trace_bench_rows(ctrace) -> list:
     """One-shot timings of every columnar path over one trace.
 
-    Times a single pass each of the stateless column scan, the
-    dict-based replay kernel, and the array-backed replay kernel (the
-    kernel each gets a fresh reference-configuration system), so
-    ``repro trace info --bench`` answers "how fast does *this* trace
-    replay on *this* machine, per path" without pytest-benchmark.
+    Times a single pass each of the stateless column scan and the
+    array-backed replay kernel (on a fresh reference-configuration
+    system), so ``repro trace info --bench`` answers "how fast does
+    *this* trace replay on *this* machine, per path" without
+    pytest-benchmark.
     One-shot wall clock, not a calibrated benchmark — the strict CI
     gate owns the careful numbers.
     """
@@ -1302,21 +1302,12 @@ def _trace_bench_rows(ctrace) -> list:
             ctrace.file_codes, ctrace.kind_codes, len(ctrace.file_symbols)
         )
 
-    def run_kernel():
-        _kernel.replay_columns(DistributedFileSystem(**config), ctrace)
-
     def run_kernel_v2():
-        system = DistributedFileSystem(**config)
-        # min_events=0: benching a small trace is still a valid ask,
-        # even though the engine's dispatch would route it to v1.
-        state = _kernel.v2_import(system, ctrace, min_events=0)
-        _kernel.replay_columns_v2(system, ctrace, state=state)
-        state.export()
+        _kernel.replay_columns_v2(DistributedFileSystem(**config), ctrace)
 
     rows = [["path", "seconds", "events/s"]]
     for label, run in (
         ("scan", run_scan),
-        ("kernel (dict LRU)", run_kernel),
         ("kernel_v2 (array LRU)", run_kernel_v2),
     ):
         started = time.perf_counter()

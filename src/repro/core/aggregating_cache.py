@@ -54,7 +54,6 @@ from ..caching.base import Cache, CacheStats
 from ..caching.lru import LRUCache, record_lru_counters
 from ..obs import registry as _obs
 from ..obs import tracing as _tracing
-from ..traces.symbols import intern_sequence
 from .grouping import GroupBuilder, build_group_fast
 from .successors import LRUSuccessorList, SuccessorTracker
 
@@ -286,7 +285,7 @@ class AggregatingClientCache:
             )
         )
 
-    def _replay_fast(self, sequence: Sequence[str], intern: bool) -> CacheStats:
+    def _replay_fast(self, sequence: Sequence[str]) -> CacheStats:
         """Inlined replay: observe + access + build over the raw dicts.
 
         Count-for-count identical to the generic loop (asserted by the
@@ -295,11 +294,6 @@ class AggregatingClientCache:
         """
         tracker = self.tracker
         prev = tracker._previous
-        if intern:
-            codes, table = intern_sequence(sequence)
-            if prev is not None:
-                prev = table.intern(prev)
-            sequence = codes
         # Metrics: read the flag once, keep the per-event loop untouched,
         # and record batched deltas after the loop.  Only the per-miss
         # group-size observation happens inline (misses are the rare
@@ -394,21 +388,15 @@ class AggregatingClientCache:
             )
         return stats.snapshot()
 
-    def replay(self, sequence: Sequence[str], intern: bool = False) -> CacheStats:
+    def replay(self, sequence: Sequence[str]) -> CacheStats:
         """Drive the cache with a full access sequence.
 
         The common configuration (LRU successor lists, stock builder)
         runs a specialized inlined loop; anything else falls back to
         per-event :meth:`access` calls with identical counts.
-        ``intern=True`` replays dense integer codes instead of the
-        original keys — statistics are unchanged (the policy is
-        key-agnostic), but post-replay residency is keyed by codes, so
-        reserve it for metrics-only runs.
         """
         if self._fast_replay_ok():
-            return self._replay_fast(sequence, intern)
-        if intern:
-            sequence, _table = intern_sequence(sequence)
+            return self._replay_fast(sequence)
         record = _obs.ENABLED
         if record:
             registry = _obs.get_registry()

@@ -487,15 +487,11 @@ class ArraySuccessorTracker:
             )
         self.capacity = capacity
         self.universe = universe
-        # Slot indices run to universe + 1: code ``universe`` is the
-        # kernel's phantom carried-previous code (a string predecessor
-        # from an earlier replay mapped past the symbol table by
-        # ``_map_previous``), and one more is the dummy.  Entries are
-        # always real trace codes < universe — they become group-build
-        # companions the kernel indexes into residency arrays.
-        self.dummy = universe + 1
-        self.slots: List[Optional[List[int]]] = [None] * (universe + 2)
-        self.heads: List[Optional[int]] = [None] * (universe + 2)
+        # Codes run over [0, universe); the one slot past them is the
+        # dummy.
+        self.dummy = universe
+        self.slots: List[Optional[List[int]]] = [None] * (universe + 1)
+        self.heads: List[Optional[int]] = [None] * (universe + 1)
         self.new_preds: List[int] = []
 
     @classmethod
@@ -504,20 +500,18 @@ class ArraySuccessorTracker:
     ) -> Optional["ArraySuccessorTracker"]:
         """Share a tracker's lists into slot form, or None if it can't.
 
-        Importable state means every list key is an int code in
-        ``[0, universe]`` (the top value being the phantom
-        carried-previous code) and every retained entry a real code in
-        ``[0, universe)`` — entries become group-build frontiers and
-        companions, which the kernel indexes straight into its arrays.
-        A fresh tracker imports for free; a string-keyed one (a prior
-        non-interned replay) returns None and the caller falls back to
-        the dict-based kernel.
+        Importable state means every list key and every retained entry
+        is an int code in ``[0, universe)`` — keys and entries become
+        group-build frontiers and companions, which the kernel indexes
+        straight into its arrays.  A fresh tracker imports for free; a
+        string-keyed one (a prior event-trace replay) returns None and
+        the caller replays the decoded events instead.
         """
         array = cls(tracker.capacity, universe)
         slots = array.slots
         heads = array.heads
         for key, slist in tracker._lists.items():
-            if not (type(key) is int and 0 <= key <= universe):
+            if not (type(key) is int and 0 <= key < universe):
                 return None
             items = slist._items
             for entry in items:

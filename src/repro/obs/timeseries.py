@@ -449,7 +449,6 @@ def _chunk_entropy(file_ids: Sequence[Any]) -> Optional[float]:
 def windowed_replay(
     system,
     trace,
-    intern: bool = False,
     collector: Optional[WindowedCollector] = None,
     progress: Optional[Callable[..., None]] = None,
 ):
@@ -460,17 +459,15 @@ def windowed_replay(
     generic, traced or not) run unmodified, and every piece of
     simulation state carries across chunk boundaries, so the final
     :class:`~repro.sim.engine.SystemMetrics` is identical to an
-    unwindowed replay of the same trace.
+    unwindowed replay of the same trace.  ``progress`` follows the
+    shared :func:`~repro.sim.progress.normalize_progress` contract,
+    with ``params = {"window": w, "start": event_index}`` per window.
 
-    ``intern=True`` is handled here (one symbol table over the whole
-    trace, then plain chunk replays) so codes stay consistent across
-    windows.  ``progress`` follows the shared
-    :func:`~repro.sim.progress.normalize_progress` contract, with
-    ``params = {"window": w, "start": event_index}`` per window.
-
-    Columnar traces window via zero-copy slices — each chunk is a view
-    into the same mmap, never materialized events — and ``intern`` is
-    moot for them (their file ids are already dense codes).
+    A columnar trace the array kernel accepts windows via zero-copy
+    slices — each chunk is a view into the same mmap, never
+    materialized events — all replayed through one kernel session.
+    One it declines is decoded once, as an unwindowed replay would
+    decode it, and windowed as events.
 
     Returns the system's end-of-run metrics, like ``replay`` itself.
     """
@@ -486,39 +483,28 @@ def windowed_replay(
             "windowed_replay needs a collector (pass one or activate "
             "windowing())"
         )
-    columnar = isinstance(trace, ColumnarTrace)
-    events = trace if columnar else trace.events
-    if intern and not columnar and events:
-        import dataclasses
-
-        from ..traces.symbols import SymbolTable
-
-        table = SymbolTable()
-        codes = table.encode([event.file_id for event in events])
-        events = [
-            dataclasses.replace(event, file_id=code)
-            for event, code in zip(events, codes)
-        ]
-        previous_key = system.tracker._previous
-        if previous_key is not None:
-            system.tracker._previous = table.intern(previous_key)
-
-    notify = normalize_progress(progress)
-    window = chosen.window
-    total = (len(events) + window - 1) // window
-    started = time.perf_counter()
     # Columnar replays keep ONE array-kernel state across every chunk:
     # eligibility is decided on the full trace, the per-chunk replays
     # share the imported arrays (stats objects and counters are synced
     # at every chunk boundary, which is all the sampling below reads),
     # and the cache OrderedDicts are written back once at the end.
     # Without the session, the kernel's import/export would run per
-    # window and a small window would lose its entire speedup to it.
+    # window.
     v2_state = None
-    if columnar and system._fast_replay_ok():
-        from ..sim.kernel import replay_columns_v2, v2_import
+    if isinstance(trace, ColumnarTrace):
+        if system._fast_replay_ok():
+            from ..sim.kernel import replay_columns_v2, v2_import
 
-        v2_state = v2_import(system, trace)
+            v2_state = v2_import(system, trace)
+        if v2_state is None:
+            trace = trace.to_trace()
+    columnar = v2_state is not None
+    events = trace if columnar else trace.events
+
+    notify = normalize_progress(progress)
+    window = chosen.window
+    total = (len(events) + window - 1) // window
+    started = time.perf_counter()
     # Suspend the global hook while chunks replay so a collector-driven
     # replay() call cannot recurse into itself.
     previous = set_collector(None)
@@ -542,10 +528,10 @@ def windowed_replay(
                 )
             before = _system_totals(system)
             chunk_started = time.perf_counter()
-            if v2_state is not None:
+            if columnar:
                 replay_columns_v2(system, sub_trace, state=v2_state)
             else:
-                system._replay_trace(sub_trace, intern=False)
+                system._replay_trace(sub_trace)
             seconds = time.perf_counter() - chunk_started
             after = _system_totals(system)
             if not chosen.entropy:

@@ -20,16 +20,22 @@ ordered dicts, eliminating the CPython call overhead that dominates
 the hot path.  The loop is count-for-count identical to the generic
 path — the tests assert byte-identical :class:`SystemMetrics` — and
 any configuration the fast loop does not cover falls back to the
-generic one.  Passing ``intern=True`` additionally replaces file-id
-strings with dense integer codes for the duration of the replay (all
-policies are key-agnostic, so every counter is unchanged).
+generic one.
+
+Each input form has one fast loop: an event :class:`Trace` runs the
+fused loop above, and a :class:`~repro.traces.columnar.ColumnarTrace`
+runs the array-backed kernel (:func:`repro.sim.kernel.replay_columns_v2`)
+whenever the system's state qualifies; a columnar trace the kernel
+declines is decoded and replayed as events.  The per-event
+:meth:`~DistributedFileSystem.access` path is the reference both are
+tested against.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..caching.base import CacheStats
 from ..caching.lru import LRUCache, record_lru_counters
@@ -41,7 +47,6 @@ from ..obs import timeseries as _ts
 from ..obs import tracing as _tracing
 from ..traces.columnar import ColumnarTrace
 from ..traces.events import EventKind, Trace
-from ..traces.symbols import SymbolTable, intern_sequence
 
 
 class Store:
@@ -54,18 +59,11 @@ class Store:
 
     def __init__(self):
         self.fetches = 0
-        self.group_fetches = 0
 
     def fetch(self, file_id: str) -> str:
         """Retrieve one file."""
         self.fetches += 1
         return file_id
-
-    def fetch_group(self, file_ids: Sequence[str]) -> List[str]:
-        """Retrieve a group of files with one storage operation."""
-        self.group_fetches += 1
-        self.fetches += len(file_ids)
-        return list(file_ids)
 
 
 @dataclass
@@ -75,7 +73,6 @@ class SystemMetrics:
     client_stats: Dict[str, CacheStats]
     server_stats: CacheStats
     store_fetches: int
-    store_group_fetches: int
     remote_requests: int
     metadata_entries: int
     invalidations: int = 0
@@ -398,7 +395,7 @@ class DistributedFileSystem:
             installs=installs,
         )
 
-    def _replay_fast(self, trace: Trace, intern: bool) -> SystemMetrics:
+    def _replay_fast(self, trace: Trace) -> SystemMetrics:
         """Inlined replay loop for the common LRU configuration.
 
         Count-for-count identical to driving :meth:`access` per event;
@@ -408,13 +405,7 @@ class DistributedFileSystem:
         """
         events = trace.events
         prev = self.tracker._previous
-        if intern:
-            table = SymbolTable()
-            codes = table.encode([event.file_id for event in events])
-            if prev is not None:
-                prev = table.intern(prev)
-        else:
-            codes = [event.file_id for event in events]
+        codes = [event.file_id for event in events]
         client_ids = [event.client_id or "client00" for event in events]
 
         tracker = self.tracker
@@ -582,24 +573,12 @@ class DistributedFileSystem:
             registry.counter("engine.replay.path.fast").inc()
         return self.metrics()
 
-    def replay(
-        self,
-        trace: Trace,
-        intern: bool = False,
-        progress=None,
-    ) -> SystemMetrics:
+    def replay(self, trace: Trace, progress=None) -> SystemMetrics:
         """Drive the system with a trace (events carry client ids).
 
         Every event is a demand access to its file (a write still needs
         the file resident); with ``invalidate_on_write`` the mutation
         side effects are applied after the access.
-
-        ``intern=True`` replays dense integer file-id codes instead of
-        the original strings — every counter in the returned metrics is
-        identical (all policies are key-agnostic), but post-replay cache
-        contents are keyed by codes, so reserve it for metrics-only
-        runs.  Configurations the specialized loop does not cover run
-        the generic per-event path either way.
 
         When windowed telemetry is active (:func:`repro.obs.windowing`),
         the replay is driven window by window through the same loops and
@@ -610,16 +589,16 @@ class DistributedFileSystem:
         reported per window (windowed) or once up front (unwindowed).
         """
         if _ts.ACTIVE is not None:
-            return _ts.windowed_replay(self, trace, intern=intern, progress=progress)
+            return _ts.windowed_replay(self, trace, progress=progress)
         if progress is not None:
             from .progress import normalize_progress
 
             notify = normalize_progress(progress)
             if notify is not None:
                 notify(0, 1, {"window": 0, "start": 0}, 0.0)
-        return self._replay_trace(trace, intern)
+        return self._replay_trace(trace)
 
-    def _replay_trace(self, trace: Trace, intern: bool) -> SystemMetrics:
+    def _replay_trace(self, trace: Trace) -> SystemMetrics:
         """One uninterrupted replay pass (fast or generic, no windowing).
 
         The windowed driver calls this per chunk; ``replay`` calls it
@@ -627,53 +606,42 @@ class DistributedFileSystem:
         call, so a configuration change mid-windowed-run is honoured at
         the next window boundary.
 
-        Columnar traces route to the batch kernels when the
-        configuration qualifies — integer columns replayed straight off
-        the mmap, the ``intern=True`` contract without the encoding
-        pass — and are decoded to event objects for the generic path
-        otherwise.  The array-backed core
-        (:func:`repro.sim.kernel.replay_columns_v2`) runs when
+        A columnar trace replays through the array-backed kernel
+        (:func:`repro.sim.kernel.replay_columns_v2`) — integer columns
+        straight off the mmap, cache keys left as codes — when the
+        configuration qualifies for fast replay and
         :func:`repro.sim.kernel.v2_import` accepts the live state (int
-        cache keys, no evict listeners, enough events to amortize the
-        import); anything it declines falls back explicitly to the
-        dict kernel (:func:`repro.sim.kernel.replay_columns`).  Either
-        way the resulting metrics are byte-identical to replaying the
-        decoded events, and the ``engine.replay.path.*`` counter
-        records which loop actually ran.
+        keys in the trace's code space, no evict listeners, default
+        client capacities), at any trace length.  Any columnar trace it
+        declines is decoded to event objects and takes the event path,
+        so a columnar replay always counts exactly like its decoded
+        events; the ``engine.replay.path.*`` counter records which loop
+        actually ran.
         """
         if isinstance(trace, ColumnarTrace):
             if self._fast_replay_ok():
-                from .kernel import replay_columns, replay_columns_v2, v2_import
+                # Deferred: keeps the kernel (and numpy) out of the
+                # import of every module that only needs the engine.
+                from .kernel import replay_columns_v2, v2_import
 
                 state = v2_import(self, trace)
                 if state is not None:
                     metrics = replay_columns_v2(self, trace, state=state)
                     state.export()
                     return metrics
-                return replay_columns(self, trace)
-            return self._replay_trace(trace.to_trace(), intern)
+            trace = trace.to_trace()
         if self._fast_replay_ok():
-            return self._replay_fast(trace, intern)
+            return self._replay_fast(trace)
         record = _obs.ENABLED
         if record:
             registry = _obs.get_registry()
             baseline = self._metrics_baseline()
             started = time.perf_counter_ns()
-        if intern:
-            table = SymbolTable()
-            interned = table.intern
-            for event in trace:
-                client = event.client_id or "client00"
-                file_id = interned(event.file_id)
-                self.access(client, file_id)
-                if self.invalidate_on_write and event.is_mutation:
-                    self._apply_mutation(client, file_id, event.kind)
-        else:
-            for event in trace:
-                client = event.client_id or "client00"
-                self.access(client, event.file_id)
-                if self.invalidate_on_write and event.is_mutation:
-                    self.process_mutation(client, event)
+        for event in trace:
+            client = event.client_id or "client00"
+            self.access(client, event.file_id)
+            if self.invalidate_on_write and event.is_mutation:
+                self.process_mutation(client, event)
         if record:
             # Transitions were already counted per event by the tracker.
             self._record_replay_metrics(registry, baseline, None)
@@ -692,28 +660,19 @@ class DistributedFileSystem:
             },
             server_stats=self._server_stats.snapshot(),
             store_fetches=self.store.fetches,
-            store_group_fetches=self.store.group_fetches,
             remote_requests=self.remote_requests,
             metadata_entries=self.tracker.metadata_entries(),
             invalidations=self.invalidations,
         )
 
 
-def replay_cache(cache, sequence: Iterable[str], intern: bool = False) -> CacheStats:
+def replay_cache(cache, sequence: Iterable[str]) -> CacheStats:
     """Drive any object with an ``access(key)`` method; return its stats.
 
     The universal single-cache replay loop used by experiments: works
     for plain :class:`~repro.caching.base.Cache` policies, the
     aggregating caches, and :class:`~repro.core.predictors.PrefetchingCache`.
-
-    ``intern=True`` first encodes the sequence to dense integer codes
-    (one pass, one shared :class:`~repro.traces.symbols.SymbolTable`),
-    which speeds up hash-heavy policies on long string keys; the
-    returned statistics are unchanged because every policy is
-    key-agnostic.
     """
-    if intern:
-        sequence, _table = intern_sequence(sequence)
     access = cache.access
     for key in sequence:
         access(key)

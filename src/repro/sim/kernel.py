@@ -4,33 +4,28 @@ The engine's fused fast loop (:meth:`DistributedFileSystem._replay_fast`)
 removed the per-event call overhead of the generic path, but it still
 starts from event *objects*: every replay pays a pass that pulls
 ``event.file_id`` / ``event.client_id`` out of 60k dataclasses before
-the hot loop can run, and ``intern=True`` pays a second pass to encode
-strings.  This module is the next rung down: kernels that consume the
-integer columns of a :class:`~repro.traces.columnar.ColumnarTrace`
-*directly* — no event objects, no strings, no encoding pass — the same
-narrow-ABI split SimCash uses between its python API and its Rust core,
-kept in python but with the same discipline: the kernel sees arrays of
-ints and a handful of dicts, nothing else.
+the hot loop can run.  This module is the next rung down: kernels that
+consume the integer columns of a
+:class:`~repro.traces.columnar.ColumnarTrace` *directly* — no event
+objects, no strings, no encoding pass — the same narrow-ABI split
+SimCash uses between its python API and its Rust core, kept in python
+but with the same discipline: the kernel sees arrays of ints and a
+handful of dicts, nothing else.
 
-Three kernels live here:
+Two kernels live here:
 
-* :func:`replay_columns` — the full Figure-2 system replay.  A port of
-  the engine's fused loop that iterates zero-copy column slices
-  per client segment.  It is **count-identical** to the generic
-  per-event path (the engine equivalence tests assert byte-equal
-  :class:`~repro.sim.engine.SystemMetrics` on all four paper
-  workloads), and reports observability deltas through the same
-  batched helpers the fast loop uses.
-* :func:`replay_columns_v2` — the array-backed eviction core.  The
-  dict-based LRU state of ``replay_columns`` is swapped for the flat
-  arrays of :class:`~repro.caching.array_lru.ArrayLRU` (one stamp
-  store per hit, lazy exact eviction) and the successor-slot form of
+* :func:`replay_columns_v2` — the full Figure-2 system replay over the
+  array-backed eviction core: the flat arrays of
+  :class:`~repro.caching.array_lru.ArrayLRU` (one stamp store per hit,
+  lazy exact eviction) and the successor-slot form of
   :class:`~repro.core.successors.ArraySuccessorTracker` (slot lists
-  shared in place with the canonical tracker).  State imports from the
-  live system at entry and exports back at exit, so the caches and
-  tracker end byte-identical to the other paths; :func:`v2_import`
-  decides eligibility and the engine falls back to ``replay_columns``
-  explicitly when it returns None.
+  shared in place with the canonical tracker), iterated over zero-copy
+  column slices per client segment.  State imports from the live
+  system at entry and exports back at exit, so the caches and tracker
+  end byte-identical to the per-event path; :func:`v2_import` decides
+  eligibility, and the engine decodes the trace and replays its events
+  when it returns None.  Observability deltas are reported through
+  the same batched helpers the engine's fast loop uses.
 * :func:`scan_columns` — the pure-int column scan: event counts, unique
   files, and the kind histogram in one pass.  Vectorized with numpy
   when available, with a count-identical pure-python fallback built on
@@ -39,9 +34,9 @@ Three kernels live here:
   windowed telemetry driver and ``repro trace info`` ride it.
 
 Every replay entry point records which loop ran under the
-``engine.replay.path.*`` counters (``kernel_v2`` / ``kernel`` /
-``fast`` / ``generic``), so ``repro metrics`` and ``repro report`` can
-show whether a run actually took the path you think it did.
+``engine.replay.path.*`` counters (``kernel_v2`` / ``fast`` /
+``generic``), so ``repro metrics`` and ``repro report`` can show
+whether a run actually took the path you think it did.
 
 numpy is strictly optional: :data:`HAVE_NUMPY` gates every use, and the
 fallbacks produce identical counts (asserted by ``tests/test_kernel.py``
@@ -75,19 +70,11 @@ else:
 
 from ..caching.array_lru import ArrayLRU, refill_queue
 from ..caching.lru import LRUCache
-from ..core.grouping import build_group_fast
-from ..core.successors import ArraySuccessorTracker, LRUSuccessorList
+from ..core.successors import ArraySuccessorTracker
 from ..obs import registry as _obs
 
 #: Default client identity for events that carry none (engine contract).
 DEFAULT_CLIENT = "client00"
-
-#: Minimum trace length for the array-backed kernel.  Importing and
-#: exporting the array state costs O(cache sizes + metadata entries);
-#: below this many events the dict kernel's zero set-up wins.  Windowed
-#: replays gate on the *full* trace length and keep one state across
-#: chunks, so small windows still ride the arrays.
-V2_MIN_EVENTS = 2048
 
 
 def _as_ndarray(column, dtype):
@@ -206,198 +193,6 @@ def client_runs(ctrace) -> List[Tuple[str, int, int]]:
     ]
 
 
-# -- system replay ----------------------------------------------------------
-
-
-def _map_previous(ctrace, previous):
-    """Carry ``tracker._previous`` into this trace's code space.
-
-    A string from an earlier string-keyed replay maps to its code when
-    the symbol is known, else to the first unused code (any distinct
-    key preserves counts — policies are key-agnostic).  Ints pass
-    through, with the same cross-replay caveat ``intern=True`` has
-    always had: codes from *different* traces share a namespace.
-    """
-    if previous is None or isinstance(previous, int):
-        return previous
-    try:
-        return ctrace.code_of(previous)
-    except KeyError:
-        return len(ctrace.file_symbols)
-
-
-def replay_columns(system, ctrace):
-    """Replay a columnar trace through a qualifying system, batch-wise.
-
-    The caller (:meth:`DistributedFileSystem._replay_trace`) guarantees
-    ``system._fast_replay_ok()``: LRU successor lists, plain LRU caches,
-    the stock group builder, no write invalidation, no active flight
-    recorder.  The loop is the engine's fused fast loop re-specialized
-    for integer columns: file identifiers are ints straight out of the
-    mmap, client segmentation is precomputed per run (hoisting the
-    per-event client check), and cache keys after the replay are codes
-    — exactly the ``intern=True`` contract, so reserve it for
-    metrics-only runs.
-
-    Returns the system's end-of-run :class:`~repro.sim.engine.SystemMetrics`,
-    byte-identical to the generic per-event path on the same events.
-    """
-    runs = client_runs(ctrace)
-    codes = ctrace.file_codes
-    prev = _map_previous(ctrace, system.tracker._previous)
-
-    tracker = system.tracker
-    lists = tracker._lists
-    lists_get = lists.get
-    successor_capacity = tracker.capacity
-    group_size = system.group_size
-    cooperative = system.cooperative
-    clients = system.clients
-    client_capacity = system.client_capacity
-    server = system.server_cache
-    server_mirror = system._server_stats
-    if server is not None:
-        server_order = server._order
-        server_stats = server.stats
-        server_capacity = server.capacity
-        server_listener = server.evict_listener
-        server_install = server.install_group_at_tail_fast
-
-    record = _obs.ENABLED
-    observe_group = observe_chain = None
-    singleton_builds = 0
-    if record:
-        registry = _obs.get_registry()
-        observe_group = registry.histogram("engine.group_fetch.size").observe
-        observe_chain = registry.histogram("grouping.chain.length").observe
-        baseline = system._metrics_baseline()
-        prev_was_none = prev is None
-        started = time.perf_counter_ns()
-
-    remote_requests = 0
-    store_fetches = 0
-
-    for client_id, lo, hi in runs:
-        cache = clients.get(client_id)
-        if cache is None:
-            cache = LRUCache(client_capacity)
-            cache.trace_name = f"client.{client_id}"
-            clients[client_id] = cache
-        cache_listener = cache.evict_listener
-        order = cache._order
-        cache_stats = cache.stats
-        pending_hits = 0
-
-        for file_id in codes[lo:hi]:
-            if cooperative:
-                if prev is not None:
-                    slist = lists_get(prev)
-                    if slist is None:
-                        slist = LRUSuccessorList(successor_capacity)
-                        slist._items = [file_id]
-                        lists[prev] = slist
-                    else:
-                        items = slist._items
-                        if items[0] != file_id:
-                            try:
-                                items.remove(file_id)
-                            except ValueError:
-                                if len(items) >= successor_capacity:
-                                    items.pop()
-                            items.insert(0, file_id)
-                prev = file_id
-
-            if file_id in order:
-                order.move_to_end(file_id)
-                pending_hits += 1
-                continue
-
-            # ---- client miss: demand admit, one group request ----
-            cache_stats.misses += 1
-            while len(order) >= client_capacity:
-                victim, _value = order.popitem(last=False)
-                if cache_listener is not None:
-                    cache_listener(victim)
-                cache_stats.evictions += 1
-            order[file_id] = None
-            remote_requests += 1
-
-            if not cooperative:
-                if prev is not None:
-                    slist = lists_get(prev)
-                    if slist is None:
-                        slist = LRUSuccessorList(successor_capacity)
-                        slist._items = [file_id]
-                        lists[prev] = slist
-                    else:
-                        items = slist._items
-                        if items[0] != file_id:
-                            try:
-                                items.remove(file_id)
-                            except ValueError:
-                                if len(items) >= successor_capacity:
-                                    items.pop()
-                            items.insert(0, file_id)
-                prev = file_id
-
-            members = build_group_fast(lists_get, group_size, file_id)
-            if observe_group is not None:
-                observe_group(len(members))
-                observe_chain(len(members))
-                if len(members) == 1:
-                    singleton_builds += 1
-            companions = members[1:]
-            if server is not None:
-                if file_id in server_order:
-                    server_order.move_to_end(file_id)
-                    server_stats.hits += 1
-                    server_mirror.hits += 1
-                else:
-                    server_stats.misses += 1
-                    server_mirror.misses += 1
-                    store_fetches += 1
-                    while len(server_order) >= server_capacity:
-                        victim, _value = server_order.popitem(last=False)
-                        if server_listener is not None:
-                            server_listener(victim)
-                        server_stats.evictions += 1
-                    server_order[file_id] = None
-                for member in companions:
-                    if member not in server_order:
-                        store_fetches += 1
-                server_install(server_order, companions, server_stats)
-            else:
-                store_fetches += len(members)
-            cache.install_group_at_tail_fast(order, companions, cache_stats)
-
-        if pending_hits:
-            cache_stats.hits += pending_hits
-
-    if runs:
-        tracker._previous = prev
-    system.remote_requests += remote_requests
-    system.store.fetches += store_fetches
-    if record:
-        if cooperative:
-            transition_sites = len(ctrace)
-        else:
-            transition_sites = remote_requests
-        transitions = (
-            transition_sites - 1
-            if (prev_was_none and transition_sites)
-            else transition_sites
-        )
-        system._record_replay_metrics(registry, baseline, transitions)
-        system._record_policy_counters(registry, baseline)
-        if singleton_builds:
-            registry.counter("grouping.build.singletons").inc(singleton_builds)
-        registry.histogram("engine.replay.kernel.ns").observe(
-            time.perf_counter_ns() - started
-        )
-        registry.counter("engine.replay.path.kernel").inc()
-    return system.metrics()
-
-
 # -- array-backed system replay (v2) ----------------------------------------
 
 
@@ -406,8 +201,8 @@ def _import_lru(order, capacity: int, universe: int) -> Optional[ArrayLRU]:
 
     One validating pass: every key must be an int code in
     ``[0, universe)`` (anything else — string keys from a prior
-    non-columnar replay, codes from a different trace's namespace —
-    returns None and the caller falls back to the dict kernel).
+    event-trace replay, codes past this trace's symbol table — returns
+    None and the caller replays the decoded events instead).
     Imported stamps are ``-size .. -1`` in LRU-to-MRU order, matching
     :meth:`ArrayLRU.from_keys`.
     """
@@ -434,9 +229,8 @@ class V2ReplayState:
     predecessor, and the monotone event clock that keeps stamps unique
     across successive :func:`replay_columns_v2` calls on the same
     state.  The windowed driver imports once, replays every chunk
-    against the same state, and calls :meth:`export` at the end —
-    per-chunk import/export is exactly the overhead that would make
-    small windows slower than the dict kernel.
+    against the same state, and calls :meth:`export` at the end, so
+    the import/export cost is paid once per session, not per window.
 
     Between ``run`` and ``export`` the cache ``OrderedDict`` contents
     are stale (stats objects, system counters, and tracker lists are
@@ -479,28 +273,28 @@ class V2ReplayState:
                 order[key] = None
 
 
-def v2_import(system, ctrace, min_events: Optional[int] = None):
+def v2_import(system, ctrace):
     """Import a system's live state into array form, or None if it can't.
 
     The caller must already hold ``system._fast_replay_ok()`` (LRU
     everything, stock builder, no tracing) — this adds the *array*
     eligibility on top:
 
-    * the trace is long enough to amortize import/export
-      (``min_events``, default :data:`V2_MIN_EVENTS`);
     * no evict listeners (the arrays batch evictions and cannot call
       back per victim);
-    * every cache key and successor entry is an int in this trace's
-      code space, and every client cache matches the system capacity.
+    * every cache key, successor key and entry, and the carried
+      previous file is an int in this trace's code space, and every
+      client cache matches the system capacity.
+
+    Codes carry no trace identity: int state left by a replay of a
+    *different* columnar trace is accepted whenever it fits this
+    trace's code range, and its codes are read as this trace's files.
 
     A fresh system validates at zero cost (nothing to scan); warm state
     costs one pass over cache contents and metadata — trivial next to
     the replay itself.  Returns a :class:`V2ReplayState` ready for
     :func:`replay_columns_v2`.
     """
-    floor = V2_MIN_EVENTS if min_events is None else min_events
-    if len(ctrace) < floor:
-        return None
     universe = len(ctrace.file_symbols)
     server = system.server_cache
     if server is not None and server.evict_listener is not None:
@@ -513,16 +307,16 @@ def v2_import(system, ctrace, min_events: Optional[int] = None):
             return None
     tracker = system.tracker
     previous = tracker._previous
-    if previous is not None and type(previous) is int:
-        if not 0 <= previous <= universe:
-            return None
+    if previous is not None and not (
+        type(previous) is int and 0 <= previous < universe
+    ):
+        return None
     succ = ArraySuccessorTracker.from_tracker(tracker, universe)
     if succ is None:
         return None
     state = V2ReplayState(system, universe)
     state.succ = succ
-    mapped = _map_previous(ctrace, previous)
-    state.prev = succ.dummy if mapped is None else mapped
+    state.prev = succ.dummy if previous is None else previous
     for client_id, cache in system.clients.items():
         lru = _import_lru(cache._order, client_capacity, universe)
         if lru is None:
@@ -539,14 +333,20 @@ def v2_import(system, ctrace, min_events: Optional[int] = None):
 def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
     """Replay a columnar trace through the array-backed eviction core.
 
-    Same contract as :func:`replay_columns` — caller guarantees
-    ``system._fast_replay_ok()`` — with the dict operations of the hot
-    loop replaced by flat-array state: a hit is one stamp store, a
-    miss runs the lazy exact-LRU eviction and stamps group installs
-    from the cold clock, and successor observations mutate slot lists
-    shared with the canonical tracker.  Byte-identical
+    The caller (:meth:`DistributedFileSystem._replay_trace`) guarantees
+    ``system._fast_replay_ok()``: LRU successor lists, plain LRU caches,
+    the stock group builder, no write invalidation, no active flight
+    recorder.  The loop is the engine's fused fast loop re-specialized
+    for integer columns and flat-array state: file identifiers are ints
+    straight out of the mmap, client segmentation is precomputed per
+    run, a hit is one stamp store, a miss runs the lazy exact-LRU
+    eviction and stamps group installs from the cold clock, and
+    successor observations mutate slot lists shared with the canonical
+    tracker.  Cache keys after the replay are codes, so string-keyed
+    callers decode first.  Byte-identical
     :class:`~repro.sim.engine.SystemMetrics`, cache contents, tracker
-    state, and observability counter deltas (the kernel parity tests
+    state, and observability counter deltas to the per-event
+    ``access()`` path fed the trace's codes (the kernel parity tests
     hold it to all four).
 
     With ``state`` omitted, the function imports from the live system
@@ -560,7 +360,7 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
         state = v2_import(system, ctrace)
         if state is None:
             raise ValueError(
-                "system state is not v2-eligible; use replay_columns"
+                "system state is not v2-eligible; replay the decoded events"
             )
     runs = client_runs(ctrace)
     codes = ctrace.file_codes

@@ -136,7 +136,6 @@ class ColumnarTrace:
         "process_symbols",
         "version",
         "_mmap",
-        "_code_index",
     )
 
     def __init__(
@@ -166,7 +165,6 @@ class ColumnarTrace:
         self.process_symbols = tuple(process_symbols) or ("",)
         self.version = version
         self._mmap = _mmap
-        self._code_index: Optional[Dict[str, int]] = None
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -268,14 +266,6 @@ class ColumnarTrace:
         return scan_columns(
             self.file_codes, self.kind_codes, len(self.file_symbols)
         ).unique_files
-
-    def code_of(self, file_id: str) -> int:
-        """The code for a file-id string (KeyError when never interned)."""
-        if self._code_index is None:
-            self._code_index = {
-                name: code for code, name in enumerate(self.file_symbols)
-            }
-        return self._code_index[file_id]
 
     # -- zero-copy views ---------------------------------------------------
     def slice(self, start: int, stop: Optional[int] = None) -> "ColumnarTrace":

@@ -173,42 +173,12 @@ class TestMain:
         )
         for name in (
             "test_system_replay_throughput",
-            "test_system_replay_interned_throughput",
             "test_aggregating_replay_fast_throughput",
-            "test_columnar_kernel_replay_throughput",
             "test_columnar_kernel_v2_replay_throughput",
             "test_array_lru_throughput",
             "test_columnar_scan_pure_int_throughput",
         ):
             assert name in baseline
-
-    def test_kernel_speedup_summary_line(self, tmp_path, capsys):
-        benches = [
-            _bench("test_columnar_kernel_replay_throughput", eps=1_000_000),
-            _bench("test_columnar_kernel_v2_replay_throughput", eps=2_500_000),
-        ]
-        baseline = _bench_file(tmp_path, "base.json", benches)
-        fresh = _bench_file(tmp_path, "fresh.json", benches)
-        code = check_bench.main(
-            ["--baseline", str(baseline), "--fresh", str(fresh)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "kernel speedup" in out
-        assert "2.50x" in out
-
-    def test_speedup_line_absent_without_both_kernels(self, tmp_path, capsys):
-        assert check_bench.kernel_speedup_line({}) is None
-        assert (
-            check_bench.kernel_speedup_line(
-                {
-                    "test_columnar_kernel_replay_throughput": _bench(
-                        "test_columnar_kernel_replay_throughput", eps=10
-                    )
-                }
-            )
-            is None
-        )
 
     def test_custom_threshold_tightens_the_gate(self, tmp_path):
         baseline = _bench_file(tmp_path, "base.json", [_bench("a", eps=1000)])

@@ -443,7 +443,6 @@ class TestTraceTooling:
         assert "| events | 1200 |" in out
         assert "| path | seconds | events/s |" in out
         assert "| scan |" in out
-        assert "| kernel (dict LRU) |" in out
         assert "| kernel_v2 (array LRU) |" in out
 
     def test_info_bench_accepts_text_traces(self, capsys, tmp_path):

@@ -1,8 +1,7 @@
 """Equivalence tests for the inlined replay fast paths.
 
 The engine and the aggregating client cache both carry specialized
-replay loops (optionally over interned integer codes).  These tests
-lock in the contract: the fast loops — string-keyed and interned — are
+replay loops.  These tests lock in the contract: the fast loops are
 count-for-count identical to driving the generic per-event ``access``
 path, across all four synthetic workloads.
 """
@@ -10,7 +9,7 @@ path, across all four synthetic workloads.
 import pytest
 
 from repro.core.aggregating_cache import AggregatingClientCache
-from repro.experiments.common import workload_sequence, workload_trace
+from repro.experiments.common import workload_codes, workload_sequence, workload_trace
 from repro.sim.engine import DistributedFileSystem
 
 WORKLOADS = ("server", "users", "write", "workstation")
@@ -31,7 +30,6 @@ def metrics_equal(left, right):
         == {k: v for k, v in right.client_stats.items()}
         and left.server_stats == right.server_stats
         and left.store_fetches == right.store_fetches
-        and left.store_group_fetches == right.store_group_fetches
         and left.remote_requests == right.remote_requests
         and left.metadata_entries == right.metadata_entries
         and left.invalidations == right.invalidations
@@ -49,14 +47,6 @@ class TestEngineFastReplay:
         fast = DistributedFileSystem(**config).replay(trace)
         assert metrics_equal(fast, reference)
 
-    @pytest.mark.parametrize("workload", WORKLOADS)
-    def test_interned_replay_identical_metrics(self, workload):
-        trace = workload_trace(workload, EVENTS)
-        config = dict(client_capacity=250, server_capacity=300, group_size=5)
-        reference = DistributedFileSystem(**config).replay(trace)
-        interned = DistributedFileSystem(**config).replay(trace, intern=True)
-        assert metrics_equal(interned, reference)
-
     def test_no_server_and_uncooperative_configs(self):
         trace = workload_trace("server", EVENTS)
         for config in (
@@ -70,9 +60,7 @@ class TestEngineFastReplay:
                 DistributedFileSystem(**config), trace
             )
             fast = DistributedFileSystem(**config).replay(trace)
-            interned = DistributedFileSystem(**config).replay(trace, intern=True)
             assert metrics_equal(fast, reference), config
-            assert metrics_equal(interned, reference), config
 
     def test_string_replay_keeps_string_residency(self):
         trace = workload_trace("server", EVENTS)
@@ -103,9 +91,7 @@ class TestEngineFastReplay:
             if event.is_mutation:
                 reference.process_mutation(client, event)
         fast = DistributedFileSystem(**config).replay(trace)
-        interned = DistributedFileSystem(**config).replay(trace, intern=True)
         assert metrics_equal(fast, reference.metrics())
-        assert metrics_equal(interned, reference.metrics())
 
 
 class TestAggregatingFastReplay:
@@ -117,9 +103,10 @@ class TestAggregatingFastReplay:
             reference.access(file_id)
         fast = AggregatingClientCache(capacity=250, group_size=5)
         fast.replay(sequence)
-        interned = AggregatingClientCache(capacity=250, group_size=5)
-        interned.replay(sequence, intern=True)
-        for candidate in (fast, interned):
+        # The figure sweeps replay the same sequence as integer codes.
+        coded = AggregatingClientCache(capacity=250, group_size=5)
+        coded.replay(workload_codes(workload, EVENTS))
+        for candidate in (fast, coded):
             assert candidate.stats == reference.stats
             assert (
                 candidate.fetch_log.__dict__ == reference.fetch_log.__dict__

@@ -4,17 +4,21 @@ The contract mirrors ``test_fast_replay.py`` one rung down: replaying a
 :class:`ColumnarTrace` through the engine must produce metrics
 byte-identical to the generic per-event path — on all four paper
 workloads, with and without numpy, across qualifying and
-non-qualifying configurations.
+non-qualifying configurations, at every trace length.
 """
 
+import contextlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.caching.array_lru as array_lru
 import repro.sim.kernel as kernel
 from repro.sim.engine import DistributedFileSystem
 from repro.sim.kernel import client_runs, scan_columns
 from repro.traces.columnar import ColumnarTrace
-from repro.traces.events import Trace
+from repro.traces.events import Trace, TraceEvent
 from repro.workloads.synthetic import make_workload
 
 WORKLOADS = ("server", "users", "write", "workstation")
@@ -37,12 +41,45 @@ def numpy_mode(request, monkeypatch):
     return request.param
 
 
+@contextlib.contextmanager
+def forced_numpy(enabled):
+    """:func:`numpy_mode` for hypothesis tests, which cannot take a
+    function-scoped fixture."""
+    saved = (kernel.HAVE_NUMPY, array_lru.HAVE_NUMPY)
+    kernel.HAVE_NUMPY = array_lru.HAVE_NUMPY = enabled
+    try:
+        yield
+    finally:
+        kernel.HAVE_NUMPY, array_lru.HAVE_NUMPY = saved
+
+
 def generic_engine_metrics(system, trace):
     """Reference replay: per-event access() calls, no fast loop."""
     for event in trace:
         client = event.client_id or "client00"
         system.access(client, event.file_id)
     return system.metrics()
+
+
+def oracle_replay(system, ctrace):
+    """The oracle: per-event access() calls fed the trace's file codes,
+    so cache keys and successor lists end up in the kernel's key space."""
+    codes = ctrace.file_codes
+    for index, event in enumerate(ctrace.iter_events()):
+        system.access(event.client_id or "client00", codes[index])
+    return system.metrics()
+
+
+def full_state(system):
+    """Everything a replay leaves behind beyond its metrics."""
+    return (
+        {cid: list(cache._order) for cid, cache in system.clients.items()},
+        list(system.server_cache._order)
+        if system.server_cache is not None
+        else None,
+        {key: list(slist._items) for key, slist in system.tracker._lists.items()},
+        system.tracker._previous,
+    )
 
 
 class TestScanColumns:
@@ -157,9 +194,7 @@ class TestKernelReplay:
         # Two consecutive replays must chain successor state exactly as
         # the string-keyed event path does: tracker._previous crosses
         # the boundary and links the last file to the next replay's
-        # first.  (intern=True is the one path that differs here — its
-        # fresh per-replay symbol table maps the carried key to an
-        # unused code, a long-documented caveat.)
+        # first.
         ctrace = ColumnarTrace.from_trace(make_workload("server", EVENTS))
         trace = ctrace.to_trace()
         reference = DistributedFileSystem(**CONFIG)
@@ -176,28 +211,36 @@ class TestWindowedColumnarReplay:
 
         ctrace = ColumnarTrace.from_trace(make_workload("write", EVENTS))
         trace = ctrace.to_trace()
-        events_collector = WindowedCollector(window=500)
-        columnar_collector = WindowedCollector(window=500)
-        event_metrics = windowed_replay(
-            DistributedFileSystem(**CONFIG), trace,
-            collector=events_collector,
-        )
-        columnar_metrics = windowed_replay(
-            DistributedFileSystem(**CONFIG), ctrace,
-            collector=columnar_collector,
-        )
-        assert columnar_metrics == event_metrics
-        assert [
-            sample.deterministic_dict() for sample in columnar_collector.samples
-        ] == [
-            sample.deterministic_dict() for sample in events_collector.samples
-        ]
+
+        def with_listener():
+            # Declined by the array kernel: windowed as decoded events.
+            system = DistributedFileSystem(**CONFIG)
+            system.server_cache.evict_listener = lambda victim: None
+            return system
+
+        for new_system in (lambda: DistributedFileSystem(**CONFIG), with_listener):
+            events_collector = WindowedCollector(window=500)
+            columnar_collector = WindowedCollector(window=500)
+            event_metrics = windowed_replay(
+                new_system(), trace, collector=events_collector
+            )
+            columnar_metrics = windowed_replay(
+                new_system(), ctrace, collector=columnar_collector
+            )
+            assert columnar_metrics == event_metrics
+            assert [
+                sample.deterministic_dict()
+                for sample in columnar_collector.samples
+            ] == [
+                sample.deterministic_dict() for sample in events_collector.samples
+            ]
 
 
 class TestArrayKernelDispatch:
-    """The engine's columnar dispatch: array kernel when eligible,
-    explicit fallback to the dict kernel otherwise, with the chosen
-    path recorded in ``engine.replay.path.*``."""
+    """The engine's columnar dispatch: the array kernel when eligible,
+    at any trace length; otherwise the trace is decoded and its events
+    take the fused dict loop.  The chosen path is recorded in
+    ``engine.replay.path.*``."""
 
     @staticmethod
     def _path_counters(registry):
@@ -217,24 +260,11 @@ class TestArrayKernelDispatch:
             "engine.replay.path.kernel_v2": 1
         }
 
-    def test_small_trace_falls_back_to_dict_kernel(self, numpy_mode):
+    def test_small_trace_takes_array_kernel(self, numpy_mode):
         from repro.obs import collecting
 
         small = ColumnarTrace.from_trace(make_workload("server", 512))
-        assert len(small) < kernel.V2_MIN_EVENTS
-        with collecting() as registry:
-            DistributedFileSystem(**CONFIG).replay(small)
-        assert self._path_counters(registry) == {"engine.replay.path.kernel": 1}
-
-    def test_floor_override_admits_small_traces(self, numpy_mode, monkeypatch):
-        from repro.obs import collecting
-
-        monkeypatch.setattr(kernel, "V2_MIN_EVENTS", 0)
-        trace = make_workload("server", 512)
-        small = ColumnarTrace.from_trace(trace)
-        reference = generic_engine_metrics(
-            DistributedFileSystem(**CONFIG), trace
-        )
+        reference = oracle_replay(DistributedFileSystem(**CONFIG), small)
         with collecting() as registry:
             metrics = DistributedFileSystem(**CONFIG).replay(small)
         assert metrics == reference
@@ -243,6 +273,9 @@ class TestArrayKernelDispatch:
         }
 
     def test_evict_listener_falls_back_to_dict_kernel(self, numpy_mode):
+        # The array kernel cannot call back per victim, so the trace is
+        # decoded and the fused dict loop fires the hook per eviction,
+        # exactly as the per-event oracle does.
         from repro.obs import collecting
 
         ctrace = ColumnarTrace.from_trace(make_workload("server", EVENTS))
@@ -250,55 +283,43 @@ class TestArrayKernelDispatch:
         victims = []
         system.server_cache.evict_listener = victims.append
         with collecting() as registry:
-            system.replay(ctrace)
-        assert self._path_counters(registry) == {"engine.replay.path.kernel": 1}
-        assert victims  # the dict kernel still fires the hook
+            metrics = system.replay(ctrace)
+        assert self._path_counters(registry) == {"engine.replay.path.fast": 1}
+        reference = DistributedFileSystem(**CONFIG)
+        reference_victims = []
+        reference.server_cache.evict_listener = reference_victims.append
+        assert metrics == generic_engine_metrics(reference, ctrace.to_trace())
+        assert victims and victims == reference_victims
+        assert full_state(system) == full_state(reference)
 
     def test_string_keyed_state_falls_back_to_dict_kernel(self, numpy_mode):
+        # Warm string-keyed state is outside the kernel's code space:
+        # the columnar replay decodes and counts exactly like replaying
+        # the decoded events on the same warm system.
         from repro.obs import collecting
 
         ctrace = ColumnarTrace.from_trace(make_workload("server", EVENTS))
         trace = ctrace.to_trace()
         system = DistributedFileSystem(**CONFIG)
-        system.replay(trace, intern=False)  # warm state keyed by strings
+        system.replay(trace)  # warm state keyed by strings
         with collecting() as registry:
-            system.replay(ctrace)
-        assert self._path_counters(registry) == {"engine.replay.path.kernel": 1}
-        # The dict kernel's documented contract on warm string state is
-        # intern=True semantics: string keys are foreign to the code
-        # space, exactly like the interning fast path.
+            metrics = system.replay(ctrace)
+        assert self._path_counters(registry) == {"engine.replay.path.fast": 1}
         reference = DistributedFileSystem(**CONFIG)
-        reference.replay(trace, intern=False)
-        reference.replay(trace, intern=True)
-        assert system.metrics() == reference.metrics()
-
-    @staticmethod
-    def _full_state(system):
-        return (
-            {cid: list(cache._order) for cid, cache in system.clients.items()},
-            list(system.server_cache._order)
-            if system.server_cache is not None
-            else None,
-            {
-                key: list(slist._items)
-                for key, slist in system.tracker._lists.items()
-            },
-            system.tracker._previous,
-        )
+        reference.replay(trace)
+        assert metrics == reference.replay(ctrace.to_trace())
+        assert full_state(system) == full_state(reference)
 
     @pytest.mark.parametrize("workload", WORKLOADS)
-    def test_final_state_identical_to_dict_kernel(self, workload, numpy_mode,
-                                                  monkeypatch):
+    def test_final_state_identical_to_dict_kernel(self, workload, numpy_mode):
         # Beyond metrics equality: the exported cache orders, successor
-        # lists, and carried previous must match the dict kernel's.
+        # lists, and carried previous must match the per-event oracle's.
         ctrace = ColumnarTrace.from_trace(make_workload(workload, EVENTS))
         array_system = DistributedFileSystem(**CONFIG)
         array_metrics = array_system.replay(ctrace)
-        monkeypatch.setattr(kernel, "V2_MIN_EVENTS", EVENTS + 1)
-        dict_system = DistributedFileSystem(**CONFIG)
-        dict_metrics = dict_system.replay(ctrace)
-        assert array_metrics == dict_metrics
-        assert self._full_state(array_system) == self._full_state(dict_system)
+        oracle_system = DistributedFileSystem(**CONFIG)
+        assert array_metrics == oracle_replay(oracle_system, ctrace)
+        assert full_state(array_system) == full_state(oracle_system)
 
     def test_windowed_replay_reuses_one_session(self, numpy_mode):
         # The windowed driver imports array state once and replays every
@@ -319,6 +340,52 @@ class TestArrayKernelDispatch:
         }
 
 
+@st.composite
+def _columnar_cases(draw):
+    """A short multi-client trace, a replay configuration the array
+    kernel accepts, and a split point for chained replays."""
+    n_files = draw(st.integers(1, 12))
+    clients = ("", "c1", "c2")[: draw(st.integers(1, 3))]
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_files - 1), st.sampled_from(clients)),
+            max_size=80,
+        )
+    )
+    trace = Trace(
+        events=[
+            TraceEvent(file_id=f"f{file}", client_id=client)
+            for file, client in pairs
+        ]
+    )
+    config = dict(
+        client_capacity=draw(st.integers(1, 5)),
+        server_capacity=draw(st.sampled_from((0, 1, 2, 3, 6))),
+        group_size=draw(st.sampled_from((1, 2, 3, 5))),
+        successor_capacity=draw(st.sampled_from((1, 2, 8))),
+        cooperative=draw(st.booleans()),
+    )
+    return ColumnarTrace.from_trace(trace), config, draw(st.integers(0, len(pairs)))
+
+
+class TestColumnarDifferential:
+    """Hypothesis differential: the columnar path against the per-event
+    oracle at every trace length, including chained replays whose
+    carried state crosses trace boundaries."""
+
+    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda v: "numpy" if v else "pure")
+    @given(case=_columnar_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_in_metrics_and_state(self, use_numpy, case):
+        ctrace, config, split = case
+        system = DistributedFileSystem(**config)
+        oracle = DistributedFileSystem(**config)
+        with forced_numpy(use_numpy):
+            for part in (ctrace.slice(0, split), ctrace.slice(split), ctrace):
+                assert system.replay(part) == oracle_replay(oracle, part)
+                assert full_state(system) == full_state(oracle)
+
+
 class TestKernelObservability:
     def test_counters_match_fast_loop(self, numpy_mode):
         from repro.obs import collecting
@@ -326,7 +393,7 @@ class TestKernelObservability:
         ctrace = ColumnarTrace.from_trace(make_workload("write", EVENTS))
         trace = ctrace.to_trace()
         with collecting() as fast_registry:
-            DistributedFileSystem(**CONFIG).replay(trace, intern=True)
+            DistributedFileSystem(**CONFIG).replay(trace)
         with collecting() as kernel_registry:
             DistributedFileSystem(**CONFIG).replay(ctrace)
         fast = fast_registry.snapshot()

@@ -31,9 +31,8 @@ class TestBuildReport:
     def test_engine_paths_section_reports_dispatch(self):
         text = build_report(events=2500, sections=tiny_sections())
         assert "## Replay engine paths" in text
-        # 2500 events is above the array kernel's size floor, so the
-        # columnar row must show the v2 dispatch; the event-trace row
-        # stays on the string-keyed fused loop.
+        # The columnar row must show the v2 dispatch; the event-trace
+        # row stays on the string-keyed fused loop.
         assert "| columnar trace | kernel_v2 | 2500 |" in text
         assert "| event trace | fast | 2500 |" in text
 

@@ -11,14 +11,12 @@ class TestStore:
     def test_fetch_counting(self):
         store = Store()
         store.fetch("a")
-        store.fetch_group(["b", "c", "d"])
-        assert store.fetches == 4
-        assert store.group_fetches == 1
+        store.fetch("b")
+        assert store.fetches == 2
 
     def test_fetch_returns_identity(self):
         store = Store()
         assert store.fetch("x") == "x"
-        assert store.fetch_group(["a", "b"]) == ["a", "b"]
 
 
 class TestDistributedFileSystem:

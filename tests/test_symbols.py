@@ -69,5 +69,5 @@ class TestKeyAgnosticism:
     def test_cache_stats_identical_under_interning(self, cache_cls):
         sequence = [f"f{i % 7}" for i in range(200)] + ["f1", "f9", "f2"]
         plain = replay_cache(cache_cls(4), sequence)
-        interned = replay_cache(cache_cls(4), sequence, intern=True)
-        assert interned == plain
+        codes, _table = intern_sequence(sequence)
+        assert replay_cache(cache_cls(4), codes) == plain

@@ -186,16 +186,6 @@ class TestWindowedReplay:
         generic = [s.deterministic_dict() for s in generic_collector.samples]
         assert fast == generic
 
-    def test_interned_series_sample_identical(self):
-        trace = _trace()
-        with windowing(window=500) as plain:
-            _system().replay(trace)
-        with windowing(window=500) as interned:
-            _system().replay(trace, intern=True)
-        assert [s.deterministic_dict() for s in interned.samples] == [
-            s.deterministic_dict() for s in plain.samples
-        ]
-
     def test_window_entropy_matches_predictability_tooling(self):
         trace = _trace(3000)
         with windowing(window=1000) as collector:
