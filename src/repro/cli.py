@@ -792,30 +792,11 @@ def _cmd_top_attach(args: argparse.Namespace) -> int:
         f"{summary['restarts']} restart(s), {summary['gaps']} gap(s)"
     )
     if args.ts_out is not None:
-        import json as _json
+        from .obs.export import TS_SCHEMA, meta_record, write_records
 
-        target = Path(args.ts_out)
-        if target.parent and not target.parent.exists():
-            target.parent.mkdir(parents=True, exist_ok=True)
-        from .obs import TS_SCHEMA
-
-        with target.open("w", encoding="utf-8") as out:
-            out.write(
-                _json.dumps(
-                    {
-                        "kind": "meta",
-                        "schema": TS_SCHEMA,
-                        "source": "serve",
-                        "url": args.attach,
-                        "samples": len(raws),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            for raw in raws:
-                out.write(_json.dumps(raw, sort_keys=True) + "\n")
-        print(f"wrote {len(raws) + 1} repro.ts/1 JSONL lines to {target}")
+        meta = {"source": "serve", "url": args.attach, "samples": len(raws)}
+        lines = write_records(args.ts_out, [meta_record(TS_SCHEMA, meta)] + raws)
+        print(f"wrote {lines} repro.ts/1 JSONL lines to {args.ts_out}")
     return 0
 
 
@@ -1008,7 +989,7 @@ def _cmd_drift(args: argparse.Namespace) -> int:
     Alerts are event-indexed, so a flagged window can be cross-examined
     with ``repro explain``.
     """
-    from .analysis.drift import detect_drift, drift_rows
+    from .analysis.drift import DRIFT_SOURCES, detect_drift, drift_rows
     from .obs import load_ts_jsonl, windowing
 
     metrics = [name for name in args.metrics.split(",") if name]
@@ -1032,7 +1013,7 @@ def _cmd_drift(args: argparse.Namespace) -> int:
         samples = collector.samples
         origin = f"{args.workload} ({len(trace)} events, window {args.window})"
 
-    replay_windows = sum(1 for s in samples if s.source == "replay")
+    scanned = sum(1 for sample in samples if sample.source in DRIFT_SOURCES)
     alerts = detect_drift(
         samples,
         metrics=metrics,
@@ -1041,7 +1022,7 @@ def _cmd_drift(args: argparse.Namespace) -> int:
         alpha=args.alpha,
     )
     print(
-        f"scanned {replay_windows} windows of {origin} for "
+        f"scanned {scanned} windows of {origin} for "
         f"{', '.join(metrics)} drift (history {args.history}, "
         f"z >= {args.threshold:g})\n"
     )

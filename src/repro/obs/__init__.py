@@ -32,12 +32,16 @@ and exported as ``repro.ts/1`` JSONL or Prometheus/OpenMetrics text
     with obs.windowing(window=2000) as collector:
         system.replay(trace)
     obs.write_ts_jsonl(collector, "results/series.jsonl")
+
+Every JSONL export here, ``repro.span/1`` request spans included, goes
+through the one codec in :mod:`~repro.obs.export`; each schema
+supplies only its records and a per-record check.  Its ``exposition``
+renders both Prometheus pages, the replay telemetry's and the daemon's.
 """
 
 from .export import (
     SCHEMA,
     TS_SCHEMA,
-    dump_jsonl,
     load_jsonl,
     snapshot_records,
     write_jsonl,
@@ -62,7 +66,6 @@ from .timeseries import (
     MetricsServer,
     WindowedCollector,
     WindowSample,
-    dump_ts_jsonl,
     get_collector,
     load_ts_jsonl,
     prometheus_text,
@@ -141,7 +144,6 @@ __all__ = [
     "MetricsServer",
     "WindowSample",
     "WindowedCollector",
-    "dump_ts_jsonl",
     "get_collector",
     "load_ts_jsonl",
     "prometheus_text",
@@ -167,7 +169,6 @@ __all__ = [
     "ObservabilityError",
     "collecting",
     "disable",
-    "dump_jsonl",
     "enable",
     "enabled",
     "get_registry",

@@ -43,13 +43,11 @@ replay fast paths to that promise.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from pathlib import Path
 from typing import (
     Any,
     Dict,
@@ -59,9 +57,9 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
+from .export import Pathish, meta_record, read_records, write_records
 from .quantiles import percentile
 from .registry import ObservabilityError
 from .tracing import chrome_payload, write_chrome_json
@@ -81,8 +79,6 @@ DEFAULT_CAPACITY = 65536
 #: Longest accepted ``X-Repro-Trace`` value; anything bigger is
 #: ignored like any other malformed header.
 MAX_HEADER_LENGTH = 256
-
-Pathish = Union[str, Path]
 
 
 class Span:
@@ -445,11 +441,7 @@ def span_records(
     buffer: SpanBuffer, meta: Optional[Dict[str, Any]] = None
 ) -> List[Dict[str, Any]]:
     """The export records: one meta line, then the retained spans."""
-    header: Dict[str, Any] = {"kind": "meta"}
-    header.update(buffer.summary())
-    if meta:
-        header.update(meta)
-    return [header] + buffer.records()
+    return [meta_record(SPAN_SCHEMA, buffer.summary(), meta)] + buffer.records()
 
 
 def write_spans_jsonl(
@@ -458,15 +450,7 @@ def write_spans_jsonl(
     meta: Optional[Dict[str, Any]] = None,
 ) -> int:
     """Write the retained spans to ``path`` as JSONL; returns lines."""
-    records = span_records(buffer, meta)
-    target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as stream:
-        for record in records:
-            stream.write(json.dumps(record, sort_keys=True))
-            stream.write("\n")
-    return len(records)
+    return write_records(path, span_records(buffer, meta))
 
 
 def load_spans_jsonl(path: Pathish) -> Dict[str, Any]:
@@ -476,37 +460,7 @@ def load_spans_jsonl(path: Pathish) -> Dict[str, Any]:
     against the schema, so a loaded file feeds straight into
     :func:`merge_spans`.
     """
-    source = str(path)
-    meta: Dict[str, Any] = {}
-    spans: List[Dict[str, Any]] = []
-    saw_meta = False
-    with Path(path).open("r", encoding="utf-8") as stream:
-        for number, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{source}:{number}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ObservabilityError(f"{where}: not valid JSON ({error})")
-            if record.get("kind") == "meta":
-                if record.get("schema") != SPAN_SCHEMA:
-                    raise ObservabilityError(
-                        f"{where}: unsupported schema "
-                        f"{record.get('schema')!r} (expected {SPAN_SCHEMA})"
-                    )
-                saw_meta = True
-                meta = {
-                    key: value
-                    for key, value in record.items()
-                    if key not in ("kind", "schema")
-                }
-                continue
-            validate_span(record, where)
-            spans.append(record)
-    if not saw_meta:
-        raise ObservabilityError(f"{source}: no {SPAN_SCHEMA} meta line found")
+    meta, spans = read_records(path, SPAN_SCHEMA, validate_span)
     return {"meta": meta, "spans": spans}
 
 

@@ -42,19 +42,16 @@ long-running runs.
 
 from __future__ import annotations
 
-import json
+import math
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from typing import (
     Any,
     Callable,
     Dict,
-    IO,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -64,16 +61,29 @@ from typing import (
     Union,
 )
 
-from .export import TS_SCHEMA
+from .export import TS_SCHEMA, Pathish, exposition, meta_record, read_records, write_records
 from .registry import ObservabilityError
-
-Pathish = Union[str, Path]
 
 #: Sample fields that depend on wall-clock time.  Excluded from
 #: :meth:`WindowSample.deterministic_dict`, which is what the fast ==
 #: generic equivalence contract covers (throughput legitimately
 #: differs between the two loops).
 WALL_CLOCK_FIELDS = ("seconds", "events_per_sec")
+
+#: (sample field, help text) for the cumulative counters:
+#: :meth:`WindowedCollector.totals` sums them and :func:`prometheus_text`
+#: exports them as ``<prefix>_<field>_total``.
+_COUNTERS = (
+    ("events", "replayed trace events"),
+    ("hits", "client cache hits"),
+    ("misses", "client cache misses"),
+    ("remote_requests", "client misses forwarded to the server"),
+    ("store_fetches", "files shipped from the backing store"),
+    ("bytes_fetched", "store fetch volume (bytes_per_file proxy)"),
+    ("group_installs", "companions installed by group fetches"),
+    ("evictions", "cache evictions (client + server)"),
+    ("invalidations", "entries dropped by mutations"),
+)
 
 
 @dataclass
@@ -324,22 +334,10 @@ class WindowedCollector:
 
     def totals(self) -> Dict[str, int]:
         """Cumulative counters over every sample (both sources)."""
-        keys = (
-            "events",
-            "hits",
-            "misses",
-            "remote_requests",
-            "store_fetches",
-            "bytes_fetched",
-            "group_installs",
-            "evictions",
-            "invalidations",
-        )
-        sums = {key: 0 for key in keys}
-        for sample in self.samples:
-            for key in keys:
-                sums[key] += getattr(sample, key)
-        return sums
+        return {
+            name: sum(getattr(sample, name) for sample in self.samples)
+            for name, _ in _COUNTERS
+        }
 
 
 #: The collector windowed replays and sweeps currently stream into.
@@ -618,29 +616,13 @@ def ts_records(
     collector: WindowedCollector, meta: Optional[Dict[str, Any]] = None
 ) -> List[Dict[str, Any]]:
     """The collector's samples as JSON-ready records, meta line first."""
-    header: Dict[str, Any] = {
-        "kind": "meta",
-        "schema": TS_SCHEMA,
+    shape = {
         "window": collector.window,
         "bytes_per_file": collector.bytes_per_file,
         "samples": len(collector.samples),
     }
-    if meta:
-        header.update(meta)
+    header = meta_record(TS_SCHEMA, shape, meta)
     return [header] + [sample.to_dict() for sample in collector.samples]
-
-
-def dump_ts_jsonl(
-    collector: WindowedCollector,
-    stream: IO[str],
-    meta: Optional[Dict[str, Any]] = None,
-) -> int:
-    """Write the series to an open text stream; returns lines written."""
-    records = ts_records(collector, meta)
-    for record in records:
-        stream.write(json.dumps(record, sort_keys=True))
-        stream.write("\n")
-    return len(records)
 
 
 def write_ts_jsonl(
@@ -649,64 +631,43 @@ def write_ts_jsonl(
     meta: Optional[Dict[str, Any]] = None,
 ) -> int:
     """Write the series to ``path``; returns lines written."""
-    target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as stream:
-        return dump_ts_jsonl(collector, stream, meta)
+    return write_records(path, ts_records(collector, meta))
 
 
 #: Numeric fields every sample record must carry.
 _REQUIRED_SAMPLE_FIELDS = ("index", "start", "events", "hits", "misses")
 
+#: Every numeric sample field.  :meth:`WindowSample.from_dict` converts
+#: each with ``int`` or ``float``, so a present (or required) one must be
+#: a finite number; ``entropy`` may also be null.
+_NUMERIC_SAMPLE_FIELDS = tuple(
+    spec.name for spec in fields(WindowSample) if spec.name not in ("source", "label")
+)
 
-def _parse_ts_lines(
-    lines: Iterable[str], source: str
-) -> Dict[str, Any]:
-    meta: Dict[str, Any] = {}
-    samples: List[WindowSample] = []
-    saw_meta = False
-    for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ObservabilityError(f"{source}:{number}: not valid JSON ({error})")
-        kind = record.get("kind")
-        if kind == "meta":
-            if record.get("schema") != TS_SCHEMA:
-                raise ObservabilityError(
-                    f"{source}:{number}: unsupported schema "
-                    f"{record.get('schema')!r} (expected {TS_SCHEMA})"
-                )
-            saw_meta = True
-            meta = {
-                key: value
-                for key, value in record.items()
-                if key not in ("kind", "schema")
-            }
-        elif kind == "sample":
-            for fieldname in _REQUIRED_SAMPLE_FIELDS:
-                if not isinstance(record.get(fieldname), (int, float)):
-                    raise ObservabilityError(
-                        f"{source}:{number}: sample missing numeric "
-                        f"{fieldname!r}"
-                    )
-            if record.get("source") not in ("replay", "sweep", "serve"):
-                raise ObservabilityError(
-                    f"{source}:{number}: unknown sample source "
-                    f"{record.get('source')!r}"
-                )
-            samples.append(WindowSample.from_dict(record))
-        else:
+
+def _finite(value: Any) -> bool:
+    """True for a JSON number that converts to a finite float."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def validate_sample(record: Dict[str, Any], where: str = "<sample>") -> None:
+    """Check one record against the ``repro.ts/1`` sample vocabulary."""
+    kind = record.get("kind")
+    if kind != "sample":
+        raise ObservabilityError(f"{where}: unknown record kind {kind!r}")
+    for name in _NUMERIC_SAMPLE_FIELDS:
+        value = record.get(name, None if name in _REQUIRED_SAMPLE_FIELDS else 0)
+        if not (_finite(value) or (value is None and name == "entropy")):
             raise ObservabilityError(
-                f"{source}:{number}: unknown record kind {kind!r}"
+                f"{where}: sample needs a finite numeric {name!r}, got {value!r}"
             )
-    if not saw_meta:
-        raise ObservabilityError(f"{source}: no {TS_SCHEMA} meta line found")
-    return {"meta": meta, "samples": samples}
+    if record.get("source") not in ("replay", "sweep", "serve"):
+        raise ObservabilityError(
+            f"{where}: unknown sample source {record.get('source')!r}"
+        )
 
 
 def load_ts_jsonl(path: Pathish) -> Dict[str, Any]:
@@ -716,42 +677,28 @@ def load_ts_jsonl(path: Pathish) -> Dict[str, Any]:
     line is validated against the schema vocabulary and malformed input
     raises :class:`ObservabilityError`.
     """
-    source = str(path)
-    with Path(path).open("r", encoding="utf-8") as stream:
-        return _parse_ts_lines(stream, source)
+    meta, records = read_records(path, TS_SCHEMA, validate_sample)
+    return {"meta": meta, "samples": [WindowSample.from_dict(r) for r in records]}
 
 
 # -- Prometheus / OpenMetrics exporter --------------------------------------
 
-#: (metric suffix, help text) for the cumulative counters.
-_PROM_COUNTERS = (
-    ("events", "replayed trace events"),
-    ("hits", "client cache hits"),
-    ("misses", "client cache misses"),
-    ("remote_requests", "client misses forwarded to the server"),
-    ("store_fetches", "files shipped from the backing store"),
-    ("bytes_fetched", "store fetch volume (bytes_per_file proxy)"),
-    ("group_installs", "companions installed by group fetches"),
-    ("evictions", "cache evictions (client + server)"),
-    ("invalidations", "entries dropped by mutations"),
-)
-
 #: (metric suffix, sample attribute, help text) for latest-window gauges.
 _PROM_GAUGES = (
-    ("hit_ratio", "hit_ratio", "latest window client hit ratio"),
-    ("events_per_second", "events_per_sec", "latest window replay throughput"),
-    ("entropy_bits", "entropy", "latest window successor entropy"),
+    ("hit_ratio", "hit_ratio", "Latest window client hit ratio"),
+    ("events_per_second", "events_per_sec", "Latest window replay throughput"),
+    ("entropy_bits", "entropy", "Latest window successor entropy"),
     (
         "prefetch_efficiency",
         "prefetch_efficiency",
-        "latest window installed companions per companion slot",
+        "Latest window installed companions per companion slot",
     ),
     (
         "wasted_fetch_share",
         "wasted_fetch_share",
-        "latest window speculative share of store fetches (upper bound on waste)",
+        "Latest window speculative share of store fetches (upper bound on waste)",
     ),
-    ("eviction_rate", "eviction_rate", "latest window evictions per event"),
+    ("eviction_rate", "eviction_rate", "Latest window evictions per event"),
 )
 
 
@@ -762,29 +709,23 @@ def prometheus_text(
     """Render the series in Prometheus/OpenMetrics text exposition format.
 
     Cumulative fields become ``<prefix>_<name>_total`` counters; the
-    most recent replay sample's ratios become gauges.  The output is
-    scrape-ready for a stock Prometheus (text format 0.0.4) and parses
-    as OpenMetrics minus the terminating ``# EOF`` marker, which is
-    appended here for strict parsers.
+    most recent replay sample's ratios become gauges.  Rendered by
+    :func:`repro.obs.export.exposition`, the renderer the daemon's
+    ``/metrics`` page shares.
     """
-    if isinstance(source, WindowedCollector):
-        samples = source.samples
-        totals = source.totals()
-    else:
-        samples = list(source)
-        scratch = WindowedCollector(window=1)
-        scratch.samples = samples
-        totals = scratch.totals()
-    lines: List[str] = []
-    for name, help_text in _PROM_COUNTERS:
-        metric = f"{prefix}_{name}_total"
-        lines.append(f"# HELP {metric} Cumulative {help_text}.")
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {totals[name]}")
-    windows = f"{prefix}_windows_total"
-    lines.append(f"# HELP {windows} Cumulative samples recorded.")
-    lines.append(f"# TYPE {windows} counter")
-    lines.append(f"{windows} {len(samples)}")
+    samples = source.samples if isinstance(source, WindowedCollector) else list(source)
+    rows = [
+        (
+            f"{prefix}_{name}_total",
+            "counter",
+            f"Cumulative {help_text}",
+            sum(getattr(sample, name) for sample in samples),
+        )
+        for name, help_text in _COUNTERS
+    ]
+    rows.append(
+        (f"{prefix}_windows_total", "counter", "Cumulative samples recorded", len(samples))
+    )
     latest = next(
         (sample for sample in reversed(samples) if sample.source == "replay"),
         None,
@@ -792,18 +733,17 @@ def prometheus_text(
     if latest is not None:
         for name, attribute, help_text in _PROM_GAUGES:
             value = getattr(latest, attribute)
-            if value is None:
-                continue
-            metric = f"{prefix}_{name}"
-            lines.append(f"# HELP {metric} {help_text[:1].upper()}{help_text[1:]}.")
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {float(value):.6g}")
-        window_gauge = f"{prefix}_window_index"
-        lines.append(f"# HELP {window_gauge} Index of the latest replay window.")
-        lines.append(f"# TYPE {window_gauge} gauge")
-        lines.append(f"{window_gauge} {latest.index}")
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
+            if value is not None:
+                rows.append((f"{prefix}_{name}", "gauge", help_text, float(value)))
+        rows.append(
+            (
+                f"{prefix}_window_index",
+                "gauge",
+                "Index of the latest replay window",
+                latest.index,
+            )
+        )
+    return exposition(rows)
 
 
 class MetricsServer:

@@ -47,9 +47,10 @@ from collections import Counter as _CounterDict
 from collections import OrderedDict, deque
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import registry as _registry
+from .export import Pathish, meta_record, read_records, write_records
 from .registry import ObservabilityError
 
 #: Schema tag stamped on (and demanded from) every exported trace.
@@ -72,8 +73,6 @@ EVICT_CAUSES = ("demand_admit", "group_install", "invalidate")
 #: sites read this only inside an ``if registry.ENABLED:`` guard, so a
 #: disabled run never touches it.
 ACTIVE: Optional["FlightRecorder"] = None
-
-Pathish = Union[str, Path]
 
 
 class _Provenance:
@@ -560,9 +559,7 @@ def trace_records(
     accounting (per-kind emitted counts, sampling/ring knobs, drops),
     so a reader always knows how much the ring under-reports.
     """
-    header: Dict[str, Any] = {
-        "kind": "meta",
-        "schema": TRACE_SCHEMA,
+    accounting = {
         "capacity": recorder.capacity,
         "sample": recorder.sample,
         "emitted": dict(recorder.emitted),
@@ -570,9 +567,7 @@ def trace_records(
         "sampled_out": recorder.sampled_out,
         "ring_dropped": recorder.ring_dropped,
     }
-    if meta:
-        header.update(meta)
-    return [header] + recorder.records()
+    return [meta_record(TRACE_SCHEMA, accounting, meta)] + recorder.records()
 
 
 def write_trace_jsonl(
@@ -581,21 +576,13 @@ def write_trace_jsonl(
     meta: Optional[Dict[str, Any]] = None,
 ) -> int:
     """Write the retained trace to ``path`` as JSONL; returns lines."""
-    records = trace_records(recorder, meta)
-    target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as stream:
-        for record in records:
-            stream.write(json.dumps(record, sort_keys=True))
-            stream.write("\n")
-    return len(records)
+    return write_records(path, trace_records(recorder, meta))
 
 
 def validate_record(record: Dict[str, Any], source: str = "<record>") -> None:
     """Check one ring record against the ``repro.trace/1`` vocabulary."""
     kind = record.get("kind")
-    if kind not in RECORD_FIELDS:
+    if not isinstance(kind, str) or kind not in RECORD_FIELDS:
         raise ObservabilityError(
             f"{source}: unknown trace record kind {kind!r} "
             f"(expected one of: {', '.join(sorted(RECORD_FIELDS))})"
@@ -618,37 +605,7 @@ def load_trace_jsonl(path: Pathish) -> Dict[str, Any]:
     checked against the schema, so a loaded trace is safe to feed
     straight into analysis code.
     """
-    source = str(path)
-    meta: Dict[str, Any] = {}
-    records: List[Dict[str, Any]] = []
-    saw_meta = False
-    with Path(path).open("r", encoding="utf-8") as stream:
-        for number, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{source}:{number}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ObservabilityError(f"{where}: not valid JSON ({error})")
-            if record.get("kind") == "meta":
-                if record.get("schema") != TRACE_SCHEMA:
-                    raise ObservabilityError(
-                        f"{where}: unsupported schema {record.get('schema')!r} "
-                        f"(expected {TRACE_SCHEMA})"
-                    )
-                saw_meta = True
-                meta = {
-                    key: value
-                    for key, value in record.items()
-                    if key not in ("kind", "schema")
-                }
-                continue
-            validate_record(record, where)
-            records.append(record)
-    if not saw_meta:
-        raise ObservabilityError(f"{source}: no {TRACE_SCHEMA} meta line found")
+    meta, records = read_records(path, TRACE_SCHEMA, validate_record)
     return {"meta": meta, "records": records}
 
 

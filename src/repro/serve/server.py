@@ -80,6 +80,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..obs import spans as obs_spans
+from ..obs.export import exposition
 from ..obs.quantiles import percentile
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import Span, SpanBuffer
@@ -1199,65 +1200,67 @@ class CacheDaemon:
     def prometheus_text(self, prefix: str = "repro_serve") -> str:
         """Render the daemon's counters in Prometheus text format.
 
-        The same exposition dialect as
-        :func:`repro.obs.timeseries.prometheus_text` — ``# HELP`` /
-        ``# TYPE`` pairs, ``_total`` counters, latest-value gauges,
-        ``# EOF``-terminated — so one scrape config covers both the
-        replay telemetry endpoint and the daemon.
+        ``_total`` counters and latest-value gauges, as rows for
+        :func:`repro.obs.export.exposition`: the replay telemetry's page
+        uses the same renderer, so one scrape config covers both.
         """
         stats = self.stats_payload()
         cache = stats["cache"]
         latency = stats["latency_ns"]
-        lines: List[str] = []
-
-        def metric(name: str, kind: str, help_text: str, value) -> None:
-            full = f"{prefix}_{name}"
-            lines.append(f"# HELP {full} {help_text}.")
-            lines.append(f"# TYPE {full} {kind}")
-            lines.append(f"{full} {value:.6g}" if isinstance(value, float) else f"{full} {value}")
-
-        metric("accesses_total", "counter", "Demand accesses served", stats["accesses"])
-        metric("hits_total", "counter", "Server cache hits", cache["hits"])
-        metric("misses_total", "counter", "Server cache misses", cache["misses"])
-        metric("evictions_total", "counter", "Server cache evictions", cache["evictions"])
-        metric("installs_total", "counter", "Companions installed by group fetches", cache["installs"])
-        metric("group_fetches_total", "counter", "Group retrievals from the store", cache["group_fetches"])
-        metric("files_retrieved_total", "counter", "Files shipped from the store", cache["files_retrieved"])
-        metric("invalidations_total", "counter", "Files dropped by callback breaks", stats["invalidations"])
-        metric("errors_total", "counter", "Requests rejected or failed", stats["errors"])
+        rows = [
+            ("accesses_total", "counter", "Demand accesses served", stats["accesses"]),
+            ("hits_total", "counter", "Server cache hits", cache["hits"]),
+            ("misses_total", "counter", "Server cache misses", cache["misses"]),
+            ("evictions_total", "counter", "Server cache evictions", cache["evictions"]),
+            ("installs_total", "counter", "Companions installed by group fetches", cache["installs"]),
+            ("group_fetches_total", "counter", "Group retrievals from the store", cache["group_fetches"]),
+            ("files_retrieved_total", "counter", "Files shipped from the store", cache["files_retrieved"]),
+            ("invalidations_total", "counter", "Files dropped by callback breaks", stats["invalidations"]),
+            ("errors_total", "counter", "Requests rejected or failed", stats["errors"]),
+        ]
         for name, summary in sorted(stats["endpoints"].items()):
-            metric(
-                f"requests_{name}_total",
-                "counter",
-                f"Requests to /{name}",
-                summary["requests"],
+            rows.append(
+                (
+                    f"requests_{name}_total",
+                    "counter",
+                    f"Requests to /{name}",
+                    summary["requests"],
+                )
             )
-            metric(
-                f"errors_{name}_total",
-                "counter",
-                f"Rejected or failed requests to /{name}",
-                summary["errors"],
+            rows.append(
+                (
+                    f"errors_{name}_total",
+                    "counter",
+                    f"Rejected or failed requests to /{name}",
+                    summary["errors"],
+                )
             )
-        metric(
-            "telemetry_windows_total",
-            "counter",
-            "Telemetry windows emitted",
-            stats["telemetry"]["seq"],
-        )
-        metric("hit_ratio", "gauge", "Lifetime server hit ratio", float(cache["hit_ratio"]))
-        metric("mean_group_size", "gauge", "Mean files shipped per group fetch", float(cache["mean_group_size"]))
-        metric("resident_files", "gauge", "Files resident in the cache", cache["resident"])
-        metric("metadata_entries", "gauge", "Successor-list metadata entries", cache["metadata_entries"])
-        metric("uptime_seconds", "gauge", "Daemon uptime", float(stats["uptime_seconds"]))
+        rows += [
+            (
+                "telemetry_windows_total",
+                "counter",
+                "Telemetry windows emitted",
+                stats["telemetry"]["seq"],
+            ),
+            ("hit_ratio", "gauge", "Lifetime server hit ratio", float(cache["hit_ratio"])),
+            ("mean_group_size", "gauge", "Mean files shipped per group fetch", float(cache["mean_group_size"])),
+            ("resident_files", "gauge", "Files resident in the cache", cache["resident"]),
+            ("metadata_entries", "gauge", "Successor-list metadata entries", cache["metadata_entries"]),
+            ("uptime_seconds", "gauge", "Daemon uptime", float(stats["uptime_seconds"])),
+        ]
         for name in ("p50_ns", "p95_ns", "p99_ns"):
-            metric(
-                f"latency_{name}",
-                "gauge",
-                f"Request latency {name[:-3]} over the retained window",
-                float(latency[name]),
+            rows.append(
+                (
+                    f"latency_{name}",
+                    "gauge",
+                    f"Request latency {name[:-3]} over the retained window",
+                    float(latency[name]),
+                )
             )
-        lines.append("# EOF")
-        return "\n".join(lines) + "\n"
+        return exposition(
+            (f"{prefix}_{name}", kind, help_text, value)
+            for name, kind, help_text, value in rows
+        )
 
 
 def serve_scenario(

@@ -370,6 +370,30 @@ class TestTimeseriesCommands:
         assert "hit_ratio collapsed at window 10 (event 1000)" in out
         assert "| hit_ratio |" in out
 
+    def test_drift_counts_the_serve_windows_it_scans(self, capsys, tmp_path):
+        from repro.obs import WindowSample, WindowedCollector, write_ts_jsonl
+
+        collector = WindowedCollector(window=100)
+        for index in range(20):
+            hits = 90 if index < 14 else 0
+            collector.append(
+                WindowSample(
+                    source="serve",
+                    index=index,
+                    start=index * 100,
+                    events=100,
+                    hits=hits,
+                    misses=100 - hits,
+                )
+            )
+        collector.record_point(0, {"g": 4}, {"events": 100}, 0.1)
+        path = tmp_path / "serve.jsonl"
+        write_ts_jsonl(collector, path)
+        assert main(["drift", str(path), "--history", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "scanned 20 windows" in out
+        assert "hit_ratio collapsed at window 14" in out
+
     def test_drift_replay_mode(self, capsys):
         code = main(
             [

@@ -12,12 +12,12 @@ from repro.obs import (
     MetricsRegistry,
     ObservabilityError,
     collecting,
-    dump_jsonl,
     load_jsonl,
     snapshot_records,
     write_jsonl,
 )
 from repro.obs import registry as obs_registry
+from repro.obs.export import write_records
 from repro.sim.engine import DistributedFileSystem
 from repro.workloads.synthetic import make_workload
 
@@ -221,16 +221,17 @@ class TestJsonlExport:
         assert records[0]["kind"] == "meta"
         assert records[0]["schema"] == "repro.obs/1"
 
-    def test_dump_jsonl_emits_one_json_object_per_line(self, tmp_path):
-        import io
-
+    def test_write_records_emits_one_sorted_json_object_per_line(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("c").inc(2)
-        buffer = io.StringIO()
-        count = dump_jsonl(registry, buffer)
-        lines = [line for line in buffer.getvalue().splitlines() if line]
+        path = tmp_path / "nested" / "snapshot.jsonl"
+        count = write_records(path, snapshot_records(registry, {"b": 1, "a": 2}))
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == count == 2
-        assert all(isinstance(json.loads(line), dict) for line in lines)
+        records = [json.loads(line) for line in lines]
+        assert all(isinstance(record, dict) for record in records)
+        assert lines == [json.dumps(record, sort_keys=True) for record in records]
+        assert list(records[0]) == ["a", "b", "kind", "schema"]
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -902,6 +902,28 @@ class TestStatsStream:
         with pytest.raises(SlamError):
             stream.final_stats()
 
+    def test_top_attach_export_loads_back(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs import load_ts_jsonl
+
+        scenario = tiny_scenario(
+            telemetry_window_seconds=0.0, telemetry_window_events=20
+        )
+        path = tmp_path / "live.jsonl"
+        with CacheDaemon(scenario) as daemon, ServeConnection(daemon.url) as conn:
+            for low in range(0, 60, 20):
+                conn.fetch([f"f{i}" for i in range(low, low + 20)])
+            code = main(
+                ["top", "--attach", daemon.url, "--plain", "--duration", "0",
+                 "--ts-out", str(path)]
+            )
+        assert code == 0
+        assert "wrote 4 repro.ts/1 JSONL lines" in capsys.readouterr().out
+        loaded = load_ts_jsonl(path)
+        assert loaded["meta"] == {"source": "serve", "url": daemon.url, "samples": 3}
+        assert [s.index for s in loaded["samples"]] == [0, 1, 2]
+        assert {s.source for s in loaded["samples"]} == {"serve"}
+
 
 # -- concurrent scrapes ------------------------------------------------------
 
