@@ -6,7 +6,7 @@
 BENCH_JSON ?= BENCH_micro.json
 PYTHON ?= python
 
-.PHONY: install lint test bench bench-smoke bench-check claims trace-smoke ts-smoke serve-smoke live-obs-smoke spans-smoke charts examples report csv all clean
+.PHONY: install lint test bench bench-smoke bench-check claims perfbench-smoke trace-smoke ts-smoke serve-smoke live-obs-smoke spans-smoke charts examples report csv all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -54,6 +54,23 @@ claims:
 		benchmarks/test_bench_fig8.py benchmarks/test_bench_headline.py \
 		benchmarks/test_bench_ablation.py benchmarks/test_bench_extensions.py \
 		--benchmark-disable
+
+# The benchmark's correctness checks: one short traced perfbench run per
+# workload (CI runs one workload per job via PERFBENCH_WORKLOADS).  Each
+# run must exit 0 and end on a line with "correct": true and "failed": 0.
+# No timing is gated.
+PERFBENCH_WORKLOADS ?= replay-hit replay-miss sweep-fig3 serve-mixed
+PERFBENCH_CHECK = import json, sys; r = json.loads(sys.stdin.read()); \
+	sys.exit(r["correct"] is not True or r["failed"] != 0)
+perfbench-smoke:
+	@for workload in $(PERFBENCH_WORKLOADS); do \
+		echo "== perfbench $$workload"; \
+		out=$$($(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 2 --trace 1) || { echo "$$out"; exit 1; }; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | $(PYTHON) -c '$(PERFBENCH_CHECK)' \
+			|| { echo "perfbench $$workload: not correct or failed > 0"; exit 1; }; \
+	done
 
 # Tracing smoke: record a real traced replay, then validate the JSONL
 # export against the repro.trace/1 schema and its own meta accounting.

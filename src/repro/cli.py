@@ -1185,12 +1185,12 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def _cmd_trace_pack(args: argparse.Namespace) -> int:
     from .traces.columnar import (
         describe_columnar,
+        is_columnar,
         read_columnar,
-        validate_columnar,
         write_columnar,
     )
 
-    if validate_columnar(args.trace):
+    if is_columnar(args.trace):
         source = read_columnar(args.trace)
     else:
         source = read_trace(args.trace)
@@ -1209,24 +1209,26 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
         FORMAT_NAME,
         FORMAT_VERSION,
         describe_columnar,
-        validate_columnar,
+        is_columnar,
+        read_columnar,
     )
 
-    if validate_columnar(args.trace):
+    if is_columnar(args.trace):
+        ctrace = read_columnar(args.trace)  # rejects a damaged file
         info = describe_columnar(args.trace)
     else:
         # Text traces get the same report, computed from an in-memory
         # packing (what `repro trace pack` would write).
-        packed = ColumnarTrace.from_trace(read_trace(args.trace))
-        columns = packed.column_nbytes()
+        ctrace = ColumnarTrace.from_trace(read_trace(args.trace))
+        columns = ctrace.column_nbytes()
         info = {
             "format": f"{FORMAT_NAME} (unpacked text)",
             "version": FORMAT_VERSION,
-            "events": len(packed),
-            "unique_files": len(packed.file_symbols),
-            "client_symbols": len(packed.client_symbols),
-            "user_symbols": len(packed.user_symbols),
-            "process_symbols": len(packed.process_symbols),
+            "events": len(ctrace),
+            "unique_files": len(ctrace.file_symbols),
+            "client_symbols": len(ctrace.client_symbols),
+            "user_symbols": len(ctrace.user_symbols),
+            "process_symbols": len(ctrace.process_symbols),
             "columns": columns,
             "columns_bytes": sum(columns.values()),
             "footer_bytes": None,
@@ -1250,12 +1252,6 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
             rows.append([key.replace("_", " "), str(info[key])])
     print(rows_to_markdown(rows))
     if args.bench:
-        if validate_columnar(args.trace):
-            from .traces.columnar import read_columnar
-
-            ctrace = read_columnar(args.trace)
-        else:
-            ctrace = packed
         print()
         print(rows_to_markdown(_trace_bench_rows(ctrace)))
     return 0
@@ -1338,7 +1334,7 @@ def _cmd_slam(args: argparse.Namespace) -> int:
     JSON for CI artifacts.
     """
     from .serve.client import run_slam, write_report
-    from .traces.columnar import validate_columnar
+    from .traces.columnar import is_columnar
 
     workload, events, seed = args.workload, args.events, args.seed
     if args.scenario is not None:
@@ -1352,7 +1348,7 @@ def _cmd_slam(args: argparse.Namespace) -> int:
         events = DEFAULT_EVENTS
 
     if args.trace is not None:
-        if validate_columnar(args.trace):
+        if is_columnar(args.trace):
             source = args.trace  # workers re-open the mmap themselves
             described = f"ctrace {args.trace}"
         else:

@@ -37,8 +37,8 @@ The API is deliberately tiny; every body is a single JSON object:
     runs; disable per scenario for anything long-lived).
 
 Errors are always ``{"error": str, "status": int}`` with the matching
-HTTP status: 400 malformed body, 404 unknown path or unknown file,
-405 wrong method, 413 oversized body.
+HTTP status: 400 malformed body or ``Content-Length``, 404 unknown path
+or unknown file, 405 wrong method, 413 oversized body.
 
 Request tracing rides the same wire: a client that wants a request
 traced sends ``X-Repro-Trace: <trace_id>:<span_id>`` (see
@@ -67,6 +67,7 @@ __all__ = [
     "MAX_BATCH",
     "WireError",
     "error_body",
+    "parse_content_length",
     "parse_body",
     "parse_open",
     "parse_fetch",
@@ -108,6 +109,20 @@ def error_body(message: str, status: int) -> bytes:
     return json.dumps({"error": message, "status": status}).encode("utf-8")
 
 
+def parse_content_length(value: Optional[str]) -> int:
+    """A ``Content-Length`` header as a byte count, or raise :class:`WireError`.
+
+    Only ASCII digits are a length: a sign, a blank or any other text
+    leaves the body unframed, which is a 400.  A missing header is 0.
+    """
+    if value is None:
+        return 0
+    text = value.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise WireError(f"Content-Length must be a non-negative integer, got {value!r}")
+    return int(text)
+
+
 def parse_body(raw: bytes, source: str = "request") -> Dict[str, Any]:
     """Decode one JSON-object request body or raise :class:`WireError`."""
     if len(raw) > MAX_BODY_BYTES:
@@ -121,6 +136,8 @@ def parse_body(raw: bytes, source: str = "request") -> Dict[str, Any]:
         payload = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise WireError(f"{source}: body is not valid JSON ({error})")
+    except RecursionError:
+        raise WireError(f"{source}: body is nested too deeply to decode")
     if not isinstance(payload, dict):
         raise WireError(
             f"{source}: body must be a JSON object, got {type(payload).__name__}"

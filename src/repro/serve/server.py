@@ -738,6 +738,7 @@ class CacheDaemon:
         path = raw_path.rstrip("/") or "/"
         root = self._open_server_span(handler, method, path)
         events = 0
+        raw: Optional[bytes] = None
         try:
             if (method, path) not in self._ROUTES:
                 known = any(path == route for _m, route in self._ROUTES)
@@ -747,7 +748,9 @@ class CacheDaemon:
                     )
                 raise wire.WireError(f"unknown endpoint {path}", status=404)
             if method == "POST":
-                length = int(handler.headers.get("Content-Length") or 0)
+                length = wire.parse_content_length(
+                    handler.headers.get("Content-Length")
+                )
                 if length > wire.MAX_BODY_BYTES:
                     raise wire.WireError(
                         f"body of {length} bytes exceeds "
@@ -759,6 +762,10 @@ class CacheDaemon:
                 raw = b""
             status, payload = self._handle(method, path, raw, query, root)
         except wire.WireError as error:
+            if raw is None and method == "POST":
+                # The body is still on the stream (or cannot be framed at
+                # all); keep-alive would parse it as the next request.
+                handler.close_connection = True
             # Record before responding: once a client has seen the reply
             # it may immediately scrape /stats, and the counters must
             # already include this request (no read-your-writes gap).

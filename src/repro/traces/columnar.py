@@ -244,11 +244,7 @@ class ColumnarTrace:
 
     def to_trace(self) -> Trace:
         """Decode the full trace back to event objects (interchange)."""
-        trace = Trace(name=self.name)
-        trace.extend(
-            event.with_sequence(-1) for event in self.iter_events()
-        )
-        return trace
+        return Trace(events=list(self.iter_events()), name=self.name)
 
     def file_ids(self) -> List[str]:
         """The access sequence decoded to file-identifier strings."""
@@ -542,8 +538,9 @@ def read_columnar(
     single allocation; columns are views into it).
 
     Raises :class:`ColumnarFormatError` on any structural problem:
-    wrong magic, unsupported version, or a size/offset that disagrees
-    with the actual file.
+    wrong magic, unsupported version, a size/offset that disagrees
+    with the actual file, or a column code with no symbol (or kind)
+    to decode to.
     """
     path = Path(source)
     label = str(path)
@@ -596,24 +593,34 @@ def read_columnar(
         view[_HEADER.size + 2 : _HEADER.size + 2 + name_len]
     ).decode("utf-8")
 
+    # Bound every column by the footer before casting, so a lying
+    # header fails here and never as a short, unaligned cast.
+    if footer_offset > len(view):
+        raise ColumnarFormatError(f"{label}: footer offset past end of file")
     cursor = columns_offset
-    file_codes = _u32_view(view, cursor, n_events)
-    cursor += 4 * n_events + _pad8(4 * n_events)
-    kind_codes = None
-    if flags & _FLAG_KIND:
-        kind_codes = view[cursor : cursor + n_events]
-        cursor += n_events + _pad8(n_events)
-    optional: Dict[int, Optional[memoryview]] = {}
-    for flag in (_FLAG_CLIENT, _FLAG_USER, _FLAG_PROCESS):
-        if flags & flag:
-            optional[flag] = _u32_view(view, cursor, n_events)
-            cursor += 4 * n_events + _pad8(4 * n_events)
-        else:
-            optional[flag] = None
-    if cursor > footer_offset:
-        raise ColumnarFormatError(
-            f"{label}: columns overrun the footer offset"
+    columns: Dict[int, Optional[memoryview]] = {}
+    for flag, width in (
+        (0, 4),  # the file column, always present
+        (_FLAG_KIND, 1),
+        (_FLAG_CLIENT, 4),
+        (_FLAG_USER, 4),
+        (_FLAG_PROCESS, 4),
+    ):
+        if flag and not flags & flag:
+            columns[flag] = None
+            continue
+        size = width * n_events
+        if cursor + size + _pad8(size) > footer_offset:
+            raise ColumnarFormatError(
+                f"{label}: columns overrun the footer offset"
+            )
+        columns[flag] = (
+            _u32_view(view, cursor, n_events)
+            if width == 4
+            else view[cursor : cursor + n_events]
         )
+        cursor += size + _pad8(size)
+    file_codes, kind_codes = columns[0], columns[_FLAG_KIND]
 
     cursor = footer_offset
     blocks: List[Tuple[str, ...]] = []
@@ -627,17 +634,29 @@ def read_columnar(
             f"{label}: footer has {len(file_symbols)} file symbols, "
             f"header says {n_files}"
         )
+    for column, codes, limit in (
+        ("file", file_codes, n_files),
+        ("kind", kind_codes, len(KINDS)),
+        ("client", columns[_FLAG_CLIENT], len(client_symbols)),
+        ("user", columns[_FLAG_USER], len(user_symbols)),
+        ("process", columns[_FLAG_PROCESS], len(process_symbols)),
+    ):
+        if codes is not None and n_events and max(codes) >= limit:
+            raise ColumnarFormatError(
+                f"{label}: {column} column holds code {max(codes)}, "
+                f"but only {limit} are defined"
+            )
 
     return ColumnarTrace(
         name=name,
         file_codes=file_codes,
         file_symbols=file_symbols,
         kind_codes=kind_codes,
-        client_codes=optional[_FLAG_CLIENT],
+        client_codes=columns[_FLAG_CLIENT],
         client_symbols=client_symbols,
-        user_codes=optional[_FLAG_USER],
+        user_codes=columns[_FLAG_USER],
         user_symbols=user_symbols,
-        process_codes=optional[_FLAG_PROCESS],
+        process_codes=columns[_FLAG_PROCESS],
         process_symbols=process_symbols,
         version=version,
         _mmap=mapped,
@@ -698,10 +717,27 @@ def describe_columnar(source: Union[str, Path]) -> Dict[str, object]:
     }
 
 
-def validate_columnar(source: Union[str, Path]) -> bool:
-    """Whether a file is a readable, well-formed columnar trace."""
+def is_columnar(source: Union[str, Path]) -> bool:
+    """Whether a file starts with the columnar magic, well-formed or not.
+
+    Tells a columnar trace from a text one, so a damaged columnar file
+    reaches :func:`read_columnar` and its error instead of a text parser.
+    """
     try:
-        describe_columnar(source)
-    except (OSError, ColumnarFormatError, struct.error):
+        with Path(source).open("rb") as handle:
+            return handle.read(len(MAGIC)) == MAGIC
+    except OSError:
+        return False
+
+
+def validate_columnar(source: Union[str, Path]) -> bool:
+    """Whether a file is a readable, well-formed columnar trace.
+
+    A full :func:`read_columnar`, so every column code is range-checked
+    and every symbol decoded.
+    """
+    try:
+        read_columnar(source)
+    except (OSError, ColumnarFormatError, struct.error, UnicodeDecodeError):
         return False
     return True

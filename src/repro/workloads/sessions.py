@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import WorkloadError
 from ..traces.events import EventKind, Trace, TraceEvent
 from .activities import Access, Activity
 from .zipf import ZipfSampler, geometric
+
+#: One interleaved access: (file identifier, operation kind, client id).
+Draw = Tuple[str, EventKind, str]
 
 
 @dataclass
@@ -94,6 +97,11 @@ class ClientSession:
             if self.config.noise_files
             else None
         )
+        self._shared_sampler = (
+            ZipfSampler(len(self.config.shared_utilities), 1.0)
+            if self.config.shared_utilities
+            else None
+        )
         self._current: Optional[Activity] = None
         self._remaining_burst = 0
         self._pending_shared: Optional[str] = None
@@ -116,12 +124,11 @@ class ClientSession:
         self._current = self.activities[choice]
         self._remaining_burst = geometric(rng, self.config.burst_mean)
         if (
-            self.config.shared_utilities
+            self._shared_sampler is not None
             and rng.random() < self.config.shared_probability
         ):
-            utilities = self.config.shared_utilities
-            self._pending_shared = utilities[
-                ZipfSampler(len(utilities), 1.0).sample(rng)
+            self._pending_shared = self.config.shared_utilities[
+                self._shared_sampler.sample(rng)
             ]
 
     def emit(self, rng: random.Random) -> Access:
@@ -162,11 +169,11 @@ class Interleaver:
         self.sessions = list(sessions)
         self.run_mean = run_mean
 
-    def generate(self, events: int, rng: random.Random, name: str = "trace") -> Trace:
-        """Produce a trace of ``events`` accesses."""
+    def draw(self, events: int, rng: random.Random) -> List[Draw]:
+        """Draw ``events`` accesses as plain ``(file_id, kind, client_id)`` tuples."""
         if events < 0:
             raise WorkloadError(f"events must be non-negative, got {events}")
-        trace = Trace(name=name)
+        draws: List[Draw] = []
         active: Optional[ClientSession] = None
         remaining_run = 0
         for _ in range(events):
@@ -175,7 +182,20 @@ class Interleaver:
                 remaining_run = geometric(rng, self.run_mean)
             remaining_run -= 1
             file_id, kind = active.emit(rng)
-            trace.append(
-                TraceEvent(file_id=file_id, kind=kind, client_id=active.client_id)
-            )
-        return trace
+            draws.append((file_id, kind, active.client_id))
+        return draws
+
+    def generate(self, events: int, rng: random.Random, name: str = "trace") -> Trace:
+        """Produce a trace of ``events`` accesses."""
+        return build_trace(self.draw(events, rng), name)
+
+
+def build_trace(draws: Sequence[Draw], name: str) -> Trace:
+    """A trace holding one event per draw, numbered in draw order."""
+    return Trace(
+        events=[
+            TraceEvent(file_id, kind, sequence, client_id)
+            for sequence, (file_id, kind, client_id) in enumerate(draws)
+        ],
+        name=name,
+    )

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import WorkloadError
-from ..traces.events import EventKind, Trace, TraceEvent
+from ..traces.events import EventKind, Trace
 from .activities import Activity, MarkovActivity, ScriptedActivity, make_file_names
-from .sessions import ClientSession, Interleaver, SessionConfig
+from .sessions import ClientSession, Draw, Interleaver, SessionConfig, build_trace
 from .zipf import ZipfSampler, geometric
 
 #: Signature shared by the four workload factories.
@@ -42,7 +42,8 @@ WorkloadFactory = Callable[[int, int], Trace]
 #: artifact names (see :mod:`repro.traces.artifacts`).  Bump this on ANY
 #: change that alters generated traces — specs, activities, sessions,
 #: interleaving, or repeat expansion — so stale cached artifacts can
-#: never masquerade as current output.
+#: never masquerade as current output.  ``tests/test_synthetic.py``
+#: records the output's digests per version and fails when they move.
 GENERATOR_VERSION = 1
 
 #: Shared executables touched across activities (the paper's make/shell
@@ -235,12 +236,13 @@ def build_workload(spec: WorkloadSpec, events: int, seed: int) -> Trace:
                 config=config,
             )
         )
-    interleaver = Interleaver(sessions, run_mean=spec.run_mean)
-    trace = interleaver.generate(events, rng, name=spec.name)
-    return _expand_repeats(trace, spec, rng)
+    draws = Interleaver(sessions, run_mean=spec.run_mean).draw(events, rng)
+    return build_trace(_expand_repeats(draws, spec, rng), spec.name)
 
 
-def _expand_repeats(trace: Trace, spec: WorkloadSpec, rng: random.Random) -> Trace:
+def _expand_repeats(
+    draws: List[Draw], spec: WorkloadSpec, rng: random.Random
+) -> List[Draw]:
     """Insert immediate re-opens, preserving the requested length.
 
     With probability ``repeat_probability`` each access is followed by a
@@ -250,23 +252,17 @@ def _expand_repeats(trace: Trace, spec: WorkloadSpec, rng: random.Random) -> Tra
     stays a pure function of the request.
     """
     if not spec.repeat_probability:
-        return trace
-    expanded = Trace(name=trace.name)
-    for event in trace:
-        if len(expanded) >= len(trace):
+        return draws
+    limit = len(draws)
+    expanded: List[Draw] = []
+    for draw in draws:
+        if len(expanded) >= limit:
             break
-        expanded.append(event.with_sequence(-1))
+        expanded.append(draw)
         if rng.random() < spec.repeat_probability:
             extra = geometric(rng, spec.repeat_mean)
-            for _ in range(extra):
-                if len(expanded) >= len(trace):
-                    break
-                repeat = TraceEvent(
-                    file_id=event.file_id,
-                    kind=EventKind.OPEN,
-                    client_id=event.client_id,
-                )
-                expanded.append(repeat)
+            repeat = (draw[0], EventKind.OPEN, draw[2])
+            expanded.extend([repeat] * min(extra, limit - len(expanded)))
     return expanded
 
 

@@ -114,6 +114,49 @@ class TestRoundTrip:
         trace = load_or_generate("server", 180)
         assert trace.events == make_workload("server", 180).events
 
+    def test_out_of_range_file_code_is_regenerated(self, tmp_path, monkeypatch):
+        import struct
+
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+        path = artifact_path("server", 300, None, GENERATOR_VERSION)
+        good = load_or_generate_columnar("server", 300)
+        n_files = len(good.file_symbols)
+        del good  # release the mapping before rewriting the file
+        raw = bytearray(path.read_bytes())
+        (columns_offset,) = struct.unpack_from("<Q", raw, 40)
+        struct.pack_into("<I", raw, columns_offset, n_files)
+        path.write_bytes(bytes(raw))
+        assert load_columnar_artifact(path, 300) is None
+        trace = load_or_generate("server", 300)
+        assert trace.events == make_workload("server", 300).events
+        assert load_columnar_artifact(path, 300) is not None
+
+    def test_cold_load_generates_and_packs_once(self, tmp_path, monkeypatch):
+        # The benchmark's set-up layers time these two calls through
+        # their module attributes; a cold load must make each exactly once.
+        from repro.workloads import synthetic
+
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+        calls = {"make_workload": 0, "from_trace": 0}
+        make = synthetic.make_workload
+        pack = ColumnarTrace.from_trace
+
+        def counted_make(*args, **kwargs):
+            calls["make_workload"] += 1
+            return make(*args, **kwargs)
+
+        def counted_pack(trace):
+            calls["from_trace"] += 1
+            return pack(trace)
+
+        monkeypatch.setattr(synthetic, "make_workload", counted_make)
+        monkeypatch.setattr(ColumnarTrace, "from_trace", staticmethod(counted_pack))
+        cold = load_or_generate_columnar("users", 400)
+        assert calls == {"make_workload": 1, "from_trace": 1}
+        assert cold.to_trace().events == make("users", 400).events
+        load_or_generate_columnar("users", 400)
+        assert calls == {"make_workload": 1, "from_trace": 1}
+
     def test_wrong_event_count_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
         path = artifact_path("server", 250, None, GENERATOR_VERSION)

@@ -493,6 +493,29 @@ class TestTraceTooling:
         assert "| events | 800 |" in out
         assert "unpacked text" in out
 
+    def test_damaged_columnar_input_is_an_error(self, capsys, tmp_path):
+        import struct
+
+        from repro.traces.columnar import ColumnarTrace, write_columnar
+        from repro.workloads.synthetic import make_workload
+
+        packed = ColumnarTrace.from_trace(make_workload("server", 300))
+        damaged = tmp_path / "damaged.ctrace"
+        write_columnar(packed, damaged)
+        raw = bytearray(damaged.read_bytes())
+        (columns_offset,) = struct.unpack_from("<Q", raw, 40)
+        struct.pack_into("<I", raw, columns_offset, len(packed.file_symbols))
+        damaged.write_bytes(bytes(raw))
+        capsys.readouterr()
+        for argv in (
+            ["trace", "info", str(damaged)],
+            ["trace", "pack", str(damaged), str(tmp_path / "out.ctrace")],
+        ):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert "error:" in captured.err and "file column" in captured.err
+            assert captured.out == ""
+
     def test_pack_repacks_columnar_input(self, capsys, tmp_path):
         text = tmp_path / "u.trace"
         first = tmp_path / "u1.ctrace"

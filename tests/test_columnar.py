@@ -8,6 +8,7 @@ import pytest
 from repro.traces.columnar import (
     FORMAT_NAME,
     FORMAT_VERSION,
+    KINDS,
     MAGIC,
     ColumnarFormatError,
     ColumnarTrace,
@@ -117,6 +118,65 @@ class TestLayout:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 16])
         with pytest.raises(ColumnarFormatError):
+            read_columnar(path)
+        assert validate_columnar(path) is False
+
+    @pytest.mark.parametrize(
+        "column", ["file", "kind", "client", "user", "process"]
+    )
+    def test_out_of_range_code_rejected(self, mixed_trace, tmp_path, column):
+        # A code with no symbol to decode to must fail the open, not
+        # surface later as an IndexError inside replay.
+        packed = ColumnarTrace.from_trace(mixed_trace)
+        limits = {
+            "file": len(packed.file_symbols),
+            "kind": len(KINDS),
+            "client": len(packed.client_symbols),
+            "user": len(packed.user_symbols),
+            "process": len(packed.process_symbols),
+        }
+        path = tmp_path / "codes.ctrace"
+        write_columnar(packed, path)
+        raw = bytearray(path.read_bytes())
+        n = len(packed)
+        u32_bytes = (4 * n + 7) // 8 * 8
+        kind_bytes = (n + 7) // 8 * 8
+        (columns_offset,) = struct.unpack_from("<Q", raw, 40)
+        starts = {
+            "file": columns_offset,
+            "kind": columns_offset + u32_bytes,
+            "client": columns_offset + u32_bytes + kind_bytes,
+            "user": columns_offset + 2 * u32_bytes + kind_bytes,
+            "process": columns_offset + 3 * u32_bytes + kind_bytes,
+        }
+        last = n - 1
+        if column == "kind":
+            raw[starts[column] + last] = limits[column]
+        else:
+            struct.pack_into("<I", raw, starts[column] + 4 * last, limits[column])
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ColumnarFormatError, match=f"{column} column"):
+            read_columnar(path)
+        assert validate_columnar(path) is False
+
+    def test_undecodable_symbol_fails_validation(self, mixed_trace, tmp_path):
+        path = tmp_path / "utf8.ctrace"
+        write_columnar(mixed_trace, path)
+        raw = bytearray(path.read_bytes())
+        (footer_offset,) = struct.unpack_from("<Q", raw, 48)
+        # First file symbol: after the block's count, blob length and
+        # four string lengths.
+        raw[footer_offset + 8 + 4 * 4] = 0xFF
+        path.write_bytes(bytes(raw))
+        assert validate_columnar(path) is False
+
+    def test_event_count_past_columns_rejected(self, tmp_path):
+        path = tmp_path / "long.ctrace"
+        write_columnar(make_workload("server", 100), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<Q", raw, 16, 10**9 + 1)  # n_events
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ColumnarFormatError, match="overrun"):
             read_columnar(path)
         assert validate_columnar(path) is False
 

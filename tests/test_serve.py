@@ -9,6 +9,7 @@ an address and no test leaks a socket.
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -110,6 +111,19 @@ class TestWire:
     def test_parse_body_rejects_empty(self):
         with pytest.raises(wire.WireError, match="empty body"):
             wire.parse_body(b"")
+
+    def test_parse_body_rejects_deep_nesting(self):
+        with pytest.raises(wire.WireError, match="nested too deeply"):
+            wire.parse_body(b"[" * 5000)
+
+    def test_parse_content_length(self):
+        assert wire.parse_content_length(None) == 0
+        assert wire.parse_content_length("0") == 0
+        assert wire.parse_content_length(" 42 ") == 42
+        for bad in ("", "abc", "-1", "-5", "+2", "1_0", "4.0", "\u0663"):
+            with pytest.raises(wire.WireError, match="Content-Length") as caught:
+                wire.parse_content_length(bad)
+            assert caught.value.status == 400
 
     def test_parse_open_requires_file(self):
         with pytest.raises(wire.WireError, match="'file'"):
@@ -337,6 +351,92 @@ class TestDaemon:
     def test_never_started_daemon_still_closes(self):
         daemon = CacheDaemon(tiny_scenario())
         daemon.close()  # must not hang in shutdown()
+
+
+def _raw_post(daemon, head: str, body: bytes = b"", timeout: float = 5.0):
+    """Send hand-framed POST bytes; return (status, error body, then-closed).
+
+    Reads exactly one response (headers plus Content-Length bytes) and
+    then whether the daemon closed the connection.  A daemon that never
+    answers fails the test with a socket timeout instead of hanging it.
+    """
+    with socket.create_connection((daemon.host, daemon.port), timeout=timeout) as sock:
+        sock.sendall(head.encode("ascii") + b"\r\n\r\n" + body)
+        buffered = b""
+        while b"\r\n\r\n" not in buffered:
+            chunk = sock.recv(65536)
+            assert chunk, f"connection closed before a response: {buffered!r}"
+            buffered += chunk
+        header, _, payload = buffered.partition(b"\r\n\r\n")
+        lines = header.decode("latin-1").split("\r\n")
+        status = int(lines[0].split()[1])
+        fields = dict(line.split(": ", 1) for line in lines[1:])
+        while len(payload) < int(fields["Content-Length"]):
+            payload += sock.recv(65536)
+        sock.settimeout(1.0)
+        try:
+            closed = sock.recv(1) == b""
+        except socket.timeout:
+            closed = False
+    return status, json.loads(payload), closed
+
+
+class TestMalformedRequests:
+    """Rejected requests get a structured 4xx, never a 500 or a hang.
+
+    A body the daemon did not read must not reach the next request on
+    a keep-alive connection, so those rejections close it.
+    """
+
+    def test_deeply_nested_body_is_400(self):
+        body = b"[" * 5000
+        with CacheDaemon(tiny_scenario()) as daemon:
+            status, error, closed = _raw_post(
+                daemon, f"POST /fetch HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}", body
+            )
+        assert status == 400 and error["status"] == 400
+        assert "nested" in error["error"]
+        assert not closed  # a framed body keeps the connection alive
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "+2"])
+    def test_malformed_content_length_is_400_and_closes(self, length):
+        with CacheDaemon(tiny_scenario()) as daemon:
+            status, error, closed = _raw_post(
+                daemon, f"POST /open HTTP/1.1\r\nHost: x\r\nContent-Length: {length}", b"{}"
+            )
+        assert status == 400 and error["status"] == 400
+        assert "Content-Length" in error["error"]
+        assert closed  # the body cannot be framed, so nothing after it can be
+
+    @pytest.mark.parametrize(
+        "path, length, status",
+        [("/nope", None, 404), ("/stats", None, 405), ("/open", 9 * 1024 * 1024, 413)],
+    )
+    def test_rejected_before_body_read_closes(self, path, length, status):
+        body = b'{"file": "f1"}'
+        with CacheDaemon(tiny_scenario()) as daemon:
+            got, error, closed = _raw_post(
+                daemon,
+                f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {length or len(body)}",
+                body,
+            )
+            assert daemon.accesses == 0
+        assert got == status == error["status"]
+        assert closed
+
+    def test_minus_one_content_length_is_answered_at_once(self):
+        # A negative length must not start a read to EOF: the socket
+        # timeout turns such a hang into a failure.
+        with CacheDaemon(tiny_scenario()) as daemon:
+            status, error, closed = _raw_post(
+                daemon,
+                "POST /open HTTP/1.1\r\nHost: x\r\nContent-Length: -1",
+                b'{"file": "f1"}',
+                timeout=3.0,
+            )
+            assert daemon.accesses == 0
+        assert status == 400 and "Content-Length" in error["error"]
+        assert closed
 
 
 # -- slam driver -------------------------------------------------------------

@@ -5,6 +5,8 @@ module tests the generator machinery itself: determinism, validation,
 event accounting, and the spec registry.
 """
 
+import hashlib
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -15,6 +17,7 @@ from repro.workloads.markov import (
     validate_transitions,
 )
 from repro.workloads.synthetic import (
+    GENERATOR_VERSION,
     SERVER_SPEC,
     WORKLOADS,
     WRITE_SPEC,
@@ -105,6 +108,58 @@ class TestBuildWorkload:
         # proxy: lib files exist and are hot.
         lib_accesses = [f for f in trace.file_ids() if "/lib/" in f]
         assert len(lib_accesses) > 100
+
+
+#: SHA-256 of generated traces, keyed by ``GENERATOR_VERSION`` and then
+#: by ``(workload, seed)`` at 3,000 events (``None`` = default seed).
+#: Cached ``.ctrace`` artifacts are named by the version alone, so these
+#: digests are what makes the version tag honest.
+GENERATOR_DIGESTS = {
+    1: {
+        ("server", None): "8abc309e4ada782db9417139381d49277a2c301d5303901453f7a06a57b77058",
+        ("server", 7): "66e3d4a69c11e7afdf1e90dd1c8edbd416a6cc88a8f6b5f66420fcae946b2b7a",
+        ("users", None): "a88033e2a6135e45af1416a8f0f9805fd0f69b43ab6f8b5a2ef336d6cec6a3aa",
+        ("users", 7): "b072745fca9e92f28caef685f46e8a7b04ffbd0c96668058ce079c4789ca1dd2",
+        ("workstation", None): "22148fa012bd87721ce477127c0c5ba14ec0c296c9b014bd4143e976e40bcc15",
+        ("workstation", 7): "1b46143e859d8b452abfa9d2b1f871338a688e076a73f484a9e683c4fa608331",
+        ("write", None): "733620c782d9b845677992d7ca7afaf8863a8eaf443e59270785111b0975fdc4",
+        ("write", 7): "7bf2943c558b3b7946b61eb8910aa10ab5cb0e484227104f8f0c152fd2cf93f7",
+    },
+}
+
+
+def _trace_digest(trace) -> str:
+    """SHA-256 over the trace name, its length and every field of every event."""
+    digest = hashlib.sha256()
+    digest.update(repr((trace.name, len(trace))).encode("utf-8"))
+    for event in trace:
+        fields = (
+            event.sequence,
+            event.file_id,
+            event.kind.value,
+            event.client_id,
+            event.user_id,
+            event.process_id,
+        )
+        digest.update(repr(fields).encode("utf-8"))
+    return digest.hexdigest()
+
+
+class TestGeneratorDigests:
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_output_matches_recorded_digest(self, name, seed):
+        recorded = GENERATOR_DIGESTS.get(GENERATOR_VERSION)
+        assert recorded is not None, (
+            f"no digests recorded for GENERATOR_VERSION {GENERATOR_VERSION}; "
+            "record the new output's digests under the new version"
+        )
+        assert _trace_digest(make_workload(name, 3000, seed)) == recorded[(name, seed)], (
+            f"generated {name!r} (seed {seed}) no longer matches the digest "
+            f"recorded for GENERATOR_VERSION {GENERATOR_VERSION}: bump "
+            "GENERATOR_VERSION in repro.workloads.synthetic (so cached "
+            "artifacts are regenerated) and record the new digests under it"
+        )
 
 
 class TestMarkovGenerator:
