@@ -6,7 +6,7 @@
 BENCH_JSON ?= BENCH_micro.json
 PYTHON ?= python
 
-.PHONY: install lint test bench bench-smoke bench-check claims perfbench-smoke trace-smoke ts-smoke serve-smoke live-obs-smoke spans-smoke charts examples report csv all clean
+.PHONY: install lint test bench bench-smoke bench-check claims perfbench-smoke smoke charts examples report csv all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -72,47 +72,20 @@ perfbench-smoke:
 			|| { echo "perfbench $$workload: not correct or failed > 0"; exit 1; }; \
 	done
 
-# Tracing smoke: record a real traced replay, then validate the JSONL
-# export against the repro.trace/1 schema and its own meta accounting.
-trace-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro explain --workload server \
-		--events 4000 --cache-size 150 --out trace_smoke.jsonl
-	PYTHONPATH=src $(PYTHON) scripts/check_trace.py trace_smoke.jsonl
-
-# Time-series smoke: record a windowed replay, then validate the JSONL
-# export (repro.ts/1 schema, monotone windows, Prometheus text parses)
-# and confirm the drift scanner runs end-to-end on the same series.
-ts-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro metrics --workload server \
-		--events 6000 --window 500 --ts-out ts_smoke.jsonl
-	PYTHONPATH=src $(PYTHON) scripts/check_timeseries.py ts_smoke.jsonl
-	PYTHONPATH=src $(PYTHON) -m repro drift ts_smoke.jsonl --history 4
-
-# Serve/slam smoke: start the daemon on the CI scenario, slam it from
-# worker processes, and assert the served hit-ratio matches an
-# in-process replay of the daemon's own journal (exactly, in practice;
-# 1% is the acceptance bound), then SIGTERM and expect a clean exit.
-serve-smoke:
-	PYTHONPATH=src $(PYTHON) scripts/check_serve.py scenarios/smoke.json \
-		--events 5000 --workers 2
-
-# Live-observability smoke: daemon with access log + event-count
-# telemetry windows; stream /stats?since= during a slam and assert the
-# windowed counters converge to the lifetime counters, drift --url is
-# clean on the steady phase, then exits 2 on an injected workload shift
-# (uniform-random opens over a wide namespace), access log is valid
-# JSONL with monotonic ids, SIGTERM exits cleanly.
-live-obs-smoke:
-	PYTHONPATH=src $(PYTHON) scripts/check_live_obs.py scenarios/smoke.json \
-		--events 6000 --workers 2
-
-# Request-tracing smoke: traced slam against a traced daemon, then
-# assert every client span pairs with a server span of the same trace
-# id, the cache.fetch annotations reconcile exactly with /stats, and
-# the `repro spans` merger emits a valid multi-process Chrome trace.
-spans-smoke:
-	PYTHONPATH=src $(PYTHON) scripts/check_spans.py scenarios/smoke.json \
-		--events 4000 --workers 2
+# The CI smoke checks (scripts/smoke.py), one subcommand each; CI runs
+# one per job via SMOKE.  trace and ts validate a traced replay's and a
+# windowed replay's JSONL exports; serve requires a slammed daemon's
+# counters to equal a replay of its journal; live-obs streams windows,
+# runs the drift gate and checks the access log; spans pairs client and
+# server spans.  Exports, the slam report and span logs go to
+# smoke_artifacts/.
+SMOKE ?= trace ts serve live-obs spans
+smoke:
+	@for check in $(SMOKE); do \
+		echo "== smoke $$check"; \
+		PYTHONPATH=src $(PYTHON) scripts/smoke.py $$check \
+			--artifacts smoke_artifacts || exit 1; \
+	done
 
 charts:
 	PYTHONPATH=src pytest benchmarks/ --benchmark-only -s
@@ -133,5 +106,6 @@ all: lint test bench examples
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache .benchmarks
-	rm -f BENCH_fresh.json trace_smoke.jsonl ts_smoke.jsonl
+	rm -rf smoke_artifacts
+	rm -f BENCH_fresh.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

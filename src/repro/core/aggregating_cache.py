@@ -511,9 +511,10 @@ class AggregatingServerCache(Cache):
         """One JSON-ready snapshot of every counter this cache keeps.
 
         The ``repro serve`` daemon's ``/stats`` payload and Prometheus
-        rendering are built from this, and ``scripts/check_serve.py``
-        compares two of them (served vs journal-replayed) field by
-        field — so the dict deliberately carries *derived* ratios too,
+        rendering are built from this, and the ``serve`` check of
+        ``scripts/smoke.py`` compares two of them (served vs
+        journal-replayed) field by field — so the dict deliberately
+        carries *derived* ratios too,
         computed from the same counters both sides hold.
 
         ``prefetch_efficiency`` is installed companions per offered

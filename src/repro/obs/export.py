@@ -115,6 +115,10 @@ def read_records(
     return meta, records
 
 
+#: The ``Content-Type`` both ``/metrics`` pages are served with.
+EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
 def exposition(rows: Iterable[Tuple[str, str, str, Any]]) -> str:
     """Render ``(name, kind, help, value)`` rows as Prometheus text.
 

@@ -43,11 +43,9 @@ long-running runs.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (
     Any,
     Callable,
@@ -61,7 +59,16 @@ from typing import (
     Union,
 )
 
-from .export import TS_SCHEMA, Pathish, exposition, meta_record, read_records, write_records
+from .export import (
+    EXPOSITION_CONTENT_TYPE,
+    TS_SCHEMA,
+    Pathish,
+    exposition,
+    meta_record,
+    read_records,
+    write_records,
+)
+from .host import HttpHost
 from .registry import ObservabilityError
 
 #: Sample fields that depend on wall-clock time.  Excluded from
@@ -746,21 +753,23 @@ def prometheus_text(
     return exposition(rows)
 
 
-class MetricsServer:
+class MetricsServer(HttpHost):
     """A stdlib ``/metrics`` endpoint for long-running runs.
 
     Serves whatever ``render`` returns (typically
     ``lambda: prometheus_text(collector)``) from a daemon thread, so a
-    Prometheus scraper can watch a multi-hour sweep live.
+    Prometheus scraper can watch a multi-hour sweep live.  Any other
+    path, and any method but ``GET``, gets a 404.
 
     The default port is **0** — the kernel picks a free one — and the
     bound address is read back into ``.host`` / ``.port`` / ``.url``
     after binding.  Tests and parallel CI legs must keep that default
     and dial the reported port instead of hard-coding one; two suites
     scraping fixed ports is exactly the flaky collision this contract
-    eliminates (``repro.serve.CacheDaemon`` follows the same rule).
-    ``close()`` is idempotent and the server is a context manager, so
-    teardown paths can never leak the socket or double-shutdown.
+    eliminates (``repro.serve.CacheDaemon`` shares the same
+    :class:`~repro.obs.host.HttpHost`).  ``close()`` is idempotent and
+    the server is a context manager, so teardown paths can never leak
+    the socket or double-shutdown.
     """
 
     def __init__(
@@ -769,63 +778,25 @@ class MetricsServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
-        server_ref = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 - http.server API
-                if self.path.rstrip("/") not in ("", "/metrics".rstrip("/")):
-                    self.send_error(404, "only /metrics is served")
-                    return
-                body = server_ref.render().encode("utf-8")
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-                )
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, format, *args):  # noqa: A002 - API name
-                pass  # scrapes must not spam the dashboard's terminal
-
         self.render = render
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
-        self.host, self.port = self._httpd.server_address[:2]
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-metrics", daemon=True
-        )
+        super().__init__(host, port, "repro-metrics")
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}/metrics"
 
-    def start(self) -> "MetricsServer":
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        """Stop serving and release the socket; safe to call twice.
-
-        ``shutdown()`` is only issued when the serve loop actually ran
-        (it blocks forever otherwise); the socket is released either
-        way, so a constructed-but-never-started server still cleans up.
-        """
-        if self._closed:
+    def _dispatch(self, handler, method: str) -> None:
+        if method != "GET" or handler.path.rstrip("/") not in ("", "/metrics"):
+            # An unread POST body must not be parsed as the next request.
+            handler.close_connection = True
+            self.respond(
+                handler, 404, b"only GET /metrics is served\n",
+                "text/plain; charset=utf-8",
+            )
             return
-        self._closed = True
-        if self._thread.is_alive():
-            self._httpd.shutdown()
-            self._thread.join(timeout=5)
-        self._httpd.server_close()
-
-    def __enter__(self) -> "MetricsServer":
-        if not self._thread.is_alive():
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.respond(
+            handler, 200, self.render().encode("utf-8"), EXPOSITION_CONTENT_TYPE
+        )
 
 
 def serve_metrics(

@@ -17,11 +17,12 @@ simulators:
   group-management knobs, the bind address, and the default workload;
   ``repro serve scenarios/paper-server.json`` is the whole deployment
   story.
-* :mod:`~repro.serve.server` — :class:`CacheDaemon`, a stdlib
-  ``ThreadingHTTPServer`` hosting the cache.  ``POST /open`` is one
-  file open, ``POST /fetch`` a batch of opens, ``POST /invalidate`` a
-  callback break; ``GET /stats`` and ``GET /metrics`` (Prometheus
-  text) expose the counters the replay simulator would have returned.
+* :mod:`~repro.serve.server` — :class:`CacheDaemon`, the cache on
+  :class:`repro.obs.host.HttpHost` (a stdlib
+  ``ThreadingHTTPServer``).  ``POST /open`` is one file open, ``POST
+  /fetch`` a batch of opens, ``POST /invalidate`` a callback break;
+  ``GET /stats`` and ``GET /metrics`` (Prometheus text) expose the
+  counters the replay simulator would have returned.
   The cache itself is single-threaded by design (see the audit notes
   in :mod:`repro.core.aggregating_cache`), so every cache touch is
   serialized under one lock — the daemon is the concurrency boundary.
@@ -32,7 +33,7 @@ simulators:
 
 The wire vocabulary (endpoint names, request/response fields, error
 shapes) lives in :mod:`~repro.serve.schema` so the daemon, the driver,
-and the CI checker (``scripts/check_serve.py``) cannot drift apart.
+and the CI smoke checks (``scripts/smoke.py``) cannot drift apart.
 
 Nothing here imports outside the standard library, matching the rest
 of the repository's zero-heavy-deps stance.
@@ -47,7 +48,7 @@ from .client import (
 )
 from .scenario import Scenario, ScenarioError, load_scenario
 from .schema import SERVE_SCHEMA, SPAN_SCHEMA, TRACE_HEADER, WireError
-from .server import CacheDaemon, serve_scenario
+from .server import CacheDaemon
 
 __all__ = [
     "CacheDaemon",
@@ -63,5 +64,4 @@ __all__ = [
     "load_scenario",
     "percentile",
     "run_slam",
-    "serve_scenario",
 ]

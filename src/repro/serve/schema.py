@@ -1,7 +1,7 @@
 """Wire schema for the aggregating-cache daemon: ``repro.serve/1``.
 
 One place defines what travels between ``repro serve``, ``repro
-slam``, and ``scripts/check_serve.py``: endpoint paths, request
+slam``, and ``scripts/smoke.py``: endpoint paths, request
 payload validation, and the JSON error shape.  Keeping the vocabulary
 here (rather than inline in the handler) means the daemon, the load
 driver, and the CI checker parse and emit exactly the same records —
@@ -30,7 +30,9 @@ The API is deliberately tiny; every body is a single JSON object:
 
 ``GET /stats`` / ``GET /metrics`` / ``GET /journal`` / ``GET /healthz``
     Read-only views: a JSON counter snapshot, Prometheus text, the
-    recorded access order, and a liveness probe.
+    recorded access order (``{"encoding": 2, "entries": [str, ...],
+    "total": int, "truncated": bool}``, entries as
+    :func:`journal_entry` encodes them), and a liveness probe.
 
 ``POST /shutdown``
     Ask the daemon to exit its serve loop cleanly (used by scripted
@@ -75,6 +77,7 @@ __all__ = [
     "parse_since",
     "validate_stats",
     "validate_telemetry",
+    "JOURNAL_ENCODING",
     "journal_entry",
     "decode_journal_entry",
     "replay_journal",
@@ -94,6 +97,12 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Largest accepted ``files`` batch in one ``/fetch`` request.
 MAX_BATCH = 65536
+
+#: The ``/journal`` payload's ``encoding``: 2 escapes an access to an id
+#: starting with the invalidation marker, which version 1 (untagged)
+#: replayed as an invalidation.
+JOURNAL_ENCODING = 2
+_INVALIDATE, _ESCAPE = "!", "\\"
 
 
 class WireError(ReproError):
@@ -255,7 +264,7 @@ def validate_telemetry(payload: Mapping[str, Any]) -> Dict[str, Any]:
 def validate_stats(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Check a ``/stats`` response carries the contract fields.
 
-    Used by the slam driver and ``check_serve.py`` so a daemon/driver
+    Used by the slam driver and ``scripts/smoke.py`` so a daemon/driver
     version skew fails loudly instead of producing a nonsense report.
     """
     if payload.get("schema") != SERVE_SCHEMA:
@@ -273,14 +282,26 @@ def validate_stats(payload: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def journal_entry(file_id: str, invalidate: bool = False) -> str:
-    """Encode one journal entry (``!`` prefix marks an invalidation)."""
-    return f"!{file_id}" if invalidate else file_id
+    """Encode one journal entry (encoding 2).
+
+    An invalidation is ``!`` followed by the id.  An access is the id
+    itself, unless the id starts with ``!`` or ``\\``: then a ``\\`` goes
+    in front.  Every entry decodes to one ``(id, kind)``, and an access
+    to an id that starts with neither character keeps its bytes.
+    """
+    if invalidate:
+        return _INVALIDATE + file_id
+    if file_id.startswith((_INVALIDATE, _ESCAPE)):
+        return _ESCAPE + file_id
+    return file_id
 
 
 def decode_journal_entry(entry: str) -> Tuple[str, bool]:
     """Decode a journal entry to ``(file_id, is_invalidation)``."""
-    if entry.startswith("!"):
+    if entry.startswith(_INVALIDATE):
         return entry[1:], True
+    if entry.startswith(_ESCAPE):
+        return entry[1:], False
     return entry, False
 
 
@@ -290,8 +311,8 @@ def replay_journal(cache, entries) -> None:
     The daemon journals every state-changing touch of the shared cache
     (accesses and invalidations) in arrival order, so replaying the
     journal through a fresh, identically-configured cache reproduces
-    the served hit/miss counts exactly — that equality is the CI
-    serve-smoke's core assertion.
+    the served hit/miss counts exactly — that equality is the core
+    assertion of the ``serve`` smoke check.
     """
     access = cache.access
     invalidate = cache.invalidate

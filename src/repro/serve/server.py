@@ -17,8 +17,8 @@ schema.  The design constraints:
 * **Deterministic accounting.**  When journaling is enabled the daemon
   records every access and invalidation in arrival order; replaying
   the journal through a fresh cache with the same scenario reproduces
-  the served hit/miss counters exactly.  ``scripts/check_serve.py``
-  rests on that equality.
+  the served hit/miss counters exactly.  The ``serve`` check of
+  ``scripts/smoke.py`` rests on that equality.
 * **Port 0 by default.**  Scenarios bind an ephemeral port unless they
   pin one; the chosen port is exposed as :attr:`CacheDaemon.port`,
   printed on startup, and optionally written to ``--port-file`` so
@@ -27,30 +27,32 @@ schema.  The design constraints:
   wake the serve loop; :meth:`close` is idempotent and always releases
   the listening socket, so a supervised daemon dies without orphans.
 
+Binding, the serve thread, ``close()`` and the response write come from
+:class:`repro.obs.host.HttpHost`, the host ``MetricsServer`` shares;
+routing, the body limit, error mapping, spans and telemetry stay here.
+
 Observability — the daemon is a *production-monitoring surface*, not
 just a replay harness:
 
 * **Per-endpoint telemetry.**  Every endpoint keeps its own
   :class:`EndpointStats` — a bounded :class:`LatencyRing` for
-  percentiles, per-status-code counters, and an error count — and
-  mirrors latency/error/status into ns-histograms and counters in a
-  daemon-local :class:`~repro.obs.registry.MetricsRegistry`
-  (``serve.endpoint.<name>.*``).  ``/stats`` exposes the summaries
-  under ``endpoints``; ``/metrics`` renders the per-endpoint request
-  and error counters.
+  percentiles, per-status-code counters, and an error count.
+  ``/stats`` exposes the summaries under ``endpoints``; ``/metrics``
+  renders the per-endpoint request and error counters.
 * **Windowed time-series.**  :class:`DaemonTelemetry` closes
   fixed-duration (and optionally fixed-event-count) windows over the
   served counters and retains a bounded ring of ``repro.ts/1``
   ``source="serve"`` samples — hit ratio, prefetch efficiency, request
-  rate, and per-window latency percentiles — under a monotonic ``seq``
-  cursor.  ``GET /stats?since=N`` returns only windows with ``index >=
-  N``, so a live poller (:class:`repro.obs.live.StatsStream`, ``repro
-  top --attach``, ``repro drift --url``) pays one small JSON body per
-  poll instead of re-downloading history.
+  rate, and a per-window :class:`LatencyRing` summary — under a
+  monotonic ``seq`` cursor.  ``GET /stats?since=N`` returns only
+  windows with ``index >= N``, so a live poller
+  (:class:`repro.obs.live.StatsStream`, ``repro top --attach``,
+  ``repro drift --url``) pays one small JSON body per poll instead of
+  re-downloading history.
 * **Structured access log.**  ``--access-log PATH`` appends one JSON
   line per request (request id, endpoint, method, status, latency,
   files touched, trace id) with size-based rotation — see
-  :class:`AccessLog`.
+  :class:`AccessLog`.  Lines land in request-id order.
 * **Request tracing.**  With a :class:`~repro.obs.spans.SpanBuffer`
   attached (``--spans PATH``), every request opens a server span —
   joined to the client's trace when the request carries
@@ -70,19 +72,20 @@ a handful of dict increments under the lock the request already holds.
 from __future__ import annotations
 
 import json
+import os
 import signal
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..obs import spans as obs_spans
-from ..obs.export import exposition
+from ..obs.export import EXPOSITION_CONTENT_TYPE, exposition
+from ..obs.host import HttpHost
 from ..obs.quantiles import percentile
-from ..obs.registry import MetricsRegistry
 from ..obs.spans import Span, SpanBuffer
 from . import schema as wire
 from .scenario import Scenario
@@ -93,9 +96,9 @@ from .scenario import Scenario
 LATENCY_RING = 65536
 
 #: Per-window latency samples retained between window boundaries; a
-#: window busier than this still counts every request, but percentiles
-#: cover the newest samples only (the ``latency_ns.count`` field says
-#: how many the window really saw).
+#: window busier than this still counts every request (and its mean
+#: stays exact), but percentiles cover the newest samples only (the
+#: ``latency_ns`` block's ``count`` and ``dropped`` say so).
 WINDOW_LATENCY_RING = 16384
 
 #: Default access-log rotation threshold.
@@ -152,33 +155,14 @@ class LatencyRing:
 
 
 class EndpointStats:
-    """One endpoint's request accounting.
+    """One endpoint's request accounting: latency ring, statuses, errors."""
 
-    Latency percentiles come from a per-endpoint :class:`LatencyRing`;
-    the same observations feed an ns-histogram and error/status
-    counters in the daemon's :class:`MetricsRegistry` under
-    ``serve.endpoint.<name>.*``, so the registry snapshot and the
-    ``/stats`` summary can never disagree about what was served.
-    """
-
-    def __init__(
-        self,
-        endpoint: str,
-        registry: MetricsRegistry,
-        maxlen: int = LATENCY_RING,
-    ):
+    def __init__(self, endpoint: str, maxlen: int = LATENCY_RING):
         self.endpoint = endpoint
         self.name = endpoint.strip("/").replace("/", "_") or "root"
         self.ring = LatencyRing(maxlen)
         self.errors = 0
         self.statuses: Dict[int, int] = {}
-        self._registry = registry
-        self._histogram = registry.histogram(
-            f"serve.endpoint.{self.name}.latency_ns"
-        )
-        self._error_counter = registry.counter(
-            f"serve.endpoint.{self.name}.errors"
-        )
 
     @property
     def requests(self) -> int:
@@ -187,14 +171,9 @@ class EndpointStats:
     def record(self, status: int, ns: int) -> None:
         """Fold one completed request in (caller holds the daemon lock)."""
         self.ring.observe(ns)
-        self._histogram.observe(ns)
         self.statuses[status] = self.statuses.get(status, 0) + 1
-        self._registry.counter(
-            f"serve.endpoint.{self.name}.status.{status}"
-        ).inc()
         if status >= 400:
             self.errors += 1
-            self._error_counter.inc()
 
     def summary(self) -> Dict[str, Any]:
         """The ``/stats`` ``endpoints`` entry for this endpoint."""
@@ -213,15 +192,17 @@ class AccessLog:
     """Structured JSONL access log with size-based rotation.
 
     One JSON object per line: ``ts`` (epoch seconds), ``id`` (the
-    daemon's monotonically increasing request id), ``endpoint``,
-    ``method``, ``status``, ``latency_ns``, and ``events`` (files
-    touched by the request; 0 for read-only endpoints).  When the file
-    would exceed ``max_bytes`` it is rotated to ``<path>.1`` (…``.N``
-    up to ``backups``) before the write, so no single log file grows
-    without bound under slam load.
+    request id, 1, 2, 3, ... in file order), ``endpoint``, ``method``,
+    ``status``, ``latency_ns``, and ``events`` (files touched by the
+    request; 0 for read-only endpoints).  When the file would exceed
+    ``max_bytes`` it is rotated to ``<path>.1`` (…``.N`` up to
+    ``backups``) before the write, so no single log file grows without
+    bound under slam load.
 
-    Thread-safe via its own lock — handler threads log after releasing
-    the cache lock, so logging never extends the serial section.
+    Thread-safe via its own lock, which numbers a line and writes it in
+    one critical section, so file order is id order.  Handler threads
+    log after releasing the cache lock, so logging never extends the
+    cache's serial section.
     """
 
     def __init__(
@@ -245,16 +226,19 @@ class AccessLog:
         self._stream = self.path.open("a", encoding="utf-8")
         self._size = self.path.stat().st_size
 
-    def write(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
-        encoded = len(line.encode("utf-8"))
+    def write(self, record: Dict[str, Any]) -> int:
+        """Number ``record`` as the next ``id``, append it; returns the id."""
         with self._lock:
+            self.lines += 1
+            record["id"] = self.lines
+            line = json.dumps(record, sort_keys=True) + "\n"
+            encoded = len(line.encode("utf-8"))
             if self._size and self._size + encoded > self.max_bytes:
                 self._rotate()
             self._stream.write(line)
             self._stream.flush()
             self._size += encoded
-            self.lines += 1
+            return self.lines
 
     def _rotate(self) -> None:
         """Shift ``path`` -> ``path.1`` -> … -> ``path.backups``."""
@@ -293,11 +277,12 @@ class DaemonTelemetry:
     Windows close on a timer (``window_seconds``, the request-rate
     signal survives idle gaps) and, when ``window_events > 0``, as soon
     as that many accesses accumulate (deterministic windows under
-    load — what ``scripts/check_live_obs.py`` keys its drift scenario
+    load — what the ``live-obs`` smoke check keys its drift scenario
     on).  Each closed window is one ``source="serve"`` sample dict —
     the exact vocabulary of :class:`repro.obs.timeseries.WindowSample`
     plus serve-only extras (``requests``, ``errors``,
-    ``requests_per_sec``, and per-window ``latency_ns`` percentiles).
+    ``requests_per_sec``, and the window's ``latency_ns`` block: the
+    :meth:`LatencyRing.summary` of a ring reset at every window).
 
     ``seq`` counts every window ever emitted; the ring retains the
     newest ``retain`` of them and ``dropped`` says how many aged out.
@@ -324,8 +309,7 @@ class DaemonTelemetry:
         self.windows: deque = deque(maxlen=retain)
         self.seq = 0
         self.dropped = 0
-        self.latencies: deque = deque(maxlen=WINDOW_LATENCY_RING)
-        self.latency_count = 0
+        self.latency = LatencyRing(WINDOW_LATENCY_RING)
         self.requests = 0
         self.errors = 0
         self.opened_at = time.perf_counter()
@@ -394,22 +378,10 @@ class DaemonTelemetry:
             label=self.label,
         )
         record = sample.to_dict()
-        window_latencies = sorted(self.latencies)
         record["requests"] = self.requests
         record["errors"] = self.errors
         record["requests_per_sec"] = self.requests / seconds
-        record["latency_ns"] = {
-            "count": self.latency_count,
-            "window": len(window_latencies),
-            "mean_ns": (
-                sum(window_latencies) / len(window_latencies)
-                if window_latencies
-                else 0.0
-            ),
-            "p50_ns": percentile(window_latencies, 0.50),
-            "p95_ns": percentile(window_latencies, 0.95),
-            "p99_ns": percentile(window_latencies, 0.99),
-        }
+        record["latency_ns"] = self.latency.summary()
         if len(self.windows) == self.windows.maxlen:
             self.dropped += 1
         self.windows.append(record)
@@ -418,8 +390,7 @@ class DaemonTelemetry:
         self._last = counters
         self.start_accesses = counters[0]
         self.opened_at = now
-        self.latencies.clear()
-        self.latency_count = 0
+        self.latency = LatencyRing(WINDOW_LATENCY_RING)
         self.requests = 0
         self.errors = 0
         return record
@@ -442,7 +413,7 @@ class DaemonTelemetry:
         }
 
 
-class CacheDaemon:
+class CacheDaemon(HttpHost):
     """One shared aggregating server cache behind the JSON-over-HTTP API.
 
     Parameters
@@ -500,7 +471,6 @@ class CacheDaemon:
         self._errors = 0
         self._invalidations = 0
         self._invalidation_misses = 0
-        self.registry = MetricsRegistry()
         self._endpoints: Dict[str, EndpointStats] = {}
         self._latency = LatencyRing()
         self.telemetry = DaemonTelemetry(
@@ -530,32 +500,10 @@ class CacheDaemon:
         self._journaled = 0
         self._started = time.time()
         self._stop = threading.Event()
-        self._closed = False
-
-        daemon = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"  # keep-alive: slam reuses connections
-            # Without this, Nagle + delayed ACK adds ~40ms to every
-            # small keep-alive response and slam latency numbers measure
-            # the TCP stack instead of the cache.
-            disable_nagle_algorithm = True
-
-            def do_GET(self):  # noqa: N802 - http.server API
-                daemon._dispatch(self, "GET")
-
-            def do_POST(self):  # noqa: N802 - http.server API
-                daemon._dispatch(self, "POST")
-
-            def log_message(self, format, *args):  # noqa: A002 - API name
-                pass  # per-request lines would drown the terminal under slam
-
-        bind_host = host if host is not None else scenario.host
-        bind_port = port if port is not None else scenario.port
-        self._httpd = ThreadingHTTPServer((bind_host, bind_port), Handler)
-        self.host, self.port = self._httpd.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-serve", daemon=True
+        super().__init__(
+            host if host is not None else scenario.host,
+            port if port is not None else scenario.port,
+            "repro-serve",
         )
         self._sampler = (
             threading.Thread(
@@ -580,28 +528,19 @@ class CacheDaemon:
 
     def start(self) -> "CacheDaemon":
         """Serve from a background thread (tests, embedded use)."""
-        self._thread.start()
+        super().start()
         if self._sampler is not None:
             self._sampler.start()
         return self
 
     def close(self) -> None:
-        """Stop serving and release the socket; safe to call twice.
-
-        ``shutdown()`` is only issued when the serve loop actually ran
-        (it blocks forever otherwise); the socket is released either
-        way, so a constructed-but-never-started daemon still cleans up.
-        """
+        """Stop serving, release the socket, flush the logs; safe to call twice."""
         if self._closed:
             return
-        self._closed = True
         self._stop.set()
-        if self._thread.is_alive():
-            self._httpd.shutdown()
-            self._thread.join(timeout=5)
+        super().close()
         if self._sampler is not None and self._sampler.is_alive():
             self._sampler.join(timeout=5)
-        self._httpd.server_close()
         if self.access_log is not None:
             self.access_log.close()
         if self.spans is not None and self._span_log is not None:
@@ -610,12 +549,6 @@ class CacheDaemon:
                 self._span_log,
                 meta={"role": "server", "scenario": self.scenario.name},
             )
-
-    def __enter__(self) -> "CacheDaemon":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def request_stop(self) -> None:
         """Ask the blocking :meth:`run` loop to exit (thread-safe)."""
@@ -671,7 +604,7 @@ class CacheDaemon:
                 f"serving {wire.SERVE_SCHEMA} scenario "
                 f"{self.scenario.name!r} on {self.url} "
                 f"(capacity {self.scenario.capacity}, "
-                f"g={self.scenario.group_size}, pid {self._pid()})"
+                f"g={self.scenario.group_size}, pid {os.getpid()})"
             )
             if self.access_log is not None:
                 announce(f"access log: {self.access_log.path}")
@@ -699,12 +632,6 @@ class CacheDaemon:
                 )
         return 0
 
-    @staticmethod
-    def _pid() -> int:
-        import os
-
-        return os.getpid()
-
     # -- request dispatch --------------------------------------------------
     _ROUTES = {
         ("POST", "/open"),
@@ -719,8 +646,7 @@ class CacheDaemon:
 
     #: Paths that get their own EndpointStats entry.  Anything else
     #: (port scans, typos) folds into one ``/_other`` bucket so a 404
-    #: storm cannot grow the endpoint table or the metrics registry
-    #: without bound.
+    #: storm cannot grow the endpoint table without bound.
     _KNOWN_PATHS = frozenset(path for _method, path in _ROUTES)
 
     #: Read-only observability endpoints.  These are fully counted in
@@ -737,12 +663,16 @@ class CacheDaemon:
         raw_path, _, query = handler.path.partition("?")
         path = raw_path.rstrip("/") or "/"
         root = self._open_server_span(handler, method, path)
+        # Echo the trace back so a caller (and its logs) can confirm
+        # which trace the server actually recorded.
+        echo = ()
+        if root is not None:
+            echo = ((obs_spans.TRACE_HEADER, obs_spans.format_header(root.trace, root.span)),)
         events = 0
         raw: Optional[bytes] = None
         try:
             if (method, path) not in self._ROUTES:
-                known = any(path == route for _m, route in self._ROUTES)
-                if known:
+                if path in self._KNOWN_PATHS:
                     raise wire.WireError(
                         f"{path} does not accept {method}", status=405
                     )
@@ -772,18 +702,16 @@ class CacheDaemon:
             request_id = self._record(
                 path, method, error.status, started, 0, root
             )
-            self._respond(
-                handler,
-                error.status,
-                wire.error_body(str(error), error.status),
-                trace_root=root,
+            self.respond(
+                handler, error.status, wire.error_body(str(error), error.status),
+                "application/json", echo,
             )
             self._finish_root(root, path, error.status, request_id, 0)
             return
         except Exception as error:  # pragma: no cover - defensive 500
             request_id = self._record(path, method, 500, started, 0, root)
-            self._respond(
-                handler, 500, wire.error_body(repr(error), 500), trace_root=root
+            self.respond(
+                handler, 500, wire.error_body(repr(error), 500), "application/json", echo
             )
             self._finish_root(root, path, 500, request_id, 0)
             return
@@ -797,13 +725,11 @@ class CacheDaemon:
             else json.dumps(payload).encode("utf-8")
         )
         content_type = (
-            "text/plain; version=0.0.4; charset=utf-8"
-            if path == "/metrics"
-            else "application/json"
+            EXPOSITION_CONTENT_TYPE if path == "/metrics" else "application/json"
         )
         request_id = self._record(path, method, status, started, events, root)
         write_span = self._child(root, "response.write")
-        self._respond(handler, status, body, content_type, trace_root=root)
+        self.respond(handler, status, body, content_type, echo)
         if write_span is not None:
             write_span.finish()
             write_span.annotate("bytes", len(body))
@@ -899,17 +825,22 @@ class CacheDaemon:
 
         Returns the assigned request id — the join key shared by the
         access-log line and the server span's ``request_id``
-        annotation.
+        annotation.  With an access log, the log numbers the request
+        as it writes the line (so file order is id order, and the file
+        I/O stays outside the cache lock); without one, the id is taken
+        under the cache lock.
         """
         elapsed = time.perf_counter_ns() - started_ns
         telemetry = self.telemetry
+        access_log = self.access_log
         bucket = path if path in self._KNOWN_PATHS else "/_other"
         with self._lock:
-            self._request_ids += 1
-            request_id = self._request_ids
+            if access_log is None:
+                self._request_ids += 1
+                request_id = self._request_ids
             endpoint = self._endpoints.get(bucket)
             if endpoint is None:
-                endpoint = EndpointStats(bucket, self.registry)
+                endpoint = EndpointStats(bucket)
                 self._endpoints[bucket] = endpoint
             endpoint.record(status, elapsed)
             observability = path in self._OBSERVABILITY_PATHS
@@ -919,19 +850,17 @@ class CacheDaemon:
                     telemetry.errors += 1
             if path in ("/open", "/fetch"):
                 self._latency.observe(elapsed)
-                telemetry.latencies.append(elapsed)
-                telemetry.latency_count += 1
+                telemetry.latency.observe(elapsed)
             if not observability:
                 telemetry.requests += 1
             if telemetry.snapshot_due(self._seq):
                 telemetry.close_window(
                     self._counter_snapshot(), self.scenario.group_size
                 )
-        if self.access_log is not None:
-            self.access_log.write(
+        if access_log is not None:
+            request_id = access_log.write(
                 {
                     "ts": time.time(),
-                    "id": request_id,
                     "endpoint": path,
                     "method": method,
                     "status": status,
@@ -956,32 +885,6 @@ class CacheDaemon:
             log.files_retrieved,
             self._invalidations,
         )
-
-    @staticmethod
-    def _respond(
-        handler: BaseHTTPRequestHandler,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-        trace_root: Optional[Span] = None,
-    ) -> None:
-        try:
-            handler.send_response(status)
-            handler.send_header("Content-Type", content_type)
-            handler.send_header("Content-Length", str(len(body)))
-            if trace_root is not None:
-                # Echo the trace back so a caller (and its logs) can
-                # confirm which trace the server actually recorded.
-                handler.send_header(
-                    obs_spans.TRACE_HEADER,
-                    obs_spans.format_header(
-                        trace_root.trace, trace_root.span
-                    ),
-                )
-            handler.end_headers()
-            handler.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass  # client went away mid-response; nothing to clean up
 
     # -- endpoint handlers -------------------------------------------------
     def _handle(
@@ -1152,6 +1055,7 @@ class CacheDaemon:
             entries = list(self._journal)
             total = self._journaled
         return {
+            "encoding": wire.JOURNAL_ENCODING,
             "entries": entries,
             "total": total,
             "truncated": total > len(entries),
@@ -1268,12 +1172,3 @@ class CacheDaemon:
             (f"{prefix}_{name}", kind, help_text, value)
             for name, kind, help_text, value in rows
         )
-
-
-def serve_scenario(
-    scenario: Scenario,
-    host: Optional[str] = None,
-    port: Optional[int] = None,
-) -> CacheDaemon:
-    """Construct and start a daemon for a scenario (background thread)."""
-    return CacheDaemon(scenario, host=host, port=port).start()

@@ -16,6 +16,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
 from repro.obs.timeseries import MetricsServer
@@ -147,6 +149,18 @@ class TestWire:
             wire.journal_entry("f1", invalidate=True)
         ) == ("f1", True)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        file_id=st.text(alphabet=st.sampled_from("!\\ab/"), min_size=1)
+        | st.text(min_size=1),
+        invalidate=st.booleans(),
+    )
+    def test_journal_entry_round_trips_any_id(self, file_id, invalidate):
+        entry = wire.journal_entry(file_id, invalidate)
+        assert wire.decode_journal_entry(entry) == (file_id, invalidate)
+        if not invalidate and not file_id.startswith(("!", "\\")):
+            assert entry == file_id  # ordinary ids keep their bytes
+
     def test_validate_stats_requires_schema(self):
         with pytest.raises(wire.WireError, match="schema"):
             wire.validate_stats({"cache": {}})
@@ -203,11 +217,6 @@ class TestShards:
 
 
 class TestDaemon:
-    def test_two_daemons_bind_distinct_ephemeral_ports(self):
-        with CacheDaemon(tiny_scenario()) as one, CacheDaemon(tiny_scenario()) as two:
-            assert one.port != 0 and two.port != 0
-            assert one.port != two.port
-
     def test_open_miss_ships_group_then_hit(self):
         with CacheDaemon(tiny_scenario()) as daemon, ServeConnection(daemon.url) as conn:
             _status, miss = conn.request("POST", "/open", {"file": "f1"})
@@ -339,18 +348,21 @@ class TestDaemon:
                 status, body = conn.request("POST", "/shutdown", expect_error=True)
         assert status == 403 and body["status"] == 403
 
-    def test_close_is_idempotent_and_releases_port(self):
-        daemon = CacheDaemon(tiny_scenario()).start()
-        port = daemon.port
-        daemon.close()
-        daemon.close()
-        # the port must be rebindable immediately (socket released)
-        rebind = CacheDaemon(tiny_scenario(), port=port)
-        rebind.close()
-
-    def test_never_started_daemon_still_closes(self):
-        daemon = CacheDaemon(tiny_scenario())
-        daemon.close()  # must not hang in shutdown()
+    def test_marked_ids_are_accesses_in_the_journal(self):
+        # An id that starts with the invalidation marker is a plain file:
+        # opening a, !a, !a serves 1 hit, and the journal must replay so.
+        scenario = load_scenario(SCENARIOS / "smoke.json")
+        with CacheDaemon(scenario) as daemon, ServeConnection(daemon.url) as conn:
+            for file_id in ("a", "!a", "!a"):
+                conn.request("POST", "/open", {"file": file_id})
+            served = conn.stats()["cache"]
+            _status, journal = conn.request("GET", "/journal")
+        assert (served["hits"], served["misses"]) == (1, 2)
+        replayed = scenario.build_cache()
+        wire.replay_journal(replayed, journal["entries"])
+        local = replayed.stats_dict()
+        assert (local["hits"], local["misses"]) == (1, 2)
+        assert journal["encoding"] == wire.JOURNAL_ENCODING
 
 
 def _raw_post(daemon, head: str, body: bytes = b"", timeout: float = 5.0):
@@ -611,25 +623,31 @@ class TestProcessLifecycle:
         assert process.wait(timeout=10) == 0
 
 
-# -- MetricsServer port-0 contract ------------------------------------------
+# -- the shared HTTP host: port-0 and close() contract -----------------------
+
+HOSTS = {
+    "daemon": lambda port=0: CacheDaemon(tiny_scenario(), port=port),
+    "metrics": lambda port=0: MetricsServer(lambda: "# EOF\n", port=port),
+}
 
 
-class TestMetricsServerLifecycle:
-    def test_binds_ephemeral_port_and_reports_it(self):
-        with MetricsServer(lambda: "# EOF\n") as server:
-            assert server.port != 0
-            with MetricsServer(lambda: "# EOF\n") as other:
-                assert other.port != server.port
+@pytest.mark.parametrize("make", list(HOSTS.values()), ids=list(HOSTS))
+class TestHostLifecycle:
+    def test_two_hosts_bind_distinct_ephemeral_ports(self, make):
+        with make() as one, make() as two:
+            assert one.port != 0 and two.port != 0
+            assert one.port != two.port
 
-    def test_close_is_idempotent(self):
-        server = MetricsServer(lambda: "# EOF\n")
-        server.start()
-        server.close()
-        server.close()
+    def test_close_is_idempotent_and_releases_port(self, make):
+        host = make().start()
+        port = host.port
+        host.close()
+        host.close()
+        # the port must be rebindable immediately (socket released)
+        make(port).close()
 
-    def test_never_started_close_does_not_hang(self):
-        server = MetricsServer(lambda: "# EOF\n")
-        server.close()
+    def test_never_started_host_still_closes(self, make):
+        make().close()  # must not hang in shutdown()
 
 
 # -- CLI registration --------------------------------------------------------
@@ -756,19 +774,6 @@ class TestEndpointTelemetry:
             "_other", "open", "fetch", "invalidate", "shutdown",
             "stats", "metrics", "journal", "healthz",
         }
-
-    def test_registry_mirrors_endpoint_counters(self):
-        with CacheDaemon(tiny_scenario()) as daemon, ServeConnection(daemon.url) as conn:
-            conn.request("POST", "/open", {"file": "f1"})
-            conn.request("POST", "/open", {"client": "x"}, expect_error=True)
-            conn.stats()
-            registry = daemon.registry
-        assert registry.counter("serve.endpoint.open.status.200").value == 1
-        assert registry.counter("serve.endpoint.open.status.400").value == 1
-        assert registry.counter("serve.endpoint.open.errors").value == 1
-        assert (
-            registry.histogram("serve.endpoint.open.latency_ns").count == 2
-        )
 
     def test_prometheus_exposes_per_endpoint_errors(self):
         with CacheDaemon(tiny_scenario()) as daemon, ServeConnection(daemon.url) as conn:
@@ -900,6 +905,43 @@ class TestAccessLog:
             assert record["method"] in ("GET", "POST")
         # the /stats request logs itself only after building its payload
         assert stats["access_log"]["lines"] == 3
+
+    def test_lines_land_in_id_order_when_writes_interleave(self, tmp_path):
+        """The first request to reach the log is held until a second
+        request's line is written; the file must still read ids 1, 2."""
+        import threading
+
+        log = tmp_path / "access.jsonl"
+        with CacheDaemon(tiny_scenario(), access_log=log) as daemon:
+            write = daemon.access_log.write
+            first_waiting = threading.Event()
+            second_written = threading.Event()
+            calls = []
+
+            def held_write(record):
+                calls.append(record)
+                if len(calls) == 1:
+                    first_waiting.set()
+                    second_written.wait(5)
+                    return write(record)
+                try:
+                    return write(record)
+                finally:
+                    second_written.set()
+
+            daemon.access_log.write = held_write
+
+            def open_file(name):
+                with ServeConnection(daemon.url) as conn:
+                    conn.request("POST", "/open", {"file": name})
+
+            first = threading.Thread(target=open_file, args=("a",))
+            first.start()
+            assert first_waiting.wait(5)
+            open_file("b")
+            first.join(5)
+        ids = [json.loads(line)["id"] for line in log.read_text().splitlines()]
+        assert ids == [1, 2]
 
     def test_rotation_caps_file_size(self, tmp_path):
         from repro.serve.server import AccessLog

@@ -321,6 +321,12 @@ class TestDaemonTracing:
         traced = [line for line in lines if line["endpoint"] == "/fetch"]
         assert traced and traced[0]["trace"] == "feed05"
         assert isinstance(traced[0]["id"], int)
+        # the request id is the join key between the log and the span
+        (root,) = [
+            span for span in buffer.spans()
+            if span.trace == "feed05" and span.parent == "beef06"
+        ]
+        assert root.to_dict()["annotations"]["request_id"] == traced[0]["id"]
 
     def test_access_log_trace_is_null_when_untraced(self, tmp_path):
         log_path = tmp_path / "access.jsonl"
