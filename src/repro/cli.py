@@ -60,7 +60,7 @@ from .workloads.synthetic import WORKLOADS, make_workload
 
 
 def _add_common_options(parser: argparse.ArgumentParser, workload_default: str = "") -> None:
-    """Options shared by every figure subcommand."""
+    """``--workload``, ``--events`` and ``--seed`` for a workload subcommand."""
     if workload_default:
         parser.add_argument(
             "--workload",
@@ -77,18 +77,27 @@ def _add_common_options(parser: argparse.ArgumentParser, workload_default: str =
     parser.add_argument(
         "--seed", type=int, default=None, help="workload seed (default: per-workload)"
     )
+
+
+def _add_figure_options(parser: argparse.ArgumentParser, sweep: bool = False) -> None:
+    """Options of a subcommand that renders a figure (:func:`_emit_figure`).
+
+    ``sweep`` adds ``--workers`` for the figures whose grid points fan
+    out over worker processes.
+    """
     parser.add_argument(
         "--csv", type=Path, default=None, help="also write the series as CSV"
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for the parameter sweep (default: 1 = serial; "
-            "results are identical either way)"
-        ),
-    )
+    if sweep:
+        parser.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help=(
+                "worker processes for the parameter sweep (default: 1 = serial; "
+                "results are identical either way)"
+            ),
+        )
     parser.add_argument(
         "--width", type=int, default=72, help="chart width in characters"
     )
@@ -317,8 +326,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             server_capacity=args.server_capacity,
             group_size=args.group_size,
         )
-        if args.generic:
-            system.use_fast_replay = False
         started = time.perf_counter()
         system.replay(trace)
         seconds = time.perf_counter() - started
@@ -1507,30 +1514,35 @@ def build_parser() -> argparse.ArgumentParser:
         "fig3", help="client demand fetches vs cache capacity, per group size"
     )
     _add_common_options(fig3, workload_default="server")
+    _add_figure_options(fig3, sweep=True)
     fig3.set_defaults(handler=_cmd_fig3)
 
     fig4 = subparsers.add_parser(
         "fig4", help="server hit rate vs intervening client cache capacity"
     )
     _add_common_options(fig4, workload_default="workstation")
+    _add_figure_options(fig4, sweep=True)
     fig4.set_defaults(handler=_cmd_fig4)
 
     fig5 = subparsers.add_parser(
         "fig5", help="successor-list miss probability: Oracle vs LRU vs LFU"
     )
     _add_common_options(fig5, workload_default="workstation")
+    _add_figure_options(fig5, sweep=True)
     fig5.set_defaults(handler=_cmd_fig5)
 
     fig7 = subparsers.add_parser(
         "fig7", help="successor entropy vs successor sequence length"
     )
     _add_common_options(fig7)
+    _add_figure_options(fig7, sweep=True)
     fig7.set_defaults(handler=_cmd_fig7)
 
     fig8 = subparsers.add_parser(
         "fig8", help="successor entropy of LRU-filtered miss streams"
     )
     _add_common_options(fig8, workload_default="write")
+    _add_figure_options(fig8, sweep=True)
     fig8.set_defaults(handler=_cmd_fig8)
 
     headline = subparsers.add_parser(
@@ -1543,12 +1555,14 @@ def build_parser() -> argparse.ArgumentParser:
         "placement", help="grouping for data placement: seek distance by layout"
     )
     _add_common_options(placement, workload_default="server")
+    _add_figure_options(placement)
     placement.set_defaults(handler=_cmd_placement)
 
     hoard = subparsers.add_parser(
         "hoard", help="mobile hoarding: offline miss rate by hoard policy"
     )
     _add_common_options(hoard, workload_default="server")
+    _add_figure_options(hoard)
     hoard.set_defaults(handler=_cmd_hoard)
 
     cooperation = subparsers.add_parser(
@@ -1556,6 +1570,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="server grouping with vs without piggy-backed client statistics",
     )
     _add_common_options(cooperation, workload_default="server")
+    _add_figure_options(cooperation)
     cooperation.set_defaults(handler=_cmd_cooperation)
 
     profile = subparsers.add_parser(
@@ -1600,11 +1615,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument(
         "--server-capacity", type=int, default=300, help="server cache capacity"
-    )
-    metrics.add_argument(
-        "--generic",
-        action="store_true",
-        help="force the generic per-event replay path (metrics are identical)",
     )
     metrics.add_argument(
         "--baselines",
@@ -1888,18 +1898,21 @@ def build_parser() -> argparse.ArgumentParser:
         "adaptation", help="hit rate across an abrupt workload shift"
     )
     _add_common_options(adaptation, workload_default="server")
+    _add_figure_options(adaptation)
     adaptation.set_defaults(handler=_cmd_adaptation)
 
     attribution = subparsers.add_parser(
         "attribution", help="global vs per-client successor tracking"
     )
     _add_common_options(attribution)
+    _add_figure_options(attribution)
     attribution.set_defaults(handler=_cmd_attribution)
 
     servercap = subparsers.add_parser(
         "servercap", help="server-capacity sensitivity of the Figure 4 result"
     )
     _add_common_options(servercap, workload_default="workstation")
+    _add_figure_options(servercap)
     servercap.set_defaults(handler=_cmd_servercap)
 
     graph = subparsers.add_parser(

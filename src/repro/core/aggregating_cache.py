@@ -145,10 +145,6 @@ class AggregatingClientCache:
         self.builder = GroupBuilder(self.tracker, group_size)
         self.group_size = group_size
         self.fetch_log = GroupFetchLog(max_records=max_fetch_records)
-        #: Escape hatch for tests and A/B comparisons: when False,
-        #: :meth:`replay` always takes the generic per-event path even
-        #: if the configuration qualifies for the fast loop.
-        self.use_fast_replay = True
 
     @property
     def capacity(self) -> int:
@@ -270,8 +266,7 @@ class AggregatingClientCache:
         neither).
         """
         return (
-            self.use_fast_replay
-            and not (_obs.ENABLED and _tracing.ACTIVE is not None)
+            not (_obs.ENABLED and _tracing.ACTIVE is not None)
             and self.fetch_log.records is None
             and type(self) is AggregatingClientCache
             and type(self.tracker) is SuccessorTracker

@@ -236,7 +236,6 @@ def run_adaptation(
     existing workload") made visible.
     """
     from ..core.aggregating_cache import AggregatingClientCache
-    from ..sim.metrics import IntervalRecorder
     from .common import workload_sequence
 
     check_workload(workload)
@@ -259,11 +258,14 @@ def run_adaptation(
     )
     for label, group in (("lru", 1), (f"g{group_size}", group_size)):
         cache = AggregatingClientCache(capacity=capacity, group_size=group)
-        recorder = IntervalRecorder(cache, interval=interval)
-        recorder.replay(combined)
         series = figure.add_series(label)
-        for sample in recorder.samples:
-            series.add(sample.end_event, sample.hit_rate)
+        # One replay per interval; cache and successor state carry over.
+        for start in range(0, len(combined), interval):
+            end = min(start + interval, len(combined))
+            hits_before = cache.stats.hits
+            cache.replay(combined[start:end])
+            # Every access is one hit or one miss.
+            series.add(end, (cache.stats.hits - hits_before) / (end - start))
     return figure
 
 

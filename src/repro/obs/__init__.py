@@ -72,7 +72,6 @@ from .timeseries import (
     serve_metrics,
     set_collector,
     ts_records,
-    windowed_replay,
     windowing,
     write_ts_jsonl,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "serve_metrics",
     "set_collector",
     "ts_records",
-    "windowed_replay",
     "windowing",
     "write_ts_jsonl",
     "FlightRecorder",

@@ -14,12 +14,13 @@ Design constraints, matching the rest of :mod:`repro.obs`:
 * **Free when dormant.**  The replay engine reads one module attribute
   (:data:`ACTIVE`) per ``replay()`` *call* — never per event — so the
   strict ``check_bench.py`` dormant-overhead gate is unaffected.
-* **Batched post-loop, never per event.**  Windowing drives the
-  existing replay loops chunk by chunk: each window is replayed by the
-  unmodified fast (or generic) path, and the sample is computed from
-  counter *deltas* at the window boundary.  Because both replay paths
-  are already count-identical, the windowed series is sample-identical
-  whichever loop ran (asserted by ``tests/test_timeseries.py``).
+* **Batched post-loop, never per event.**  The engine cuts windows:
+  :meth:`DistributedFileSystem.replay <repro.sim.engine.DistributedFileSystem.replay>`
+  replays each one through its unmodified loop and hands the collector
+  the window's counter *deltas*; this module only samples
+  (:meth:`WindowedCollector.record_window`).  Because every replay loop
+  is count-identical, the windowed series is sample-identical whichever
+  loop ran (asserted by ``tests/test_timeseries.py``).
 * **Counter-derived ratios.**  Per-window ``prefetch_efficiency`` is
   the fraction of requested companion slots that produced an install
   (``installs / (remote_requests * (g - 1))``) and
@@ -43,7 +44,6 @@ long-running runs.
 from __future__ import annotations
 
 import math
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import (
@@ -315,6 +315,57 @@ class WindowedCollector:
         self.append(sample)
         return sample
 
+    def record_window(
+        self,
+        system,
+        count: int,
+        file_ids: Sequence[Any],
+        deltas: Tuple,
+        seconds: float,
+    ) -> WindowSample:
+        """Record one replay window as a ``source="replay"`` sample.
+
+        Called by the replay engine after each window of ``count``
+        events.  ``deltas`` is the window's counter movement in the
+        engine's snapshot shape: per-client and server-cache (hits,
+        misses, evictions, installs), then store fetches, remote
+        requests and invalidations.  ``file_ids`` is the window's access
+        sequence (strings or columnar codes — entropy only cares about
+        the successor distribution), empty when entropy is off.  Index
+        and start continue across successive replays, so an exported
+        series keeps strictly monotone starts.
+        """
+        clients, server, store_fetches, remote_requests, invalidations = deltas
+        hits, misses, evictions, installs = (
+            sum(column) for column in zip((0, 0, 0, 0), *clients.values())
+        )
+        # A demanded file hits the store only on a server-cache miss (with
+        # no server cache, every remote request reaches the store); the
+        # rest of the store traffic is speculative companion shipping.
+        demanded = server[1] if system.server_cache is not None else remote_requests
+        sample = WindowSample(
+            source="replay",
+            index=self._replay_windows,
+            start=self._replay_events,
+            events=count,
+            seconds=seconds,
+            hits=hits,
+            misses=misses,
+            remote_requests=remote_requests,
+            store_fetches=store_fetches,
+            bytes_fetched=store_fetches * self.bytes_per_file,
+            group_installs=installs,
+            companion_slots=remote_requests * max(system.group_size - 1, 0),
+            speculative_fetches=max(store_fetches - demanded, 0),
+            evictions=evictions + server[2],
+            invalidations=invalidations,
+            entropy=_chunk_entropy(file_ids),
+        )
+        self._replay_windows += 1
+        self._replay_events += count
+        self.append(sample)
+        return sample
+
     def replay_samples(self) -> List[WindowSample]:
         """The replay-source samples, in order."""
         return [s for s in self.samples if s.source == "replay"]
@@ -402,41 +453,7 @@ def windowing(
         set_collector(previous)
 
 
-# -- windowed replay driver -------------------------------------------------
-
-
-def _system_totals(system) -> Tuple[int, ...]:
-    """Cumulative counters of a :class:`DistributedFileSystem`.
-
-    Read at window boundaries only; the deltas between two snapshots
-    are exact for both replay paths because both maintain these same
-    stats objects (the fast-path equivalence tests hold them to it).
-    """
-    hits = misses = evictions = installs = 0
-    for cache in system.clients.values():
-        stats = cache.stats
-        hits += stats.hits
-        misses += stats.misses
-        evictions += stats.evictions
-        installs += stats.installs
-    server = system.server_cache
-    if server is not None:
-        server_stats = server.stats
-        server_misses = server_stats.misses
-        server_evictions = server_stats.evictions
-    else:
-        server_misses = server_evictions = 0
-    return (
-        hits,
-        misses,
-        evictions,
-        installs,
-        server_misses,
-        server_evictions,
-        system.store.fetches,
-        system.remote_requests,
-        system.invalidations,
-    )
+# -- window entropy -----------------------------------------------------------
 
 
 def _chunk_entropy(file_ids: Sequence[Any]) -> Optional[float]:
@@ -449,171 +466,6 @@ def _chunk_entropy(file_ids: Sequence[Any]) -> Optional[float]:
 
     samples = entropy_timeline(file_ids, window=len(file_ids))
     return samples[0][1] if samples else None
-
-
-def windowed_replay(
-    system,
-    trace,
-    collector: Optional[WindowedCollector] = None,
-    progress: Optional[Callable[..., None]] = None,
-):
-    """Replay ``trace`` window by window, sampling at each boundary.
-
-    Drives ``system``'s own replay machinery over consecutive
-    ``collector.window``-event chunks — the per-event loops (fast or
-    generic, traced or not) run unmodified, and every piece of
-    simulation state carries across chunk boundaries, so the final
-    :class:`~repro.sim.engine.SystemMetrics` is identical to an
-    unwindowed replay of the same trace.  ``progress`` follows the
-    shared :func:`~repro.sim.progress.normalize_progress` contract,
-    with ``params = {"window": w, "start": event_index}`` per window.
-
-    A columnar trace the array kernel accepts windows via zero-copy
-    slices — each chunk is a view into the same mmap, never
-    materialized events — all replayed through one kernel session.
-    One it declines is decoded once, as an unwindowed replay would
-    decode it, and windowed as events.
-
-    Returns the system's end-of-run metrics, like ``replay`` itself.
-    """
-    # Deferred: repro.sim imports repro.obs at module load; importing
-    # back at call time avoids the package-init cycle.
-    from ..sim.progress import normalize_progress
-    from ..traces.columnar import ColumnarTrace
-    from ..traces.events import Trace
-
-    chosen = collector if collector is not None else ACTIVE
-    if chosen is None:
-        raise ObservabilityError(
-            "windowed_replay needs a collector (pass one or activate "
-            "windowing())"
-        )
-    # Columnar replays keep ONE array-kernel state across every chunk:
-    # eligibility is decided on the full trace, the per-chunk replays
-    # share the imported arrays (stats objects and counters are synced
-    # at every chunk boundary, which is all the sampling below reads),
-    # and the cache OrderedDicts are written back once at the end.
-    # Without the session, the kernel's import/export would run per
-    # window.
-    v2_state = None
-    if isinstance(trace, ColumnarTrace):
-        if system._fast_replay_ok():
-            from ..sim.kernel import replay_columns_v2, v2_import
-
-            v2_state = v2_import(system, trace)
-        if v2_state is None:
-            trace = trace.to_trace()
-    columnar = v2_state is not None
-    events = trace if columnar else trace.events
-
-    notify = normalize_progress(progress)
-    window = chosen.window
-    total = (len(events) + window - 1) // window
-    started = time.perf_counter()
-    # Suspend the global hook while chunks replay so a collector-driven
-    # replay() call cannot recurse into itself.
-    previous = set_collector(None)
-    try:
-        for index in range(total):
-            low = index * window
-            high = min(low + window, len(events))
-            if notify is not None:
-                notify(
-                    index,
-                    total,
-                    {"window": index, "start": low},
-                    time.perf_counter() - started,
-                )
-            if columnar:
-                sub_trace = trace.slice(low, high)
-            else:
-                chunk = events[low:high]
-                sub_trace = Trace(
-                    events=chunk, name=f"{trace.name}[{low}:{high}]"
-                )
-            before = _system_totals(system)
-            chunk_started = time.perf_counter()
-            if columnar:
-                replay_columns_v2(system, sub_trace, state=v2_state)
-            else:
-                system._replay_trace(sub_trace)
-            seconds = time.perf_counter() - chunk_started
-            after = _system_totals(system)
-            if not chosen.entropy:
-                file_ids = ()
-            elif columnar:
-                # Codes, not strings: entropy is invariant under the
-                # bijective relabelling, so the sample matches the
-                # event-object path (asserted by tests/test_kernel.py).
-                file_ids = sub_trace.file_codes
-            else:
-                file_ids = [event.file_id for event in chunk]
-            chosen.append(
-                _window_sample(
-                    chosen, system, high - low, file_ids, low,
-                    before, after, seconds,
-                )
-            )
-    finally:
-        set_collector(previous)
-        if v2_state is not None:
-            v2_state.export()
-    chosen._replay_windows += total
-    chosen._replay_events += len(events)
-    return system.metrics()
-
-
-def _window_sample(
-    collector: WindowedCollector,
-    system,
-    count: int,
-    file_ids: Sequence[Any],
-    start: int,
-    before: Tuple[int, ...],
-    after: Tuple[int, ...],
-    seconds: float,
-) -> WindowSample:
-    """Fold one window's counter deltas into a :class:`WindowSample`.
-
-    ``file_ids`` is the window's access sequence (strings or columnar
-    codes — entropy only cares about the successor distribution) and may
-    be empty when the collector skips entropy.
-    """
-    (
-        hits,
-        misses,
-        evictions,
-        installs,
-        server_misses,
-        server_evictions,
-        store_fetches,
-        remote_requests,
-        invalidations,
-    ) = (a - b for a, b in zip(after, before))
-    # A demanded file hits the store only on a server-cache miss (with
-    # no server cache, every remote request reaches the store); the
-    # rest of the store traffic is speculative companion shipping.
-    demanded_fetches = server_misses if system.server_cache is not None else remote_requests
-    speculative = max(store_fetches - demanded_fetches, 0)
-    entropy = _chunk_entropy(file_ids) if collector.entropy else None
-    return WindowSample(
-        source="replay",
-        index=collector._replay_windows + (start // collector.window),
-        start=collector._replay_events + start,
-        events=count,
-        seconds=seconds,
-        hits=hits,
-        misses=misses,
-        remote_requests=remote_requests,
-        store_fetches=store_fetches,
-        bytes_fetched=store_fetches * collector.bytes_per_file,
-        group_installs=installs,
-        companion_slots=remote_requests * max(system.group_size - 1, 0),
-        speculative_fetches=speculative,
-        evictions=evictions + server_evictions,
-        invalidations=invalidations,
-        entropy=entropy,
-    )
 
 
 # -- JSONL export / import --------------------------------------------------

@@ -9,12 +9,6 @@ from .costs import (
 )
 from .cooperative import PeerMetrics, PeerNetwork
 from .engine import DistributedFileSystem, Store, SystemMetrics, replay_cache
-from .metrics import (
-    IntervalRecorder,
-    IntervalSample,
-    steady_state_hit_rate,
-    warmup_split,
-)
 from .perf import PerfTimer, PhaseStats, ThroughputReport, measure_replay
 from .sweep import POINT_SECONDS_KEY, Record, SweepGrid, pivot, run_sweep
 
@@ -32,8 +26,6 @@ __all__ = [
     "PrefetchOutcome",
     "PricedComparison",
     "price_replay",
-    "IntervalRecorder",
-    "IntervalSample",
     "Record",
     "Store",
     "SweepGrid",
@@ -41,6 +33,4 @@ __all__ = [
     "pivot",
     "replay_cache",
     "run_sweep",
-    "steady_state_hit_rate",
-    "warmup_split",
 ]

@@ -28,14 +28,17 @@ runs the array-backed kernel (:func:`repro.sim.kernel.replay_columns_v2`)
 whenever the system's state qualifies; a columnar trace the kernel
 declines is decoded and replayed as events.  The per-event
 :meth:`~DistributedFileSystem.access` path is the reference both are
-tested against.
+tested against.  :meth:`~DistributedFileSystem.replay` is the one
+entry point: it picks the loop once per replay and cuts the trace
+into windows when windowed telemetry is active.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..caching.base import CacheStats
 from ..caching.lru import LRUCache, record_lru_counters
@@ -46,7 +49,7 @@ from ..obs import registry as _obs
 from ..obs import timeseries as _ts
 from ..obs import tracing as _tracing
 from ..traces.columnar import ColumnarTrace
-from ..traces.events import EventKind, Trace
+from ..traces.events import EventKind, Trace, TraceEvent
 
 
 class Store:
@@ -149,11 +152,6 @@ class DistributedFileSystem:
         self.remote_requests = 0
         self.invalidate_on_write = invalidate_on_write
         self.invalidations = 0
-        self._server_stats = CacheStats()
-        #: Escape hatch for tests and A/B comparisons: when False,
-        #: :meth:`replay` always takes the generic per-event path even
-        #: if the configuration qualifies for the fast loop.
-        self.use_fast_replay = True
 
     def _client_cache(self, client_id: str) -> LRUCache:
         cache = self.clients.get(client_id)
@@ -186,10 +184,7 @@ class DistributedFileSystem:
         to_ship: List[str] = list(group)
         recorder = _tracing.ACTIVE if _obs.ENABLED else None
         if self.server_cache is not None:
-            if self.server_cache.access(file_id):
-                self._server_stats.hits += 1
-            else:
-                self._server_stats.misses += 1
+            if not self.server_cache.access(file_id):
                 self.store.fetch(file_id)
             companions = [m for m in to_ship if m != file_id]
             for member in companions:
@@ -254,8 +249,6 @@ class DistributedFileSystem:
         trace records, and the tracing contract is that traced and
         untraced replays count identically.
         """
-        if not self.use_fast_replay:
-            return False
         if _obs.ENABLED and _tracing.ACTIVE is not None:
             return False
         if self.invalidate_on_write:
@@ -280,38 +273,50 @@ class DistributedFileSystem:
         return True
 
     def _metrics_baseline(self) -> Tuple:
-        """Pre-replay totals used to record per-replay metric deltas.
+        """Snapshot of every counter a replay moves.
 
-        Client and server-LRU entries carry the full 4-tuple (hits,
-        misses, evictions, installs) so the fast loop can batch-credit
-        the per-policy ``cache.lru.*`` counters the generic path
-        records per event inside the caches themselves.
+        ``(clients, server, store_fetches, remote_requests,
+        invalidations)``: ``clients`` maps each client id to its cache's
+        (hits, misses, evictions, installs) and ``server`` is the server
+        cache's, or None without one.  :meth:`_counter_deltas` turns a
+        snapshot into the movement since, for the registry and for the
+        windowed collector alike.
         """
         server = self.server_cache
         return (
             {
-                client_id: (
-                    cache.stats.hits,
-                    cache.stats.misses,
-                    cache.stats.evictions,
-                    cache.stats.installs,
-                )
+                client_id: _stats_tuple(cache.stats)
                 for client_id, cache in self.clients.items()
             },
-            (self._server_stats.hits, self._server_stats.misses),
+            _stats_tuple(server.stats) if server is not None else None,
             self.store.fetches,
             self.remote_requests,
             self.invalidations,
-            (
-                (
-                    server.stats.hits,
-                    server.stats.misses,
-                    server.stats.evictions,
-                    server.stats.installs,
-                )
-                if server is not None
-                else None
-            ),
+        )
+
+    def _counter_deltas(self, baseline: Tuple) -> Tuple:
+        """Counter movement since a :meth:`_metrics_baseline` snapshot.
+
+        Same shape as the snapshot, with every current client listed (a
+        client created since counts from zero) and zeros for ``server``
+        when there is no server cache.
+        """
+        clients_before, server_before, store_before, remote_before, inv_before = (
+            baseline
+        )
+        clients, server, store_fetches, remote_requests, invalidations = (
+            self._metrics_baseline()
+        )
+        zeros = (0, 0, 0, 0)
+        return (
+            {
+                client_id: _minus(now, clients_before.get(client_id, zeros))
+                for client_id, now in clients.items()
+            },
+            _minus(server or zeros, server_before or zeros),
+            store_fetches - store_before,
+            remote_requests - remote_before,
+            invalidations - inv_before,
         )
 
     def _record_replay_metrics(
@@ -319,40 +324,28 @@ class DistributedFileSystem:
     ) -> None:
         """Credit this replay's deltas to the registry (collection is on).
 
-        Both replay paths report through here, so the recorded counters
+        Every replay loop reports through here, so the recorded counters
         are identical whichever loop ran; ``transitions`` is only passed
-        by the fast loop (the generic path counts transitions inside
+        by the fused loops (the per-event path counts transitions inside
         :meth:`SuccessorTracker.observe_transition`).
         """
-        clients_before, server_before, store_before, remote_before, inv_before = (
-            baseline[:5]
+        clients, server, store_fetches, remote_requests, invalidations = (
+            self._counter_deltas(baseline)
         )
-        total_hits = total_misses = 0
-        for client_id, cache in self.clients.items():
-            hits_before, misses_before = clients_before.get(client_id, (0, 0, 0, 0))[:2]
-            hits = cache.stats.hits - hits_before
-            misses = cache.stats.misses - misses_before
-            total_hits += hits
-            total_misses += misses
+        for client_id, (hits, misses, _evictions, _installs) in clients.items():
             registry.counter(f"engine.client.{client_id}.hits").inc(hits)
             registry.counter(f"engine.client.{client_id}.misses").inc(misses)
-        registry.counter("engine.client.hits").inc(total_hits)
-        registry.counter("engine.client.misses").inc(total_misses)
-        registry.counter("engine.server.hits").inc(
-            self._server_stats.hits - server_before[0]
+        registry.counter("engine.client.hits").inc(
+            sum(delta[0] for delta in clients.values())
         )
-        registry.counter("engine.server.misses").inc(
-            self._server_stats.misses - server_before[1]
+        registry.counter("engine.client.misses").inc(
+            sum(delta[1] for delta in clients.values())
         )
-        registry.counter("engine.store.fetches").inc(
-            self.store.fetches - store_before
-        )
-        registry.counter("engine.remote_requests").inc(
-            self.remote_requests - remote_before
-        )
-        registry.counter("engine.invalidations").inc(
-            self.invalidations - inv_before
-        )
+        registry.counter("engine.server.hits").inc(server[0])
+        registry.counter("engine.server.misses").inc(server[1])
+        registry.counter("engine.store.fetches").inc(store_fetches)
+        registry.counter("engine.remote_requests").inc(remote_requests)
+        registry.counter("engine.invalidations").inc(invalidations)
         registry.gauge("engine.clients").set(len(self.clients))
         registry.gauge("engine.metadata.entries").set(
             self.tracker.metadata_entries()
@@ -361,32 +354,19 @@ class DistributedFileSystem:
             registry.counter("successors.transitions").inc(transitions)
 
     def _record_policy_counters(self, registry, baseline: Tuple) -> None:
-        """Batch-credit ``cache.lru.*`` deltas (fast replay branch only).
+        """Batch-credit ``cache.lru.*`` deltas (fused loops only).
 
-        The generic path records these per event inside the LRU caches;
-        the fused loop bypasses those sites, so it credits the same
-        totals here from the stats deltas of every client cache plus
-        the server cache.  Never called from the shared
+        The per-event path records these inside the LRU caches; the
+        fused loops bypass those sites, so they credit the same totals
+        here from the stats deltas of every client cache plus the server
+        cache.  Never called from the shared
         :meth:`_record_replay_metrics` — that would double-count the
-        generic path.
+        per-event path.
         """
-        clients_before = baseline[0]
-        server_before = baseline[5]
-        hits = misses = evictions = installs = 0
-        for client_id, cache in self.clients.items():
-            before = clients_before.get(client_id, (0, 0, 0, 0))
-            stats = cache.stats
-            hits += stats.hits - before[0]
-            misses += stats.misses - before[1]
-            evictions += stats.evictions - before[2]
-            installs += stats.installs - before[3]
-        if self.server_cache is not None:
-            before = server_before if server_before is not None else (0, 0, 0, 0)
-            stats = self.server_cache.stats
-            hits += stats.hits - before[0]
-            misses += stats.misses - before[1]
-            evictions += stats.evictions - before[2]
-            installs += stats.installs - before[3]
+        clients, server = self._counter_deltas(baseline)[:2]
+        hits, misses, evictions, installs = (
+            sum(column) for column in zip(server, *clients.values())
+        )
         record_lru_counters(
             registry,
             hits=hits,
@@ -395,7 +375,7 @@ class DistributedFileSystem:
             installs=installs,
         )
 
-    def _replay_fast(self, trace: Trace) -> SystemMetrics:
+    def _replay_fast(self, events: Sequence[TraceEvent]) -> SystemMetrics:
         """Inlined replay loop for the common LRU configuration.
 
         Count-for-count identical to driving :meth:`access` per event;
@@ -403,7 +383,6 @@ class DistributedFileSystem:
         replaced with direct OrderedDict operations, batched stats
         updates per client segment, and allocation-free group builds.
         """
-        events = trace.events
         prev = self.tracker._previous
         codes = [event.file_id for event in events]
         client_ids = [event.client_id or "client00" for event in events]
@@ -417,7 +396,6 @@ class DistributedFileSystem:
         clients = self.clients
         client_capacity = self.client_capacity
         server = self.server_cache
-        server_mirror = self._server_stats
         if server is not None:
             server_order = server._order
             server_stats = server.stats
@@ -526,10 +504,8 @@ class DistributedFileSystem:
                 if file_id in server_order:
                     server_order.move_to_end(file_id)
                     server_stats.hits += 1
-                    server_mirror.hits += 1
                 else:
                     server_stats.misses += 1
-                    server_mirror.misses += 1
                     store_fetches += 1
                     while len(server_order) >= server_capacity:
                         victim, _value = server_order.popitem(last=False)
@@ -580,64 +556,117 @@ class DistributedFileSystem:
         the file resident); with ``invalidate_on_write`` the mutation
         side effects are applied after the access.
 
-        When windowed telemetry is active (:func:`repro.obs.windowing`),
-        the replay is driven window by window through the same loops and
-        one :class:`~repro.obs.timeseries.WindowSample` is recorded per
-        window — the single ``_ts.ACTIVE`` read below is the only cost
-        when it is not.  ``progress`` follows the shared
-        :func:`~repro.sim.progress.normalize_progress` contract and is
-        reported per window (windowed) or once up front (unwindowed).
-        """
-        if _ts.ACTIVE is not None:
-            return _ts.windowed_replay(self, trace, progress=progress)
-        if progress is not None:
-            from .progress import normalize_progress
-
-            notify = normalize_progress(progress)
-            if notify is not None:
-                notify(0, 1, {"window": 0, "start": 0}, 0.0)
-        return self._replay_trace(trace)
-
-    def _replay_trace(self, trace: Trace) -> SystemMetrics:
-        """One uninterrupted replay pass (fast or generic, no windowing).
-
-        The windowed driver calls this per chunk; ``replay`` calls it
-        for the whole trace.  Fast-path eligibility is re-checked per
-        call, so a configuration change mid-windowed-run is honoured at
-        the next window boundary.
-
-        A columnar trace replays through the array-backed kernel
-        (:func:`repro.sim.kernel.replay_columns_v2`) — integer columns
-        straight off the mmap, cache keys left as codes — when the
-        configuration qualifies for fast replay and
+        This is the one replay entry point; it picks the loop once.  A
+        :class:`~repro.traces.columnar.ColumnarTrace` runs through one
+        array-kernel session (:func:`repro.sim.kernel.replay_columns_v2`)
+        when the configuration qualifies for fast replay and
         :func:`repro.sim.kernel.v2_import` accepts the live state (int
         keys in the trace's code space, no evict listeners, default
-        client capacities), at any trace length.  Any columnar trace it
-        declines is decoded to event objects and takes the event path,
-        so a columnar replay always counts exactly like its decoded
-        events; the ``engine.replay.path.*`` counter records which loop
-        actually ran.
+        client capacities).  Any other trace, and a columnar one the
+        kernel declines, is replayed as decoded events: through the
+        fused loop when :meth:`_fast_replay_ok` holds, per event through
+        :meth:`access` otherwise.  Every loop counts exactly like the
+        per-event path; ``engine.replay.path.*`` records which one ran,
+        once per window.
+
+        The trace is one window unless windowed telemetry is active
+        (:func:`repro.obs.windowing`).  Then it is cut into
+        ``collector.window``-event windows, all state carries across
+        them, and the collector records one sample per window from the
+        window's counter deltas.  ``progress(index, total, params,
+        elapsed)`` is called before each window, with ``params =
+        {"window": index, "start": first_event_index}``.
         """
+        collector = _ts.ACTIVE
+        fast = self._fast_replay_ok()
+        session = None
         if isinstance(trace, ColumnarTrace):
-            if self._fast_replay_ok():
+            if fast:
                 # Deferred: keeps the kernel (and numpy) out of the
                 # import of every module that only needs the engine.
-                from .kernel import replay_columns_v2, v2_import
+                from . import kernel
 
-                state = v2_import(self, trace)
-                if state is not None:
-                    metrics = replay_columns_v2(self, trace, state=state)
-                    state.export()
-                    return metrics
-            trace = trace.to_trace()
-        if self._fast_replay_ok():
-            return self._replay_fast(trace)
+                session = kernel.v2_import(self, trace)
+            if session is None:
+                trace = trace.to_trace()
+        if session is not None:
+            run = partial(kernel.replay_columns_v2, self, state=session)
+        elif fast:
+            run = self._replay_fast
+        else:
+            run = self._replay_generic
+
+        n = len(trace)
+        if collector is None:
+            window, total = n, 1
+        else:
+            window = collector.window
+            total = (n + window - 1) // window
+        metrics = None
+        started = time.perf_counter()
+        if collector is not None:
+            # Suspended while windows replay, so nothing a window calls
+            # (a progress callback, an on_sample hook) re-enters it.
+            _ts.set_collector(None)
+        try:
+            for index in range(total):
+                low = index * window
+                high = min(low + window, n)
+                if progress is not None:
+                    progress(
+                        index,
+                        total,
+                        {"window": index, "start": low},
+                        time.perf_counter() - started,
+                    )
+                if high - low == n:
+                    chunk = trace if session is not None else trace.events
+                elif session is not None:
+                    chunk = trace.slice(low, high)
+                else:
+                    chunk = trace.events[low:high]
+                if collector is None:
+                    metrics = run(chunk)
+                else:
+                    metrics = self._sampled_window(
+                        collector, run, chunk, session is not None
+                    )
+        finally:
+            if collector is not None:
+                _ts.set_collector(collector)
+            if session is not None:
+                session.export()
+        # Each loop returns the metrics after its window; an empty
+        # windowed trace has no window.
+        return self.metrics() if metrics is None else metrics
+
+    def _sampled_window(self, collector, run, chunk, columnar: bool) -> SystemMetrics:
+        """Replay one window and hand the collector its counter deltas."""
+        before = self._metrics_baseline()
+        started = time.perf_counter()
+        metrics = run(chunk)
+        seconds = time.perf_counter() - started
+        if not collector.entropy:
+            file_ids = ()
+        elif columnar:
+            # Codes, not strings: entropy is invariant under the
+            # bijective relabelling, so the sample matches the event path.
+            file_ids = chunk.file_codes
+        else:
+            file_ids = [event.file_id for event in chunk]
+        collector.record_window(
+            self, len(chunk), file_ids, self._counter_deltas(before), seconds
+        )
+        return metrics
+
+    def _replay_generic(self, events: Sequence[TraceEvent]) -> SystemMetrics:
+        """Per-event replay through :meth:`access`, the reference loop."""
         record = _obs.ENABLED
         if record:
             registry = _obs.get_registry()
             baseline = self._metrics_baseline()
             started = time.perf_counter_ns()
-        for event in trace:
+        for event in events:
             client = event.client_id or "client00"
             self.access(client, event.file_id)
             if self.invalidate_on_write and event.is_mutation:
@@ -653,17 +682,34 @@ class DistributedFileSystem:
 
     def metrics(self) -> SystemMetrics:
         """Snapshot system-wide accounting."""
+        server = self.server_cache
         return SystemMetrics(
             client_stats={
                 client_id: cache.stats.snapshot()
                 for client_id, cache in self.clients.items()
             },
-            server_stats=self._server_stats.snapshot(),
+            # Demand hits and misses; the server cache's installs and
+            # evictions stay on ``server_cache.stats``.
+            server_stats=(
+                CacheStats(hits=server.stats.hits, misses=server.stats.misses)
+                if server is not None
+                else CacheStats()
+            ),
             store_fetches=self.store.fetches,
             remote_requests=self.remote_requests,
             metadata_entries=self.tracker.metadata_entries(),
             invalidations=self.invalidations,
         )
+
+
+def _stats_tuple(stats: CacheStats) -> Tuple[int, int, int, int]:
+    """A cache's (hits, misses, evictions, installs)."""
+    return (stats.hits, stats.misses, stats.evictions, stats.installs)
+
+
+def _minus(after: Tuple[int, ...], before: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Element-wise ``after - before``."""
+    return tuple(a - b for a, b in zip(after, before))
 
 
 def replay_cache(cache, sequence: Iterable[str]) -> CacheStats:

@@ -30,8 +30,8 @@ Two kernels live here:
   files, and the kind histogram in one pass.  Vectorized with numpy
   when available, with a count-identical pure-python fallback built on
   C-speed primitives (``set`` construction, ``bytes.count``).  This is
-  the 10M+ events/s hot path the strict benchmark gate tracks; the
-  windowed telemetry driver and ``repro trace info`` ride it.
+  the 10M+ events/s hot path the strict benchmark gate tracks;
+  ``repro trace info`` and ``ColumnarTrace.unique_files`` ride it.
 
 Every replay entry point records which loop ran under the
 ``engine.replay.path.*`` counters (``kernel_v2`` / ``fast`` /
@@ -222,15 +222,16 @@ def _import_lru(order, capacity: int, universe: int) -> Optional[ArrayLRU]:
 
 
 class V2ReplayState:
-    """Live array state for one v2 replay (or one windowed session).
+    """Live array state for one replay session, every window of it.
 
     Holds the :class:`ArrayLRU` per client (paired with its cache
     object), the server's, the shared successor slots, the carried
     predecessor, and the monotone event clock that keeps stamps unique
     across successive :func:`replay_columns_v2` calls on the same
-    state.  The windowed driver imports once, replays every chunk
-    against the same state, and calls :meth:`export` at the end, so
-    the import/export cost is paid once per session, not per window.
+    state.  :meth:`DistributedFileSystem.replay` imports once, replays
+    every window against the same state, and calls :meth:`export` at
+    the end, so the import/export cost is paid once per replay, not
+    per window.
 
     Between ``run`` and ``export`` the cache ``OrderedDict`` contents
     are stale (stats objects, system counters, and tracker lists are
@@ -333,7 +334,7 @@ def v2_import(system, ctrace):
 def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
     """Replay a columnar trace through the array-backed eviction core.
 
-    The caller (:meth:`DistributedFileSystem._replay_trace`) guarantees
+    The caller (:meth:`DistributedFileSystem.replay`) guarantees
     ``system._fast_replay_ok()``: LRU successor lists, plain LRU caches,
     the stock group builder, no write invalidation, no active flight
     recorder.  The loop is the engine's fused fast loop re-specialized
@@ -382,7 +383,6 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
     client_capacity = system.client_capacity
     client_lrus = state.client_lrus
     server = system.server_cache
-    server_mirror = system._server_stats
     if server is not None:
         s_lru = state.server_lru
         s_stamp = s_lru.stamp
@@ -674,8 +674,6 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
         server_stats.misses += s_misses
         server_stats.evictions += s_evictions
         server_stats.installs += s_installs
-        server_mirror.hits += s_hits
-        server_mirror.misses += s_misses
     if runs:
         state.prev = prev
         tracker._previous = prev if prev != dummy else None

@@ -37,7 +37,6 @@ from typing import (
 from ..errors import ExperimentError
 from ..obs import registry as _obs
 from ..obs import timeseries as _ts
-from .progress import normalize_progress, progress_arity
 
 #: One result record: the parameter point plus measured values.
 Record = Dict[str, Any]
@@ -117,11 +116,6 @@ def _merge_record(
     return record
 
 
-#: Backwards-compatible alias — the arity shim now lives in
-#: :mod:`repro.sim.progress`, shared with the replay engine.
-_progress_arity = progress_arity
-
-
 def _is_picklable(run_point: Callable[..., Mapping[str, Any]]) -> bool:
     """Whether the callable survives the trip to a worker process."""
     try:
@@ -134,7 +128,7 @@ def _is_picklable(run_point: Callable[..., Mapping[str, Any]]) -> bool:
 def _run_serial(
     points: List[Dict[str, Any]],
     run_point: Callable[..., Mapping[str, Any]],
-    notify: Optional[Callable[[int, int, Dict[str, Any], float], None]],
+    progress: Optional[Callable[[int, int, Dict[str, Any], float], None]],
     timing: bool,
     started: float,
 ) -> List[Record]:
@@ -147,8 +141,8 @@ def _run_serial(
         observe_point = registry.histogram("sweep.point.ns").observe
         point_counter = registry.counter("sweep.points")
     for index, params in enumerate(points):
-        if notify is not None:
-            notify(index, total, params, time.perf_counter() - started)
+        if progress is not None:
+            progress(index, total, params, time.perf_counter() - started)
         measured, seconds = _call_point(run_point, params)
         if record_metrics:
             observe_point(int(seconds * 1e9))
@@ -162,7 +156,7 @@ def _run_serial(
 def _run_parallel(
     points: List[Dict[str, Any]],
     run_point: Callable[..., Mapping[str, Any]],
-    notify: Optional[Callable[[int, int, Dict[str, Any], float], None]],
+    progress: Optional[Callable[[int, int, Dict[str, Any], float], None]],
     timing: bool,
     workers: int,
     started: float,
@@ -188,8 +182,8 @@ def _run_parallel(
         # Collect in submission order: records stay index-aligned with
         # the serial path no matter which worker finishes first.
         for index, (params, future) in enumerate(zip(points, futures)):
-            if notify is not None:
-                notify(index, total, params, time.perf_counter() - started)
+            if progress is not None:
+                progress(index, total, params, time.perf_counter() - started)
             measured, seconds = future.result()
             if record_metrics:
                 observe_point(int(seconds * 1e9))
@@ -214,7 +208,7 @@ def _run_parallel(
 def run_sweep(
     grid: SweepGrid,
     run_point: Callable[..., Mapping[str, Any]],
-    progress: Optional[Callable[..., None]] = None,
+    progress: Optional[Callable[[int, int, Dict[str, Any], float], None]] = None,
     workers: int = 1,
     timing: bool = False,
     prewarm: Optional[Callable[[], Any]] = None,
@@ -227,10 +221,9 @@ def run_sweep(
 
     ``progress`` is an optional callback ``(index, total, params,
     elapsed)`` invoked before each point is collected — the CLI uses it
-    for status/ETA lines.  Three-argument callbacks (the historical
-    signature, without ``elapsed``) are still supported; two-argument
-    ``(index, total)`` callbacks are deprecated (see
-    :func:`repro.sim.progress.normalize_progress`).
+    for status/ETA lines.  ``elapsed`` is wall seconds since the sweep
+    started; :meth:`repro.sim.engine.DistributedFileSystem.replay` calls
+    the same shape once per replay window.
 
     When windowed telemetry is active (:func:`repro.obs.windowing`), one
     ``source="sweep"`` sample is recorded per completed point — in the
@@ -258,7 +251,6 @@ def run_sweep(
     points = grid.points()
     if prewarm is not None:
         prewarm()
-    notify = normalize_progress(progress)
     started = time.perf_counter()
     record_metrics = _obs.ENABLED
     if record_metrics:
@@ -268,7 +260,7 @@ def run_sweep(
     if workers > 1 and len(points) > 1 and _is_picklable(run_point):
         try:
             records = _run_parallel(
-                points, run_point, notify, timing, workers, started
+                points, run_point, progress, timing, workers, started
             )
             if record_metrics:
                 _record_run_ns(registry, started)
@@ -287,11 +279,11 @@ def run_sweep(
                 raise
             if record_metrics:
                 registry.counter("sweep.serial_fallbacks").inc()
-            records = _run_serial(points, run_point, notify, timing, started)
+            records = _run_serial(points, run_point, progress, timing, started)
             if record_metrics:
                 _record_run_ns(registry, started)
             return records
-    records = _run_serial(points, run_point, notify, timing, started)
+    records = _run_serial(points, run_point, progress, timing, started)
     if record_metrics:
         _record_run_ns(registry, started)
     return records

@@ -14,13 +14,12 @@ their content:
   invalidates every cached artifact, so generator changes can never
   serve stale traces.
 
-The **preferred artifact format is columnar binary**
-(:mod:`repro.traces.columnar`, ``.ctrace``): loads are an mmap plus a
-header parse instead of a gzip + text decode, sweep workers opening the
-same artifact share the page cache, and the replay kernel consumes the
-columns directly.  The gzipped text format stays as *interchange* — a
-pre-existing ``.trace.gz`` artifact is read once and repacked columnar
-in place (migration, not dual maintenance).
+Artifacts are **columnar binary** (:mod:`repro.traces.columnar`,
+``.ctrace``): loads are an mmap plus a header parse instead of a gzip +
+text decode, sweep workers opening the same artifact share the page
+cache, and the replay kernel consumes the columns directly.  The
+gzipped text format stays an interchange format only; the cache never
+reads or writes it.
 
 The cache directory resolves, in order, from the ``REPRO_TRACE_CACHE``
 environment variable (set it to ``off``, ``0``, or the empty string to
@@ -37,7 +36,6 @@ invocations, sweep workers) skip generation.
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -54,9 +52,6 @@ CACHE_ENV_VAR = "REPRO_TRACE_CACHE"
 
 #: Values of the env var that turn the disk cache off.
 _DISABLED_VALUES = {"", "0", "off", "none", "disabled"}
-
-#: Suffix of legacy text artifacts, kept readable for migration.
-LEGACY_SUFFIX = ".trace.gz"
 
 
 def cache_dir() -> Optional[Path]:
@@ -90,64 +85,6 @@ def artifact_path(
     return base / (_artifact_stem(name, events, seed, version) + COLUMNAR_SUFFIX)
 
 
-def legacy_artifact_path(
-    name: str, events: int, seed: Optional[int], version: int
-) -> Optional[Path]:
-    """Where a pre-columnar text artifact would live (None = disabled).
-
-    Only consulted on a columnar miss, to migrate caches written by
-    older versions of the library.
-    """
-    base = cache_dir()
-    if base is None:
-        return None
-    return base / (_artifact_stem(name, events, seed, version) + LEGACY_SUFFIX)
-
-
-def load_artifact(path: Path, expected_events: int) -> Optional[Trace]:
-    """Read a cached *text* trace, returning None on any problem.
-
-    A cached artifact is rejected (not raised on) when unreadable or
-    when its event count disagrees with the request — both are treated
-    as cache corruption, and the caller regenerates.
-    """
-    from .reader import read_trace
-
-    try:
-        trace = read_trace(path)
-    except Exception:
-        return None
-    if len(trace) != expected_events:
-        return None
-    return trace
-
-
-def store_artifact(path: Path, trace: Trace) -> bool:
-    """Write a text trace artifact atomically; returns False on any failure.
-
-    Failure to persist (read-only filesystem, quota) is never an error:
-    the cache is a pure accelerator.
-    """
-    from .writer import write_trace
-
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp_name = tempfile.mkstemp(
-            prefix=path.stem, suffix=".tmp.gz", dir=path.parent
-        )
-        os.close(handle)
-        temp_path = Path(temp_name)
-        try:
-            write_trace(trace, temp_path)
-            temp_path.replace(path)
-        finally:
-            if temp_path.exists() and temp_path != path:
-                temp_path.unlink(missing_ok=True)
-    except OSError:
-        return False
-    return True
-
-
 def load_columnar_artifact(
     path: Path, expected_events: int
 ) -> Optional[ColumnarTrace]:
@@ -172,9 +109,9 @@ def store_columnar_artifact(path: Path, trace) -> bool:
     """Write a columnar artifact atomically; returns False on any failure.
 
     ``trace`` may be a :class:`~repro.traces.events.Trace` or an already
-    encoded :class:`~repro.traces.columnar.ColumnarTrace`.  Like the
-    text writer, persistence failures are soft: the cache is a pure
-    accelerator.
+    encoded :class:`~repro.traces.columnar.ColumnarTrace`.  Failure to
+    persist (read-only filesystem, quota) is never an error: the cache
+    is a pure accelerator.
     """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -189,13 +126,10 @@ def load_or_generate_columnar(
 ) -> ColumnarTrace:
     """Return the named workload as a columnar trace, disk-backed if possible.
 
-    Resolution order:
-
-    1. a valid ``.ctrace`` artifact — returned mmap-backed, zero-copy;
-    2. a valid legacy ``.trace.gz`` artifact — repacked columnar
-       (one-time migration), then served from the new file;
-    3. generation via :func:`repro.workloads.synthetic.make_workload`,
-       stored columnar for the next process.
+    A valid ``.ctrace`` artifact is returned mmap-backed, zero-copy;
+    otherwise the trace is generated via
+    :func:`repro.workloads.synthetic.make_workload` and stored columnar
+    for the next process.
 
     Whenever the columnar file lands on disk the returned trace is
     re-opened from it, so concurrent sweep workers share its pages
@@ -208,13 +142,7 @@ def load_or_generate_columnar(
         cached = load_columnar_artifact(path, events)
         if cached is not None:
             return cached
-    source: Optional[Trace] = None
-    legacy = legacy_artifact_path(name, events, seed, GENERATOR_VERSION)
-    if legacy is not None and legacy.exists():
-        source = load_artifact(legacy, events)
-    if source is None:
-        source = make_workload(name, events, seed)
-    ctrace = ColumnarTrace.from_trace(source)
+    ctrace = ColumnarTrace.from_trace(make_workload(name, events, seed))
     if path is not None and store_columnar_artifact(path, ctrace):
         reopened = load_columnar_artifact(path, events)
         if reopened is not None:

@@ -268,8 +268,8 @@ class ColumnarTrace:
         """A zero-copy sub-trace over ``[start:stop)``.
 
         Columns are sliced views into the same backing buffer; symbol
-        tables are shared.  Used by the windowed replay driver to chunk
-        a replay without materializing events.
+        tables are shared.  :meth:`DistributedFileSystem.replay` cuts a
+        windowed replay with it, without materializing events.
         """
         stop = len(self) if stop is None else stop
         return ColumnarTrace(

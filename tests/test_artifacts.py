@@ -4,12 +4,9 @@ from repro.traces.artifacts import (
     CACHE_ENV_VAR,
     artifact_path,
     cache_dir,
-    legacy_artifact_path,
-    load_artifact,
     load_columnar_artifact,
     load_or_generate,
     load_or_generate_columnar,
-    store_artifact,
     store_columnar_artifact,
 )
 from repro.traces.columnar import MAGIC, ColumnarTrace
@@ -35,10 +32,6 @@ class TestCacheDir:
     def test_disabled_cache_disables_paths(self, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, "off")
         assert artifact_path("server", 100, None, GENERATOR_VERSION) is None
-        assert (
-            legacy_artifact_path("server", 100, None, GENERATOR_VERSION)
-            is None
-        )
 
 
 class TestArtifactPath:
@@ -50,11 +43,6 @@ class TestArtifactPath:
         assert artifact_path("server", 200, None, 1) != base
         assert artifact_path("server", 100, 7, 1) != base
         assert artifact_path("server", 100, None, 2) != base
-
-    def test_legacy_path_shares_stem(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        legacy = legacy_artifact_path("server", 100, None, 1)
-        assert legacy.name == "server-e100-sdefault-v1.trace.gz"
 
 
 class TestRoundTrip:
@@ -169,13 +157,8 @@ class TestRoundTrip:
         missing_parent = tmp_path / "file"
         missing_parent.write_text("occupied")
         # Parent "directory" is a file: mkdir fails, store returns False.
-        target = missing_parent / "sub" / "x.trace.gz"
-        assert store_artifact(target, make_workload("server", 50)) is False
-        columnar_target = missing_parent / "sub" / "x.ctrace"
-        assert (
-            store_columnar_artifact(columnar_target, make_workload("server", 50))
-            is False
-        )
+        target = missing_parent / "sub" / "x.ctrace"
+        assert store_columnar_artifact(target, make_workload("server", 50)) is False
 
     def test_version_bump_misses(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
@@ -183,22 +166,3 @@ class TestRoundTrip:
         store_columnar_artifact(old, make_workload("server", 150))
         bumped = artifact_path("server", 150, None, GENERATOR_VERSION + 1)
         assert not bumped.exists()
-
-
-class TestLegacyMigration:
-    def test_text_artifact_repacked_columnar(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        legacy = legacy_artifact_path("users", 200, None, GENERATOR_VERSION)
-        store_artifact(legacy, make_workload("users", 200))
-        served = load_or_generate_columnar("users", 200)
-        assert isinstance(served, ColumnarTrace)
-        assert served.to_trace().events == make_workload("users", 200).events
-        # The columnar artifact now exists alongside the legacy file.
-        assert artifact_path("users", 200, None, GENERATOR_VERSION).exists()
-
-    def test_text_loader_still_reads_legacy(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        legacy = legacy_artifact_path("users", 120, None, GENERATOR_VERSION)
-        store_artifact(legacy, make_workload("users", 120))
-        assert load_artifact(legacy, 120) is not None
-        assert load_artifact(legacy, 121) is None

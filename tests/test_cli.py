@@ -21,6 +21,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["fig3", "--workload", "cray"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "--csv", "x.csv"],
+            ["compare", "--csv", "x.csv"],
+            ["headline", "--workers", "2"],
+            ["placement", "--workers", "2"],
+        ],
+    )
+    def test_flags_a_command_ignores_are_parse_errors(self, argv, capsys):
+        # --csv/--width/--height only where a figure is rendered, and
+        # --workers only on the sweep figures.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sweep_figure_keeps_workers_and_csv(self):
+        for command in ("fig3", "fig4", "fig5", "fig7", "fig8"):
+            args = build_parser().parse_args(
+                [command, "--workers", "2", "--csv", "x.csv"]
+            )
+            assert args.workers == 2 and str(args.csv) == "x.csv"
+
 
 class TestMain:
     def test_fig5_runs(self, capsys):

@@ -133,6 +133,30 @@ class TestRunAdaptation:
         with pytest.raises(ExperimentError):
             run_adaptation(events=4000, interval=0)
 
+    @pytest.mark.parametrize("workload,interval", [("server", 1000), ("users", 700)])
+    def test_series_matches_per_event_reference(self, workload, interval):
+        # Each interval's hit rate recounted from per-event access()
+        # calls, a partial last interval included.
+        from repro.core.aggregating_cache import AggregatingClientCache
+        from repro.experiments import run_adaptation
+        from repro.experiments.common import workload_sequence
+
+        figure = run_adaptation(workload=workload, events=EVENTS, interval=interval)
+        combined = list(workload_sequence(workload, EVENTS // 2, None)) + list(
+            workload_sequence(workload, EVENTS // 2, 777)
+        )
+        for label, group_size in (("lru", 1), ("g5", 5)):
+            cache = AggregatingClientCache(capacity=300, group_size=group_size)
+            expected = []
+            hits = accesses = 0
+            for position, file_id in enumerate(combined, 1):
+                hits += cache.access(file_id)
+                accesses += 1
+                if accesses == interval or position == len(combined):
+                    expected.append((position, hits / accesses))
+                    hits = accesses = 0
+            assert figure.get_series(label).points == expected
+
 
 class TestRunServerCapacity:
     @pytest.fixture(scope="class")

@@ -207,7 +207,7 @@ class TestKernelReplay:
 
 class TestWindowedColumnarReplay:
     def test_samples_identical_to_event_path(self, numpy_mode):
-        from repro.obs.timeseries import WindowedCollector, windowed_replay
+        from repro.obs.timeseries import WindowedCollector, windowing
 
         ctrace = ColumnarTrace.from_trace(make_workload("write", EVENTS))
         trace = ctrace.to_trace()
@@ -221,12 +221,10 @@ class TestWindowedColumnarReplay:
         for new_system in (lambda: DistributedFileSystem(**CONFIG), with_listener):
             events_collector = WindowedCollector(window=500)
             columnar_collector = WindowedCollector(window=500)
-            event_metrics = windowed_replay(
-                new_system(), trace, collector=events_collector
-            )
-            columnar_metrics = windowed_replay(
-                new_system(), ctrace, collector=columnar_collector
-            )
+            with windowing(collector=events_collector):
+                event_metrics = new_system().replay(trace)
+            with windowing(collector=columnar_collector):
+                columnar_metrics = new_system().replay(ctrace)
             assert columnar_metrics == event_metrics
             assert [
                 sample.deterministic_dict()
@@ -321,19 +319,25 @@ class TestArrayKernelDispatch:
         assert array_metrics == oracle_replay(oracle_system, ctrace)
         assert full_state(array_system) == full_state(oracle_system)
 
-    def test_windowed_replay_reuses_one_session(self, numpy_mode):
-        # The windowed driver imports array state once and replays every
-        # chunk through it — one kernel_v2 record per window, and totals
+    def test_windowed_replay_reuses_one_session(self, numpy_mode, monkeypatch):
+        # A windowed replay imports array state once and replays every
+        # window through it — one kernel_v2 record per window, and totals
         # identical to the unwindowed replay.
         from repro.obs import collecting
-        from repro.obs.timeseries import WindowedCollector, windowed_replay
+        from repro.obs.timeseries import WindowedCollector, windowing
+        from repro.sim import kernel
 
+        imports = []
+        v2_import = kernel.v2_import
+        monkeypatch.setattr(
+            kernel, "v2_import", lambda *args: imports.append(1) or v2_import(*args)
+        )
         ctrace = ColumnarTrace.from_trace(make_workload("write", EVENTS))
-        with collecting() as registry:
-            metrics = windowed_replay(
-                DistributedFileSystem(**CONFIG), ctrace,
-                collector=WindowedCollector(window=500),
-            )
+        with collecting() as registry, windowing(
+            collector=WindowedCollector(window=500)
+        ):
+            metrics = DistributedFileSystem(**CONFIG).replay(ctrace)
+        assert imports == [1]
         assert metrics == DistributedFileSystem(**CONFIG).replay(ctrace)
         assert self._path_counters(registry) == {
             "engine.replay.path.kernel_v2": EVENTS // 500

@@ -177,7 +177,8 @@ class TestReplayPathEquivalence:
                 system = DistributedFileSystem(
                     client_capacity=120, server_capacity=200, group_size=5
                 )
-                system.use_fast_replay = fast
+                if not fast:
+                    system._fast_replay_ok = lambda: False
                 system.replay(trace)
             snapshots.append(_strip_timers(registry.snapshot()))
         assert snapshots[0] == snapshots[1]
@@ -190,7 +191,8 @@ class TestReplayPathEquivalence:
         for fast in (True, False):
             with collecting() as registry:
                 cache = AggregatingClientCache(capacity=150, group_size=5)
-                cache.use_fast_replay = fast
+                if not fast:
+                    cache._fast_replay_ok = lambda: False
                 cache.replay(sequence)
             snapshots.append(_strip_timers(registry.snapshot()))
         assert snapshots[0] == snapshots[1]

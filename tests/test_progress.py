@@ -1,81 +1,19 @@
-"""Unit tests for the shared progress-callback plumbing.
+"""Tests for the progress-callback contract of sweeps and replays.
 
-Both long-running drivers (the sweep runner and the windowed replay)
-report through one callback contract — ``(index, total, params,
-elapsed)`` — with the historical narrower shapes adapted in one place.
+The sweep runner and the replay engine both call ``progress(index,
+total, params, elapsed)`` directly; a callback must accept all four
+arguments.
 """
 
 import pytest
 
-from repro.errors import ExperimentError
-from repro.sim.progress import normalize_progress, progress_arity
-from repro.sim.sweep import SweepGrid, run_sweep, _progress_arity
-
-
-class TestProgressArity:
-    def test_counts_positional_parameters(self):
-        assert progress_arity(lambda i, t: None) == 2
-        assert progress_arity(lambda i, t, p: None) == 3
-        assert progress_arity(lambda i, t, p, e: None) == 4
-
-    def test_var_positional_means_full_form(self):
-        assert progress_arity(lambda *args: None) == 4
-
-    def test_counts_above_four_are_capped(self):
-        assert progress_arity(lambda a, b, c, d, e=0: None) == 4
-
-    def test_unreadable_signature_means_full_form(self):
-        assert progress_arity(print) == 4
-
-    def test_sweep_reexports_the_helper(self):
-        # The historical private shim is now an alias of the shared
-        # helper; old imports must keep working.
-        assert _progress_arity is progress_arity
-
-
-class TestNormalizeProgress:
-    def test_none_passes_through(self):
-        assert normalize_progress(None) is None
-
-    def test_four_argument_callback_unwrapped(self):
-        def notify(index, total, params, elapsed):
-            pass
-
-        assert normalize_progress(notify) is notify
-
-    def test_three_argument_callback_wrapped(self):
-        seen = []
-        notify = normalize_progress(lambda i, t, p: seen.append((i, t, p)))
-        notify(1, 4, {"n": 9}, 0.5)
-        assert seen == [(1, 4, {"n": 9})]
-
-    def test_two_argument_callback_deprecated_but_works(self):
-        seen = []
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            notify = normalize_progress(lambda i, t: seen.append((i, t)))
-        notify(1, 4, {"n": 9}, 0.5)
-        assert seen == [(1, 4)]
-
-    def test_narrower_than_two_rejected(self):
-        with pytest.raises(ExperimentError, match="at least"):
-            normalize_progress(lambda i: None)
+from repro.sim.sweep import SweepGrid, run_sweep
 
 
 class TestDriverIntegration:
-    def test_sweep_accepts_deprecated_two_argument_form(self):
-        seen = []
-        grid = SweepGrid().add_axis("n", [5, 6])
-        with pytest.warns(DeprecationWarning):
-            run_sweep(
-                grid,
-                lambda n: {"out": n},
-                progress=lambda i, total: seen.append((i, total)),
-            )
-        assert seen == [(0, 2), (1, 2)]
-
     def test_sweep_rejects_too_narrow_callback(self):
         grid = SweepGrid().add_axis("n", [1])
-        with pytest.raises(ExperimentError):
+        with pytest.raises(TypeError):
             run_sweep(grid, lambda n: {"out": n}, progress=lambda i: None)
 
     def test_unwindowed_replay_notifies_once(self):
@@ -85,6 +23,6 @@ class TestDriverIntegration:
         seen = []
         DistributedFileSystem(client_capacity=100).replay(
             make_workload("server", 500, seed=7),
-            progress=lambda i, t, p, e: seen.append((i, t)),
+            progress=lambda i, t, p, e: seen.append((i, t, p)),
         )
-        assert seen == [(0, 1)]
+        assert seen == [(0, 1, {"window": 0, "start": 0})]

@@ -62,7 +62,9 @@ class TestRunSweep:
         run_sweep(
             grid,
             lambda n: {"out": n},
-            progress=lambda i, total, params: seen.append((i, total, params["n"])),
+            progress=lambda i, total, params, _elapsed: seen.append(
+                (i, total, params["n"])
+            ),
         )
         assert seen == [(0, 2, 5), (1, 2, 6)]
 

@@ -25,7 +25,6 @@ from repro.obs import (
     serve_metrics,
     set_collector,
     ts_records,
-    windowed_replay,
     windowing,
     write_ts_jsonl,
 )
@@ -243,10 +242,6 @@ class TestWindowedReplay:
         samples = collector.replay_samples()
         assert [s.index for s in samples] == [0, 1, 2, 3]
         assert [s.start for s in samples] == [0, 1000, 2000, 3000]
-
-    def test_requires_a_collector(self):
-        with pytest.raises(ObservabilityError, match="collector"):
-            windowed_replay(_system(), _trace(100))
 
     def test_progress_reports_each_window(self):
         seen = []
