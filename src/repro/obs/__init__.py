@@ -27,7 +27,7 @@ The :mod:`~repro.obs.timeseries` sibling answers the over-time
 question ("when did the hit ratio collapse?"): windowed telemetry
 streamed during replays and sweeps, activated with :func:`windowing`
 and exported as ``repro.ts/1`` JSONL or Prometheus/OpenMetrics text
-(optionally served live from a stdlib ``/metrics`` endpoint)::
+(optionally served live from a ``/metrics`` endpoint)::
 
     with obs.windowing(window=2000) as collector:
         system.replay(trace)

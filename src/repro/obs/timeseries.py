@@ -36,9 +36,9 @@ no extra plumbing.
 
 Exports: schema-tagged ``repro.ts/1`` JSONL (one meta line, one sample
 per line), a Prometheus/OpenMetrics text rendering of the cumulative
-counters plus latest-window gauges, and an optional stdlib
-``http.server`` ``/metrics`` endpoint (:class:`MetricsServer`) for
-long-running runs.
+counters plus latest-window gauges, and an optional ``/metrics``
+endpoint (:class:`MetricsServer`, on :class:`repro.obs.host.HttpHost`)
+for long-running runs.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .export import (
     read_records,
     write_records,
 )
-from .host import HttpHost
+from .host import HttpHost, Request
 from .registry import ObservabilityError
 
 #: Sample fields that depend on wall-clock time.  Excluded from
@@ -606,12 +606,13 @@ def prometheus_text(
 
 
 class MetricsServer(HttpHost):
-    """A stdlib ``/metrics`` endpoint for long-running runs.
+    """A ``/metrics`` endpoint for long-running runs.
 
     Serves whatever ``render`` returns (typically
     ``lambda: prometheus_text(collector)``) from a daemon thread, so a
     Prometheus scraper can watch a multi-hour sweep live.  Any other
-    path, and any method but ``GET``, gets a 404.
+    path, and a ``POST``, gets a 404; the host answers any other method
+    with a 501.
 
     The default port is **0** — the kernel picks a free one — and the
     bound address is read back into ``.host`` / ``.port`` / ``.url``
@@ -637,18 +638,15 @@ class MetricsServer(HttpHost):
     def url(self) -> str:
         return f"http://{self.host}:{self.port}/metrics"
 
-    def _dispatch(self, handler, method: str) -> None:
-        if method != "GET" or handler.path.rstrip("/") not in ("", "/metrics"):
+    def _dispatch(self, request: Request) -> None:
+        if request.method != "GET" or request.path.rstrip("/") not in ("", "/metrics"):
             # An unread POST body must not be parsed as the next request.
-            handler.close_connection = True
-            self.respond(
-                handler, 404, b"only GET /metrics is served\n",
-                "text/plain; charset=utf-8",
+            request.close_connection = True
+            request.respond(
+                404, b"only GET /metrics is served\n", "text/plain; charset=utf-8"
             )
             return
-        self.respond(
-            handler, 200, self.render().encode("utf-8"), EXPOSITION_CONTENT_TYPE
-        )
+        request.respond(200, self.render().encode("utf-8"), EXPOSITION_CONTENT_TYPE)
 
 
 def serve_metrics(

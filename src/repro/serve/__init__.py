@@ -18,8 +18,8 @@ simulators:
   ``repro serve scenarios/paper-server.json`` is the whole deployment
   story.
 * :mod:`~repro.serve.server` — :class:`CacheDaemon`, the cache on
-  :class:`repro.obs.host.HttpHost` (a stdlib
-  ``ThreadingHTTPServer``).  ``POST /open`` is one file open, ``POST
+  :class:`repro.obs.host.HttpHost` (a threaded HTTP/1.1 server with
+  its own framing).  ``POST /open`` is one file open, ``POST
   /fetch`` a batch of opens, ``POST /invalidate`` a callback break;
   ``GET /stats`` and ``GET /metrics`` (Prometheus text) expose the
   counters the replay simulator would have returned.

@@ -22,10 +22,10 @@ forms exist:
 
 Workers batch ``batch`` events per ``POST /fetch`` request over one
 keep-alive connection, time every request with ``perf_counter_ns``,
-and retry exactly once on a reset connection (daemon restarts its
-listener thread pool, transient RSTs under load) before counting an
-error.  Results travel back over a ``multiprocessing`` queue; the
-parent merges latency samples and counters into one
+and retry exactly once on a reset connection (an idle keep-alive
+connection the daemon closed, transient RSTs under load) before
+counting an error.  Results travel back over a ``multiprocessing``
+queue; the parent merges latency samples and counters into one
 :class:`SlamReport`.
 
 For ``--workers 1`` the driver runs inline in the calling process —
@@ -34,9 +34,9 @@ same code path minus the fork, which keeps tests and tiny smokes fast.
 
 from __future__ import annotations
 
-import http.client
 import json
 import multiprocessing
+import socket
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
 from ..errors import ReproError
+from ..obs.host import read_head
 from ..obs.quantiles import percentile
 from . import schema as wire
 
@@ -60,16 +61,12 @@ __all__ = [
 ]
 
 #: Exceptions worth one reconnect-and-retry: the connection died under
-#: us (server listener churn, keep-alive timeout, transient RST).
-RETRYABLE = (
-    http.client.NotConnected,
-    http.client.CannotSendRequest,
-    http.client.RemoteDisconnected,
-    http.client.ResponseNotReady,
-    ConnectionResetError,
-    ConnectionAbortedError,
-    BrokenPipeError,
-)
+#: us (a closed idle keep-alive connection, transient RST).
+RETRYABLE = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
+
+#: What a failed round trip raises besides :data:`RETRYABLE`: a socket
+#: error or timeout, or a response that breaks HTTP/1.1 framing.
+_FAILED = (OSError, wire.WireError)
 
 #: Per-worker cap on retained latency samples; counters stay exact.
 MAX_SAMPLES_PER_WORKER = 200_000
@@ -97,33 +94,32 @@ def _parse_url(url: str) -> Tuple[str, int]:
 
 
 class ServeConnection:
-    """One keep-alive HTTP connection speaking ``repro.serve/1``.
+    """One keep-alive HTTP/1.1 connection speaking ``repro.serve/1``.
 
-    ``request()`` JSON-round-trips one call and retries exactly once on
-    a dead connection (reopening it first); the retry count is exposed
-    so load reports can show how flaky the link was.  Anything beyond
-    one retry, any non-2xx response, or any malformed body raises
-    :class:`SlamError` — the driver treats protocol violations as
-    failures, never as data.
+    The connection keeps one socket and one buffered reader, sends each
+    request in one send and reads the response head with
+    :func:`repro.obs.host.read_head`, then exactly ``Content-Length``
+    body bytes.  ``request()`` JSON-round-trips one call and retries
+    exactly once on a dead connection (reopening it first); the retry
+    count is exposed so load reports can show how flaky the link was.
+    Anything beyond one retry, any non-2xx response, any framing
+    violation or any malformed body raises :class:`SlamError` — the
+    driver treats protocol violations as failures, never as data.
     """
 
     def __init__(self, url: str, timeout: float = 10.0):
         self.host, self.port = _parse_url(url)
         self.timeout = timeout
         self.retries = 0
-        self._conn: Optional[http.client.HTTPConnection] = None
-
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-        return self._conn
+        self._sock: Optional[socket.socket] = None
+        self._rfile = None
+        self._host_field = f"Host: {self.host}:{self.port}\r\n"
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
     def __enter__(self) -> "ServeConnection":
         return self
@@ -138,14 +134,36 @@ class ServeConnection:
         body: Optional[bytes],
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, bytes]:
-        conn = self._connection()
-        sent = {"Content-Type": "application/json"} if body else {}
+        if self._sock is None:
+            self._sock = socket.create_connection((self.host, self.port), self.timeout)
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._rfile = self._sock.makefile("rb")
+        head = f"{method} {path} HTTP/1.1\r\n{self._host_field}"
+        if body is not None:
+            head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
         if headers:
-            sent.update(headers)
-        conn.request(method, path, body=body, headers=sent)
-        response = conn.getresponse()
-        payload = response.read()
-        return response.status, payload
+            for name, value in headers.items():
+                head += f"{name}: {value}\r\n"
+        self._sock.sendall((head + "\r\n").encode("latin-1") + (body or b""))
+        response = read_head(self._rfile)
+        if response is None:
+            raise ConnectionResetError("the daemon closed the connection without a response")
+        line, fields = response
+        version, _, rest = line.partition(b" ")
+        status = rest[:3]
+        if version not in (b"HTTP/1.1", b"HTTP/1.0") or not (
+            status.isdigit() and rest[3:4] in (b"", b" ")
+        ):
+            raise wire.WireError(f"malformed status line {line[:80]!r}")
+        if "content-length" not in fields:
+            raise wire.WireError("the response has no Content-Length")
+        length = wire.parse_content_length(fields["content-length"])
+        payload = self._rfile.read(length)
+        if len(payload) < length:
+            raise wire.WireError(f"the response body ended at {len(payload)} of {length} bytes")
+        if version == b"HTTP/1.0" or fields.connection_close:
+            self.close()
+        return int(status), payload
 
     def request(
         self,
@@ -177,11 +195,14 @@ class ServeConnection:
             time.sleep(0.05)
             try:
                 status, raw = self._once(method, path, body, headers)
-            except (OSError, http.client.HTTPException) as error:
+            except _FAILED as error:
+                self.close()
                 raise SlamError(
                     f"{method} {path} failed after retry: {error!r}"
                 )
-        except (OSError, http.client.HTTPException) as error:
+        except _FAILED as error:
+            # The stream may hold part of a response: start afresh.
+            self.close()
             raise SlamError(f"{method} {path} failed: {error!r}")
         try:
             decoded = json.loads(raw.decode("utf-8")) if raw else {}

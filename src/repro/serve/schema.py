@@ -40,7 +40,8 @@ The API is deliberately tiny; every body is a single JSON object:
 
 Errors are always ``{"error": str, "status": int}`` with the matching
 HTTP status: 400 malformed body or ``Content-Length``, 404 unknown path
-or unknown file, 405 wrong method, 413 oversized body.
+or unknown file, 405 wrong method, 413 oversized body.  Framing errors
+(:mod:`repro.obs.host`) use the same body: 400, 414, 431, 501 or 505.
 
 Request tracing rides the same wire: a client that wants a request
 traced sends ``X-Repro-Trace: <trace_id>:<span_id>`` (see
@@ -55,8 +56,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..errors import ReproError
 from ..obs.export import TS_SCHEMA
+from ..obs.host import WireError, error_body
 from ..obs.spans import SPAN_SCHEMA, TRACE_HEADER
 
 __all__ = [
@@ -103,19 +104,6 @@ MAX_BATCH = 65536
 #: replayed as an invalidation.
 JOURNAL_ENCODING = 2
 _INVALIDATE, _ESCAPE = "!", "\\"
-
-
-class WireError(ReproError):
-    """A request violated the wire schema; carries the HTTP status."""
-
-    def __init__(self, message: str, status: int = 400):
-        super().__init__(message)
-        self.status = status
-
-
-def error_body(message: str, status: int) -> bytes:
-    """The structured JSON error payload every failure path returns."""
-    return json.dumps({"error": message, "status": status}).encode("utf-8")
 
 
 def parse_content_length(value: Optional[str]) -> int:

@@ -1,9 +1,10 @@
 """The aggregating-cache daemon behind ``repro serve``.
 
 :class:`CacheDaemon` hosts one shared
-:class:`~repro.core.aggregating_cache.AggregatingServerCache` inside a
-stdlib ``ThreadingHTTPServer`` and speaks the ``repro.serve/1`` wire
-schema.  The design constraints:
+:class:`~repro.core.aggregating_cache.AggregatingServerCache` on
+:class:`repro.obs.host.HttpHost` (a threaded HTTP/1.1 server with its
+own framing) and speaks the ``repro.serve/1`` wire schema.  The design
+constraints:
 
 * **Single-writer cache.**  The cache and its successor metadata are
   plain dict machinery with no internal synchronization (see the
@@ -27,9 +28,10 @@ schema.  The design constraints:
   wake the serve loop; :meth:`close` is idempotent and always releases
   the listening socket, so a supervised daemon dies without orphans.
 
-Binding, the serve thread, ``close()`` and the response write come from
-:class:`repro.obs.host.HttpHost`, the host ``MetricsServer`` shares;
-routing, the body limit, error mapping, spans and telemetry stay here.
+Binding, the serve thread, ``close()``, request framing and the
+response write come from :class:`repro.obs.host.HttpHost`, the host
+``MetricsServer`` shares; routing, the body limit, error mapping, spans
+and telemetry stay here.
 
 Observability — the daemon is a *production-monitoring surface*, not
 just a replay harness:
@@ -78,13 +80,12 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..obs import spans as obs_spans
 from ..obs.export import EXPOSITION_CONTENT_TYPE, exposition
-from ..obs.host import HttpHost
+from ..obs.host import HttpHost, Request
 from ..obs.quantiles import percentile
 from ..obs.spans import Span, SpanBuffer
 from . import schema as wire
@@ -134,6 +135,14 @@ class LatencyRing:
         """The retained samples, oldest first (a copy, safe to sort)."""
         return list(self.samples)
 
+    def copy(self) -> "LatencyRing":
+        """A detached copy, to summarize after releasing the lock it was taken under."""
+        twin = LatencyRing()
+        twin.samples = self.samples.copy()
+        twin.count = self.count
+        twin.total_ns = self.total_ns
+        return twin
+
     def summary(self) -> Dict[str, Any]:
         """count/dropped/mean plus p50/p95/p99 over the retained window.
 
@@ -174,6 +183,14 @@ class EndpointStats:
         self.statuses[status] = self.statuses.get(status, 0) + 1
         if status >= 400:
             self.errors += 1
+
+    def copy(self) -> "EndpointStats":
+        """A detached copy, to summarize after releasing the daemon lock."""
+        twin = EndpointStats(self.endpoint)
+        twin.ring = self.ring.copy()
+        twin.errors = self.errors
+        twin.statuses = dict(self.statuses)
+        return twin
 
     def summary(self) -> Dict[str, Any]:
         """The ``/stats`` ``endpoints`` entry for this endpoint."""
@@ -658,11 +675,12 @@ class CacheDaemon(HttpHost):
         ("/stats", "/metrics", "/healthz", "/journal")
     )
 
-    def _dispatch(self, handler: BaseHTTPRequestHandler, method: str) -> None:
+    def _dispatch(self, request: Request) -> None:
         started = time.perf_counter_ns()
-        raw_path, _, query = handler.path.partition("?")
+        method = request.method
+        raw_path, _, query = request.path.partition("?")
         path = raw_path.rstrip("/") or "/"
-        root = self._open_server_span(handler, method, path)
+        root = self._open_server_span(request, method, path)
         # Echo the trace back so a caller (and its logs) can confirm
         # which trace the server actually recorded.
         echo = ()
@@ -679,7 +697,7 @@ class CacheDaemon(HttpHost):
                 raise wire.WireError(f"unknown endpoint {path}", status=404)
             if method == "POST":
                 length = wire.parse_content_length(
-                    handler.headers.get("Content-Length")
+                    request.headers.get("Content-Length")
                 )
                 if length > wire.MAX_BODY_BYTES:
                     raise wire.WireError(
@@ -687,7 +705,7 @@ class CacheDaemon(HttpHost):
                         f"{wire.MAX_BODY_BYTES}",
                         status=413,
                     )
-                raw = handler.rfile.read(length) if length else b""
+                raw = request.rfile.read(length) if length else b""
             else:
                 raw = b""
             status, payload = self._handle(method, path, raw, query, root)
@@ -695,23 +713,23 @@ class CacheDaemon(HttpHost):
             if raw is None and method == "POST":
                 # The body is still on the stream (or cannot be framed at
                 # all); keep-alive would parse it as the next request.
-                handler.close_connection = True
+                request.close_connection = True
             # Record before responding: once a client has seen the reply
             # it may immediately scrape /stats, and the counters must
             # already include this request (no read-your-writes gap).
             request_id = self._record(
                 path, method, error.status, started, 0, root
             )
-            self.respond(
-                handler, error.status, wire.error_body(str(error), error.status),
+            request.respond(
+                error.status, wire.error_body(str(error), error.status),
                 "application/json", echo,
             )
             self._finish_root(root, path, error.status, request_id, 0)
             return
         except Exception as error:  # pragma: no cover - defensive 500
             request_id = self._record(path, method, 500, started, 0, root)
-            self.respond(
-                handler, 500, wire.error_body(repr(error), 500), "application/json", echo
+            request.respond(
+                500, wire.error_body(repr(error), 500), "application/json", echo
             )
             self._finish_root(root, path, 500, request_id, 0)
             return
@@ -729,7 +747,7 @@ class CacheDaemon(HttpHost):
         )
         request_id = self._record(path, method, status, started, events, root)
         write_span = self._child(root, "response.write")
-        self.respond(handler, status, body, content_type, echo)
+        request.respond(status, body, content_type, echo)
         if write_span is not None:
             write_span.finish()
             write_span.annotate("bytes", len(body))
@@ -737,7 +755,7 @@ class CacheDaemon(HttpHost):
 
     # -- request tracing ---------------------------------------------------
     def _open_server_span(
-        self, handler: BaseHTTPRequestHandler, method: str, path: str
+        self, request: Request, method: str, path: str
     ) -> Optional[Span]:
         """The per-request server span, or None when tracing is off.
 
@@ -753,7 +771,7 @@ class CacheDaemon(HttpHost):
         if buffer is None:
             return None
         context = obs_spans.parse_header(
-            handler.headers.get(obs_spans.TRACE_HEADER)
+            request.headers.get(obs_spans.TRACE_HEADER)
         )
         if context is not None:
             return buffer.start_span(
@@ -1075,11 +1093,10 @@ class CacheDaemon(HttpHost):
                 endpoint: stats.requests
                 for endpoint, stats in self._endpoints.items()
             }
-            endpoints = {
-                stats.name: stats.summary()
-                for stats in self._endpoints.values()
-            }
-            latency = self._latency.summary()
+            # Percentiles sort up to LATENCY_RING samples per ring: copy
+            # the rings here and summarize them after the lock is released.
+            endpoints = [stats.copy() for stats in self._endpoints.values()]
+            latency = self._latency.copy()
             telemetry = self.telemetry.payload(since=since)
             payload = {
                 "schema": wire.SERVE_SCHEMA,
@@ -1097,8 +1114,8 @@ class CacheDaemon(HttpHost):
                         len(self._journal) if self._journal is not None else 0
                     ),
                 },
-                "latency_ns": latency,
-                "endpoints": endpoints,
+                "latency_ns": None,  # summarized below, off the lock
+                "endpoints": None,
                 "telemetry": telemetry,
                 "cache": cache_stats,
             }
@@ -1106,6 +1123,8 @@ class CacheDaemon(HttpHost):
                 payload["access_log"] = self.access_log.summary()
             if self.spans is not None:
                 payload["spans"] = self.spans.summary()
+        payload["latency_ns"] = latency.summary()
+        payload["endpoints"] = {stats.name: stats.summary() for stats in endpoints}
         return payload
 
     def prometheus_text(self, prefix: str = "repro_serve") -> str:

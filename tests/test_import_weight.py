@@ -1,12 +1,14 @@
 """Start-up import weight: the CLI and the daemon must not pull in the
-replay kernel or numpy.
+replay kernel, numpy or the standard library's HTTP stack.
 
 ``repro serve`` start-up time is measured up to the daemon's first
 ``/healthz``, and every command pays ``import repro.cli``; numpy alone
 costs a sizeable share of that.  The kernel (and with it numpy) is
-imported lazily where a columnar replay needs it, so a fresh
-interpreter that only imports the package, the CLI and the daemon, and
-builds the smoke scenario's cache, must never load either.
+imported lazily where a columnar replay needs it, and the served path
+frames HTTP itself (``repro.obs.host``), so a fresh interpreter that
+imports the package, the CLI and the daemon, builds the smoke
+scenario's cache and starts and stops a daemon must never load any of
+them.
 """
 
 import os
@@ -21,9 +23,12 @@ import sys
 import repro
 import repro.cli
 import repro.serve.server
-from repro.serve import load_scenario
-load_scenario("scenarios/smoke.json").build_cache()
-print(sorted({"repro.sim.kernel", "numpy"} & set(sys.modules)))
+from repro.serve import CacheDaemon, load_scenario
+scenario = load_scenario("scenarios/smoke.json")
+scenario.build_cache()
+CacheDaemon(scenario).start().close()
+heavy = {"repro.sim.kernel", "numpy", "http.server", "http.client", "email.parser"}
+print(sorted(heavy & set(sys.modules)))
 """
 
 

@@ -262,14 +262,16 @@ class TestDaemon:
             assert error["status"] == 404 and "not resident" in error["error"]
 
     def test_malformed_json_is_structured_400(self):
-        with CacheDaemon(tiny_scenario()) as daemon, ServeConnection(daemon.url) as conn:
-            conn._connection().request(
-                "POST", "/open", body=b"{oops", headers={"Content-Type": "application/json"}
+        with CacheDaemon(tiny_scenario()) as daemon:
+            status, payload, closed = _raw_post(
+                daemon,
+                "POST /open HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+                "Content-Length: 5",
+                b"{oops",
             )
-            response = conn._connection().getresponse()
-            payload = json.loads(response.read())
-            assert response.status == 400
-            assert payload["status"] == 400 and "JSON" in payload["error"]
+        assert status == 400
+        assert payload["status"] == 400 and "JSON" in payload["error"]
+        assert not closed  # the body was read, so the connection stays usable
 
     def test_missing_field_is_400(self):
         with CacheDaemon(tiny_scenario()) as daemon, ServeConnection(daemon.url) as conn:
@@ -594,6 +596,7 @@ def _spawn_daemon(tmp_path, *extra):
             return process, int(port_file.read_text().strip())
         time.sleep(0.05)
     process.kill()
+    process.communicate()
     raise AssertionError("daemon never announced its port")
 
 
@@ -614,13 +617,15 @@ class TestProcessLifecycle:
     def test_sigint_exits_zero(self, tmp_path):
         process, _port = _spawn_daemon(tmp_path)
         process.send_signal(signal.SIGINT)
-        assert process.wait(timeout=10) == 0
+        process.communicate(timeout=10)  # also closes the stdout pipe
+        assert process.returncode == 0
 
     def test_shutdown_endpoint_stops_the_process(self, tmp_path):
         process, port = _spawn_daemon(tmp_path)
         with ServeConnection(f"http://127.0.0.1:{port}") as conn:
             conn.request("POST", "/shutdown")
-        assert process.wait(timeout=10) == 0
+        process.communicate(timeout=10)
+        assert process.returncode == 0
 
 
 # -- the shared HTTP host: port-0 and close() contract -----------------------
@@ -782,6 +787,45 @@ class TestEndpointTelemetry:
         text = body["text"]
         assert "repro_serve_errors_open_total 1" in text
         assert "repro_serve_telemetry_windows_total" in text
+
+    def test_percentiles_are_computed_off_the_lock(self, monkeypatch):
+        # A full ring's percentiles sort LATENCY_RING samples; under the
+        # cache lock that would stall every /fetch for each /stats poll.
+        from repro.serve import server as server_mod
+
+        daemon = CacheDaemon(tiny_scenario())
+        try:
+            for path in ("/fetch", "/invalidate", "/open"):
+                stats = server_mod.EndpointStats(path)
+                for index in range(server_mod.LATENCY_RING + 3):
+                    stats.record(404 if index % 9 == 0 else 200, index * 7919 % 100_003)
+                daemon._endpoints[path] = stats
+            for index in range(server_mod.LATENCY_RING + 3):
+                daemon._latency.observe(index * 104_729 % 99_991)
+            endpoints = {s.name: s.summary() for s in daemon._endpoints.values()}
+            latency = daemon._latency.summary()
+            real = server_mod.percentile
+            calls = []
+
+            def off_the_lock(values, q):
+                assert not daemon._lock._is_owned()
+                calls.append(len(values))
+                return real(values, q)
+
+            monkeypatch.setattr(server_mod, "percentile", off_the_lock)
+            payload = daemon.stats_payload()
+            text = daemon.prometheus_text()
+        finally:
+            daemon.close()
+        assert calls.count(server_mod.LATENCY_RING) == 2 * 4 * 3  # two renders, 4 rings, p50/95/99
+        assert payload["endpoints"] == endpoints
+        assert payload["latency_ns"] == latency
+        assert list(payload) == [
+            "schema", "scenario", "uptime_seconds", "accesses", "requests",
+            "errors", "invalidations", "invalidation_misses", "journal",
+            "latency_ns", "endpoints", "telemetry", "cache",
+        ]
+        assert f"repro_serve_latency_p99_ns {float(latency['p99_ns']):.6g}" in text
 
 
 # -- windowed telemetry ------------------------------------------------------

@@ -418,6 +418,7 @@ class TestMetricsServer:
                 urllib.request.urlopen(
                     f"http://{server.host}:{server.port}/other", timeout=5
                 )
+            excinfo.value.close()  # the error holds the response's socket
             assert excinfo.value.code == 404
         finally:
             server.close()
