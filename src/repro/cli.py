@@ -30,7 +30,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .analysis.ascii_chart import render_figure
 from .analysis.export import figure_to_csv, rows_to_markdown
@@ -52,7 +52,6 @@ from .experiments import (
     run_placement,
     run_server_capacity,
 )
-from .sim.perf import PerfTimer, ThroughputReport
 from .traces.reader import read_trace
 from .traces.stats import summarize
 from .traces.writer import write_trace
@@ -79,47 +78,69 @@ def _add_common_options(parser: argparse.ArgumentParser, workload_default: str =
     )
 
 
-def _add_figure_options(parser: argparse.ArgumentParser, sweep: bool = False) -> None:
-    """Options of a subcommand that renders a figure (:func:`_emit_figure`).
-
-    ``sweep`` adds ``--workers`` for the figures whose grid points fan
-    out over worker processes.
-    """
-    parser.add_argument(
-        "--csv", type=Path, default=None, help="also write the series as CSV"
-    )
-    if sweep:
-        parser.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help=(
-                "worker processes for the parameter sweep (default: 1 = serial; "
-                "results are identical either way)"
-            ),
-        )
-    parser.add_argument(
-        "--width", type=int, default=72, help="chart width in characters"
-    )
-    parser.add_argument(
-        "--height", type=int, default=20, help="chart height in characters"
-    )
-
-
-def _emit_figure(
-    figure: FigureData,
-    args: argparse.Namespace,
-    report: Optional[ThroughputReport] = None,
+def _add_replay_options(
+    parser: argparse.ArgumentParser, client_option: str = "--client-capacity"
 ) -> None:
-    """Render one figure to stdout (and CSV when requested)."""
-    print(render_figure(figure, width=args.width, height=args.height))
-    print()
-    print(rows_to_markdown(figure.to_rows()))
-    if report is not None:
-        print(f"\nthroughput: {report.summary()}")
-    if args.csv is not None:
-        figure_to_csv(figure, args.csv)
-        print(f"\nwrote {args.csv}")
+    """The workload and system options of a command that replays one
+    workload through :func:`_system` (``explain`` spells the client
+    capacity ``--cache-size``)."""
+    _add_common_options(parser, workload_default="server")
+    parser.add_argument(
+        client_option, type=int, default=250, help="client cache capacity"
+    )
+    parser.add_argument(
+        "--server-capacity", type=int, default=300, help="server cache capacity"
+    )
+    parser.add_argument(
+        "--group-size", type=int, default=5, help="aggregating group size g"
+    )
+
+
+def _add_poll_options(
+    parser: argparse.ArgumentParser,
+    mode: str,
+    duration: Optional[float],
+    duration_help: str,
+) -> None:
+    """``--duration``, ``--poll`` and ``--timeout`` of the live-daemon
+    mode that the ``mode`` option selects."""
+    parser.add_argument(
+        "--duration", type=float, default=duration, help=f"{mode}: {duration_help}"
+    )
+    parser.add_argument(
+        "--poll",
+        type=float,
+        default=0.5,
+        help=f"{mode}: seconds between /stats polls (default: 0.5)",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=5.0,
+        help=f"{mode}: per-poll socket timeout in seconds",
+    )
+
+
+def _trace(args: argparse.Namespace):
+    """The workload trace that ``--workload``/``--events``/``--seed`` name."""
+    return make_workload(args.workload, args.events, args.seed)
+
+
+def _system(args: argparse.Namespace, client_capacity: int):
+    """A fresh distributed system with the replay options' geometry."""
+    from .sim.engine import DistributedFileSystem
+
+    return DistributedFileSystem(
+        client_capacity=client_capacity,
+        server_capacity=args.server_capacity,
+        group_size=args.group_size,
+    )
+
+
+def _throughput(events: int, seconds: float) -> str:
+    """The ``throughput:`` line for ``events`` replayed in ``seconds``."""
+    rate = events / seconds if seconds > 0 else 0.0
+    return f"throughput: {events:,} events in {seconds:.2f}s ({rate:,.0f} events/s)"
 
 
 def _sweep_progress() -> Optional[Callable[[int, int, dict, float], None]]:
@@ -143,112 +164,105 @@ def _sweep_progress() -> Optional[Callable[[int, int, dict, float], None]]:
     return progress
 
 
-def _finish_progress(progress) -> None:
-    """Terminate the stderr status line started by :func:`_sweep_progress`."""
-    if progress is not None:
-        print("\r" + " " * 60 + "\r", end="", file=sys.stderr, flush=True)
+class _Figure(NamedTuple):
+    """One figure subcommand.
 
-
-def _run_figure_sweep(run, args: argparse.Namespace, events_per_point: int):
-    """Run one figure sweep with progress + throughput accounting.
-
-    ``run`` is a callable accepting ``workers``/``progress``; the
-    returned report credits ``events_per_point`` × points to one
-    "sweep" phase, giving the CLI's replayed-events-per-second line.
+    ``workload`` is the default of its ``--workload`` option ("" for a
+    figure that replays a fixed set of workloads).  ``credit`` says how
+    a sweep figure credits replayed events for its ``throughput:``
+    line: ``"point"`` (one trace replay per plotted point) or
+    ``"series"`` (one replay per series); "" marks a figure that is not
+    a parameter sweep and takes no ``--workers``.
     """
-    progress = _sweep_progress()
-    started = time.perf_counter()
-    figure = run(workers=args.workers, progress=progress)
-    seconds = time.perf_counter() - started
-    _finish_progress(progress)
-    points = sum(len(series.points) for series in figure.series)
-    timer = PerfTimer()
-    timer.add("sweep", seconds, events_per_point * points)
-    return figure, timer.report()
+
+    run: Callable[..., FigureData]
+    help: str
+    workload: str = ""
+    credit: str = ""
 
 
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    figure, report = _run_figure_sweep(
-        lambda workers, progress: run_fig3(
-            workload=args.workload,
-            events=args.events,
-            seed=args.seed,
-            workers=workers,
-            progress=progress,
-        ),
-        args,
-        args.events,
-    )
-    _emit_figure(figure, args, report)
-    return 0
+_FIGURES: Dict[str, _Figure] = {
+    "fig3": _Figure(
+        run_fig3,
+        "client demand fetches vs cache capacity, per group size",
+        "server",
+        "point",
+    ),
+    "fig4": _Figure(
+        run_fig4,
+        "server hit rate vs intervening client cache capacity",
+        "workstation",
+        "point",
+    ),
+    "fig5": _Figure(
+        run_fig5,
+        "successor-list miss probability: Oracle vs LRU vs LFU",
+        "workstation",
+        "point",
+    ),
+    "fig7": _Figure(
+        run_fig7, "successor entropy vs successor sequence length", "", "series"
+    ),
+    "fig8": _Figure(
+        run_fig8, "successor entropy of LRU-filtered miss streams", "write", "series"
+    ),
+    "placement": _Figure(
+        run_placement,
+        "grouping for data placement: seek distance by layout",
+        "server",
+    ),
+    "hoard": _Figure(
+        run_hoarding, "mobile hoarding: offline miss rate by hoard policy", "server"
+    ),
+    "cooperation": _Figure(
+        run_cooperation,
+        "server grouping with vs without piggy-backed client statistics",
+        "server",
+    ),
+    "adaptation": _Figure(
+        run_adaptation, "hit rate across an abrupt workload shift", "server"
+    ),
+    "attribution": _Figure(
+        run_attribution, "global vs per-client successor tracking"
+    ),
+    "servercap": _Figure(
+        run_server_capacity,
+        "server-capacity sensitivity of the Figure 4 result",
+        "workstation",
+    ),
+}
 
 
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    figure, report = _run_figure_sweep(
-        lambda workers, progress: run_fig4(
-            workload=args.workload,
-            events=args.events,
-            seed=args.seed,
-            workers=workers,
-            progress=progress,
-        ),
-        args,
-        args.events,
-    )
-    _emit_figure(figure, args, report)
-    return 0
-
-
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    figure, report = _run_figure_sweep(
-        lambda workers, progress: run_fig5(
-            workload=args.workload,
-            events=args.events,
-            seed=args.seed,
-            workers=workers,
-            progress=progress,
-        ),
-        args,
-        args.events,
-    )
-    _emit_figure(figure, args, report)
-    return 0
-
-
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    # One sweep point per workload series; each point replays the whole
-    # trace once per profile, so credit events per series, not per (x, y).
-    progress = _sweep_progress()
-    started = time.perf_counter()
-    figure = run_fig7(
-        events=args.events,
-        seed=args.seed,
-        workers=args.workers,
-        progress=progress,
-    )
-    seconds = time.perf_counter() - started
-    _finish_progress(progress)
-    timer = PerfTimer()
-    timer.add("sweep", seconds, args.events * len(figure.series))
-    _emit_figure(figure, args, timer.report())
-    return 0
-
-
-def _cmd_fig8(args: argparse.Namespace) -> int:
-    progress = _sweep_progress()
-    started = time.perf_counter()
-    figure = run_fig8(
-        workload=args.workload,
-        events=args.events,
-        seed=args.seed,
-        workers=args.workers,
-        progress=progress,
-    )
-    seconds = time.perf_counter() - started
-    _finish_progress(progress)
-    timer = PerfTimer()
-    timer.add("sweep", seconds, args.events * len(figure.series))
-    _emit_figure(figure, args, timer.report())
+def _cmd_figure(args: argparse.Namespace) -> int:
+    """Run one :data:`_FIGURES` entry; print its chart and table (and
+    write its CSV with ``--csv``)."""
+    spec = _FIGURES[args.command]
+    options: Dict[str, Any] = {"events": args.events, "seed": args.seed}
+    if spec.workload:
+        options["workload"] = args.workload
+    throughput = ""
+    if spec.credit:
+        progress = _sweep_progress()
+        started = time.perf_counter()
+        figure = spec.run(workers=args.workers, progress=progress, **options)
+        seconds = time.perf_counter() - started
+        if progress is not None:  # clear the status line
+            print("\r" + " " * 60 + "\r", end="", file=sys.stderr, flush=True)
+        if spec.credit == "point":
+            replays = sum(len(series.points) for series in figure.series)
+        else:
+            replays = len(figure.series)
+        throughput = _throughput(args.events * replays, seconds)
+    else:
+        figure = spec.run(**options)
+    print(render_figure(figure, width=args.width, height=args.height))
+    print()
+    print(rows_to_markdown(figure.to_rows()))
+    if throughput:
+        print(f"\n{throughput}")
+    if args.csv is not None:
+        figure_to_csv(figure, args.csv)
+        print(f"\nwrote {args.csv}")
     return 0
 
 
@@ -258,35 +272,13 @@ def _cmd_headline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_placement(args: argparse.Namespace) -> int:
-    figure = run_placement(workload=args.workload, events=args.events, seed=args.seed)
-    _emit_figure(figure, args)
-    return 0
-
-
-def _cmd_hoard(args: argparse.Namespace) -> int:
-    figure = run_hoarding(workload=args.workload, events=args.events, seed=args.seed)
-    _emit_figure(figure, args)
-    return 0
-
-
-def _cmd_cooperation(args: argparse.Namespace) -> int:
-    figure = run_cooperation(
-        workload=args.workload, events=args.events, seed=args.seed
-    )
-    _emit_figure(figure, args)
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     if args.trace is not None:
         trace = read_trace(args.trace)
         sequence = trace.file_ids()
         name = trace.name
     else:
-        sequence = list(
-            make_workload(args.workload, args.events, args.seed).file_ids()
-        )
+        sequence = list(_trace(args).file_ids())
         name = args.workload
     profile = profile_sequence(sequence, name=name, window=args.window)
     print(profile.render())
@@ -306,7 +298,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     from .caching import POLICIES, make_cache
     from .obs import collecting, windowing, write_jsonl, write_ts_jsonl
-    from .sim.engine import DistributedFileSystem
 
     baselines = [name for name in args.baselines.split(",") if name]
     if baselines == ["all"]:
@@ -318,14 +309,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             f"(choose from: {', '.join(sorted(POLICIES))})"
         )
 
-    trace = make_workload(args.workload, args.events, args.seed)
+    trace = _trace(args)
     ts_context = windowing(window=args.window) if args.window else nullcontext()
     with collecting() as registry, ts_context as collector:
-        system = DistributedFileSystem(
-            client_capacity=args.client_capacity,
-            server_capacity=args.server_capacity,
-            group_size=args.group_size,
-        )
+        system = _system(args, args.client_capacity)
         started = time.perf_counter()
         system.replay(trace)
         seconds = time.perf_counter() - started
@@ -425,9 +412,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             )
             print(f"wrote {lines} repro.ts/1 JSONL lines to {args.ts_out}")
 
-    timer = PerfTimer()
-    timer.add("replay", seconds, len(trace))
-    print(f"\nthroughput: {timer.report().summary()}")
+    print(f"\n{_throughput(len(trace), seconds)}")
     if args.out is not None:
         lines = write_jsonl(
             registry,
@@ -455,16 +440,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     schema-tagged JSONL and a Perfetto-loadable trace-event file.
     """
     from .obs import tracing
-    from .sim.engine import DistributedFileSystem
 
-    trace = make_workload(args.workload, args.events, args.seed)
+    trace = _trace(args)
     with tracing.recording(capacity=args.buffer, sample=args.sample) as recorder:
-        system = DistributedFileSystem(
-            client_capacity=args.cache_size,
-            server_capacity=args.server_capacity,
-            group_size=args.group_size,
-        )
-        system.replay(trace)
+        _system(args, args.cache_size).replay(trace)
 
     emitted = sum(recorder.emitted.values())
     print(
@@ -543,101 +522,131 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-class _TopDashboard:
-    """Live terminal rendering for ``repro top``.
+class _Dashboard:
+    """Live terminal rendering for every ``repro top`` mode.
 
-    On a tty, redraws in place with ANSI cursor movement; off a tty (or
-    with ``--plain``) it emits one append-only line per sample, so logs
-    and tests see the same information without control codes.
+    A replay or a sweep feeds it collector samples (:meth:`on_sample`)
+    and knows its ``total``; ``--attach`` feeds it a live daemon's
+    serve windows (:meth:`on_window`) as an unbounded stream
+    (``total=None``).  On a tty it redraws in place with ANSI cursor
+    movement; off a tty (or with ``--plain``) it emits one append-only
+    line per sample, so logs and tests see the same information
+    without control codes.
     """
 
     def __init__(
         self,
         title: str,
-        total: int,
         plain: bool,
+        total: Optional[int] = None,
         workers: int = 0,
         stream=None,
     ):
         self.title = title
         self.total = total
-        self.plain = plain or not (stream or sys.stdout).isatty()
-        self.workers = workers
         self.stream = stream if stream is not None else sys.stdout
-        self.hit_ratio: List[float] = []
-        self.throughput: List[float] = []
-        self.entropy: List[float] = []
-        self.lanes: List[int] = [0] * workers if workers else []
+        self.plain = plain or not self.stream.isatty()
+        self.lanes: List[int] = [0] * workers
+        #: Sparkline label -> (values, format of the latest value).
+        self.series: Dict[str, Tuple[List[float], str]] = {}
         self.done = 0
-        self.elapsed = 0.0
+        self.stats: dict = {}
+        self.health: dict = {}
         self._started = time.perf_counter()
         self._drawn = 0
 
-    def on_sample(self, sample) -> None:
-        """Collector ``on_sample`` hook: fold one sample in and redraw."""
-        self.done += 1
-        self.elapsed = time.perf_counter() - self._started
-        if sample.source == "replay":
-            self.hit_ratio.append(sample.hit_ratio)
-            self.throughput.append(sample.events_per_sec)
-            if sample.entropy is not None:
-                self.entropy.append(sample.entropy)
-        else:
-            if self.lanes:
-                # Submission order round-robins over the pool, so point
-                # index mod workers is the point's lane.
-                self.lanes[sample.start % self.workers] += 1
-        if self.plain:
-            self.stream.write(self._plain_line(sample) + "\n")
-            self.stream.flush()
-        else:
-            self._redraw()
+    def _add(self, label: str, value: float, fmt: str) -> None:
+        self.series.setdefault(label, ([], fmt))[0].append(value)
 
-    def _plain_line(self, sample) -> str:
+    def on_sample(self, sample) -> None:
+        """Collector ``on_sample`` hook: fold one replay or sweep sample in."""
+        self.done += 1
         if sample.source == "replay":
-            entropy = (
-                f"  H={sample.entropy:.3f}" if sample.entropy is not None else ""
-            )
-            return (
+            self._add("hit ratio", sample.hit_ratio, "{:.3f}")
+            self._add("events/s", sample.events_per_sec, "{:,.0f}")
+            entropy = ""
+            if sample.entropy is not None:
+                self._add("entropy", sample.entropy, "{:.3f} bits")
+                entropy = f"  H={sample.entropy:.3f}"
+            self._show(
                 f"window {sample.index + 1}/{self.total}  "
                 f"hit={sample.hit_ratio:.3f}  "
                 f"ev/s={sample.events_per_sec:,.0f}{entropy}"
             )
-        return (
-            f"point {self.done}/{self.total}  {sample.label}  "
-            f"{sample.seconds:.2f}s"
+            return
+        if self.lanes:
+            # Submission order round-robins over the pool, so point
+            # index mod workers is the point's lane.
+            self.lanes[sample.start % len(self.lanes)] += 1
+        self._show(
+            f"point {self.done}/{self.total}  {sample.label}  {sample.seconds:.2f}s"
         )
+
+    def on_window(self, window, health: dict, stats: Optional[dict]) -> None:
+        """Fold one :class:`~repro.obs.live.LiveWindow` in, with the poll
+        loop's health counters and the latest ``/stats`` payload."""
+        self.done += 1
+        self.health = health
+        if stats is not None:
+            self.stats = stats
+        self._add("hit ratio", window.hit_ratio, "{:.3f}")
+        self._add("req/s", window.requests_per_sec, "{:,.0f}")
+        self._add("p95 ms", window.p95_ms, "{:.2f}")
+        self._show(
+            f"window {window.index}  hit={window.hit_ratio:.3f}  "
+            f"req/s={window.requests_per_sec:,.0f}  "
+            f"p95={window.p95_ms:.2f}ms  "
+            f"events={window.sample.events}  errors={window.errors}"
+        )
+
+    def _show(self, line: str) -> None:
+        if self.plain:
+            self.stream.write(line + "\n")
+            self.stream.flush()
+        else:
+            self._redraw()
 
     def _lines(self) -> List[str]:
         from .analysis.ascii_chart import render_sparkline
 
         width = 48
+        elapsed = time.perf_counter() - self._started
         lines = [f"repro top — {self.title}"]
-        if self.hit_ratio:
+        for label, (values, fmt) in self.series.items():
             lines.append(
-                f"  hit ratio  {render_sparkline(self.hit_ratio[-width:]):<{width}} "
-                f"{self.hit_ratio[-1]:.3f}"
+                f"  {label:<11}{render_sparkline(values[-width:]):<{width}} "
+                f"{fmt.format(values[-1])}"
             )
-        if self.throughput:
+        cache = self.stats.get("cache", {})
+        if cache:
             lines.append(
-                f"  events/s   {render_sparkline(self.throughput[-width:]):<{width}} "
-                f"{self.throughput[-1]:,.0f}"
-            )
-        if self.entropy:
-            lines.append(
-                f"  entropy    {render_sparkline(self.entropy[-width:]):<{width}} "
-                f"{self.entropy[-1]:.3f} bits"
+                f"  lifetime   accesses {self.stats.get('accesses', 0):,}  "
+                f"hit {cache.get('hit_ratio', 0.0):.3f}  "
+                f"errors {self.stats.get('errors', 0)}"
             )
         for lane, count in enumerate(self.lanes):
             share = count / self.total if self.total else 0.0
             bar = "#" * int(share * width)
             lines.append(f"  worker {lane}   {bar:<{width}} {count} pts")
-        fraction = self.done / self.total if self.total else 1.0
-        bar = "#" * int(fraction * width)
-        lines.append(
-            f"  progress   [{bar:<{width}}] {self.done}/{self.total}  "
-            f"{self.elapsed:5.1f}s"
-        )
+        if self.total is None:
+            failures = self.health.get("failures", 0)
+            restarts = self.health.get("restarts", 0)
+            gaps = self.health.get("gaps", 0)
+            flaky = (
+                f"  failures {failures}  restarts {restarts}  gaps {gaps}"
+                if failures or restarts or gaps
+                else ""
+            )
+            lines.append(
+                f"  stream     {self.done} window(s)  {elapsed:5.1f}s{flaky}"
+            )
+        else:
+            fraction = self.done / self.total if self.total else 1.0
+            bar = "#" * int(fraction * width)
+            lines.append(
+                f"  progress   [{bar:<{width}}] {self.done}/{self.total}  "
+                f"{elapsed:5.1f}s"
+            )
         return lines
 
     def _redraw(self) -> None:
@@ -651,113 +660,23 @@ class _TopDashboard:
         out.flush()
 
     def finish(self) -> None:
-        """Leave a final, complete frame on screen (tty mode only)."""
-        if not self.plain:
+        """Leave a final, complete frame on screen (tty mode only); an
+        attached stream that never saw a window draws nothing."""
+        if not self.plain and (self.done or self.total is not None):
             self._redraw()
 
 
-class _AttachDashboard:
-    """Live terminal rendering for ``repro top --attach URL``.
-
-    The same in-place ANSI drawing as :class:`_TopDashboard`, but the
-    lanes are the live daemon's serve windows — hit ratio, request
-    rate, p95 latency — plus the lifetime totals from the most recent
-    ``/stats`` payload and the poll-loop health counters (failures,
-    restarts, gaps).
-    """
-
-    def __init__(self, url: str, plain: bool, stream=None):
-        self.url = url
-        self.stream = stream if stream is not None else sys.stdout
-        self.plain = plain or not self.stream.isatty()
-        self.hit_ratio: List[float] = []
-        self.req_rate: List[float] = []
-        self.p95_ms: List[float] = []
-        self.windows = 0
-        self.stats: dict = {}
-        self.health: dict = {}
-        self._started = time.perf_counter()
-        self._drawn = 0
-
-    def on_window(self, window, health: dict) -> None:
-        """Fold one :class:`~repro.obs.live.LiveWindow` in and redraw."""
-        self.windows += 1
-        self.health = health
-        self.hit_ratio.append(window.hit_ratio)
-        self.req_rate.append(window.requests_per_sec)
-        self.p95_ms.append(window.p95_ms)
-        if self.plain:
-            self.stream.write(self._plain_line(window) + "\n")
-            self.stream.flush()
-        else:
-            self._redraw()
-
-    def on_stats(self, stats: dict) -> None:
-        self.stats = stats
-
-    def _plain_line(self, window) -> str:
-        latency = window.latency_ns
-        return (
-            f"window {window.index}  hit={window.hit_ratio:.3f}  "
-            f"req/s={window.requests_per_sec:,.0f}  "
-            f"p95={float(latency.get('p95_ns', 0.0)) / 1e6:.2f}ms  "
-            f"events={window.sample.events}  errors={window.errors}"
+def _never_reached(stream, url: str) -> bool:
+    """Whether every poll of a :class:`~repro.obs.live.StatsStream`
+    failed; if so, says so on stderr."""
+    if stream.polls and stream.failures == stream.polls:
+        print(
+            f"never reached {url}: {stream.failures} failed poll(s) "
+            f"— is the daemon running?",
+            file=sys.stderr,
         )
-
-    def _lines(self) -> List[str]:
-        from .analysis.ascii_chart import render_sparkline
-
-        width = 48
-        elapsed = time.perf_counter() - self._started
-        lines = [f"repro top — attached to {self.url}"]
-        if self.hit_ratio:
-            lines.append(
-                f"  hit ratio  {render_sparkline(self.hit_ratio[-width:]):<{width}} "
-                f"{self.hit_ratio[-1]:.3f}"
-            )
-        if self.req_rate:
-            lines.append(
-                f"  req/s      {render_sparkline(self.req_rate[-width:]):<{width}} "
-                f"{self.req_rate[-1]:,.0f}"
-            )
-        if self.p95_ms:
-            lines.append(
-                f"  p95 ms     {render_sparkline(self.p95_ms[-width:]):<{width}} "
-                f"{self.p95_ms[-1]:.2f}"
-            )
-        cache = self.stats.get("cache", {})
-        if cache:
-            lines.append(
-                f"  lifetime   accesses {self.stats.get('accesses', 0):,}  "
-                f"hit {cache.get('hit_ratio', 0.0):.3f}  "
-                f"errors {self.stats.get('errors', 0)}"
-            )
-        failures = self.health.get("failures", 0)
-        restarts = self.health.get("restarts", 0)
-        gaps = self.health.get("gaps", 0)
-        flaky = (
-            f"  failures {failures}  restarts {restarts}  gaps {gaps}"
-            if failures or restarts or gaps
-            else ""
-        )
-        lines.append(
-            f"  stream     {self.windows} window(s)  {elapsed:5.1f}s{flaky}"
-        )
-        return lines
-
-    def _redraw(self) -> None:
-        lines = self._lines()
-        out = self.stream
-        if self._drawn:
-            out.write(f"\x1b[{self._drawn}F")
-        for line in lines:
-            out.write(f"\x1b[2K{line}\n")
-        self._drawn = len(lines)
-        out.flush()
-
-    def finish(self) -> None:
-        if not self.plain and self.windows:
-            self._redraw()
+        return True
+    return False
 
 
 def _cmd_top_attach(args: argparse.Namespace) -> int:
@@ -769,7 +688,7 @@ def _cmd_top_attach(args: argparse.Namespace) -> int:
     """
     from .obs.live import StatsStream
 
-    dashboard = _AttachDashboard(args.attach, args.plain)
+    dashboard = _Dashboard(f"attached to {args.attach}", args.plain)
     stream = StatsStream(
         args.attach, timeout=args.timeout, poll_seconds=args.poll
     )
@@ -777,22 +696,15 @@ def _cmd_top_attach(args: argparse.Namespace) -> int:
     try:
         with stream:
             for window in stream.stream(duration=args.duration):
-                if stream.last_stats is not None:
-                    dashboard.on_stats(stream.last_stats)
-                dashboard.on_window(window, stream.summary())
+                dashboard.on_window(window, stream.summary(), stream.last_stats)
                 if args.ts_out is not None:
                     raws.append(window.raw)
     except KeyboardInterrupt:
         pass
     dashboard.finish()
-    summary = stream.summary()
-    if stream.polls and stream.failures == stream.polls:
-        print(
-            f"never reached {args.attach}: {stream.failures} failed poll(s) "
-            f"— is the daemon running?",
-            file=sys.stderr,
-        )
+    if _never_reached(stream, args.attach):
         return 1
+    summary = stream.summary()
     print(
         f"detached from {args.attach}: {summary['windows']} window(s) over "
         f"{summary['polls']} poll(s), {summary['failures']} failure(s), "
@@ -829,16 +741,16 @@ def _cmd_top(args: argparse.Namespace) -> int:
     anything locally.  ``--listen HOST:PORT`` additionally serves the
     live series as Prometheus text from ``/metrics``.
     """
-    from .obs import WindowedCollector, serve_metrics, set_collector, write_ts_jsonl
-    from .sim.engine import DistributedFileSystem
-
     if args.attach:
         return _cmd_top_attach(args)
-    if args.sweep:
-        from functools import partial
+    from functools import partial
 
-        from .experiments.fig3 import FIG3_CAPACITIES, FIG3_GROUP_SIZES
-        from .experiments.fig3 import fig3_point
+    from .obs import WindowedCollector, serve_metrics, windowing, write_ts_jsonl
+
+    # Built first: it rejects a window < 1 before the window divides.
+    collector = WindowedCollector(window=args.window)
+    if args.sweep:
+        from .experiments.fig3 import FIG3_CAPACITIES, FIG3_GROUP_SIZES, fig3_point
         from .sim.sweep import SweepGrid, run_sweep
 
         grid = (
@@ -846,68 +758,38 @@ def _cmd_top(args: argparse.Namespace) -> int:
             .add_axis("capacity", FIG3_CAPACITIES)
             .add_axis("group_size", FIG3_GROUP_SIZES)
         )
-        total = len(grid)
-        title = (
-            f"fig3 sweep on {args.workload}, {total} points, "
-            f"workers {args.workers}"
+        point = partial(
+            fig3_point, workload=args.workload, events=args.events, seed=args.seed
         )
-        dashboard = _TopDashboard(
-            title, total, args.plain, workers=max(args.workers, 1)
+        run = partial(run_sweep, grid, point, workers=args.workers)
+        dashboard = _Dashboard(
+            f"fig3 sweep on {args.workload}, {len(grid)} points, "
+            f"workers {args.workers}",
+            args.plain,
+            total=len(grid),
+            workers=max(args.workers, 1),
         )
-        collector = WindowedCollector(
-            window=args.window, on_sample=dashboard.on_sample
-        )
-        server = None
-        if args.listen:
-            host, port = _parse_listen(args.listen)
-            server = serve_metrics(collector, host, port)
-            print(f"serving live metrics at {server.url}", file=sys.stderr)
-        previous = set_collector(collector)
-        try:
-            run_sweep(
-                grid,
-                partial(
-                    fig3_point,
-                    workload=args.workload,
-                    events=args.events,
-                    seed=args.seed,
-                ),
-                workers=args.workers,
-            )
-        finally:
-            set_collector(previous)
-            if server is not None:
-                server.close()
-        dashboard.finish()
     else:
-        trace = make_workload(args.workload, args.events, args.seed)
-        total = (len(trace) + args.window - 1) // args.window
-        title = (
-            f"{args.workload} replay, {len(trace)} events, "
-            f"window {args.window}"
+        trace = _trace(args)
+        run = partial(_system(args, args.client_capacity).replay, trace)
+        dashboard = _Dashboard(
+            f"{args.workload} replay, {len(trace)} events, window {args.window}",
+            args.plain,
+            total=(len(trace) + args.window - 1) // args.window,
         )
-        dashboard = _TopDashboard(title, total, args.plain)
-        collector = WindowedCollector(
-            window=args.window, on_sample=dashboard.on_sample
-        )
-        system = DistributedFileSystem(
-            client_capacity=args.client_capacity,
-            server_capacity=args.server_capacity,
-            group_size=args.group_size,
-        )
-        server = None
-        if args.listen:
-            host, port = _parse_listen(args.listen)
-            server = serve_metrics(collector, host, port)
-            print(f"serving live metrics at {server.url}", file=sys.stderr)
-        previous = set_collector(collector)
-        try:
-            system.replay(trace)
-        finally:
-            set_collector(previous)
-            if server is not None:
-                server.close()
-        dashboard.finish()
+    collector.on_sample = dashboard.on_sample
+    server = None
+    if args.listen:
+        host, port = _parse_listen(args.listen)
+        server = serve_metrics(collector, host, port)
+        print(f"serving live metrics at {server.url}", file=sys.stderr)
+    try:
+        with windowing(collector=collector):
+            run()
+    finally:
+        if server is not None:
+            server.close()
+    dashboard.finish()
     if args.ts_out is not None:
         lines = write_ts_jsonl(
             collector,
@@ -923,6 +805,25 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_drift(alerts, fail_on_drift: bool, subject: str) -> int:
+    """Print a drift scan's alerts as a table; return the exit status
+    (2 on drift with ``--fail-on-drift``)."""
+    from .analysis.drift import drift_rows
+
+    if not alerts:
+        print(f"no drift detected: the {subject} is steady at this threshold")
+        return 0
+    header = ["metric", "window", "event", "direction", "value", "baseline", "z"]
+    rows = [header] + [
+        [str(row[key]) for key in header] for row in drift_rows(alerts)
+    ]
+    print(rows_to_markdown(rows))
+    print()
+    for alert in alerts:
+        print(f"  - {alert.describe()}")
+    return 2 if fail_on_drift else 0
+
+
 def _cmd_drift_url(args: argparse.Namespace, metrics: List[str]) -> int:
     """``repro drift --url``: online drift alerts over a live daemon.
 
@@ -935,7 +836,7 @@ def _cmd_drift_url(args: argparse.Namespace, metrics: List[str]) -> int:
     asks "did the workload shift while I was slamming?" after the
     fact.
     """
-    from .analysis.drift import StreamingDriftMonitor, drift_rows
+    from .analysis.drift import StreamingDriftMonitor
     from .obs.live import StatsStream
 
     monitor = StreamingDriftMonitor(
@@ -957,32 +858,15 @@ def _cmd_drift_url(args: argparse.Namespace, metrics: List[str]) -> int:
                     print(f"  ! {alert.describe()}")
     except KeyboardInterrupt:
         pass
-    summary = stream.summary()
-    if stream.polls and stream.failures == stream.polls:
-        print(
-            f"never reached {args.url}: {stream.failures} failed poll(s) "
-            f"— is the daemon running?",
-            file=sys.stderr,
-        )
+    if _never_reached(stream, args.url):
         return 1
-    alerts = monitor.alerts
+    summary = stream.summary()
     print(
         f"\nscanned {monitor.samples_seen} serve window(s) from {args.url} "
         f"({summary['polls']} poll(s), {summary['failures']} failure(s), "
         f"{summary['restarts']} restart(s), {summary['gaps']} gap(s))\n"
     )
-    if not alerts:
-        print("no drift detected: the served series is steady at this threshold")
-        return 0
-    header = ["metric", "window", "event", "direction", "value", "baseline", "z"]
-    rows = [header] + [
-        [str(row[key]) for key in header] for row in drift_rows(alerts)
-    ]
-    print(rows_to_markdown(rows))
-    print()
-    for alert in alerts:
-        print(f"  - {alert.describe()}")
-    return 2 if args.fail_on_drift else 0
+    return _report_drift(monitor.alerts, args.fail_on_drift, "served series")
 
 
 def _cmd_drift(args: argparse.Namespace) -> int:
@@ -996,7 +880,7 @@ def _cmd_drift(args: argparse.Namespace) -> int:
     Alerts are event-indexed, so a flagged window can be cross-examined
     with ``repro explain``.
     """
-    from .analysis.drift import DRIFT_SOURCES, detect_drift, drift_rows
+    from .analysis.drift import DRIFT_SOURCES, detect_drift
     from .obs import load_ts_jsonl, windowing
 
     metrics = [name for name in args.metrics.split(",") if name]
@@ -1007,14 +891,8 @@ def _cmd_drift(args: argparse.Namespace) -> int:
         samples = loaded["samples"]
         origin = str(args.series)
     else:
-        from .sim.engine import DistributedFileSystem
-
-        trace = make_workload(args.workload, args.events, args.seed)
-        system = DistributedFileSystem(
-            client_capacity=args.client_capacity,
-            server_capacity=args.server_capacity,
-            group_size=args.group_size,
-        )
+        trace = _trace(args)
+        system = _system(args, args.client_capacity)
         with windowing(window=args.window) as collector:
             system.replay(trace)
         samples = collector.samples
@@ -1033,44 +911,13 @@ def _cmd_drift(args: argparse.Namespace) -> int:
         f"{', '.join(metrics)} drift (history {args.history}, "
         f"z >= {args.threshold:g})\n"
     )
-    if not alerts:
-        print("no drift detected: the series is steady at this threshold")
-        return 0
-    header = ["metric", "window", "event", "direction", "value", "baseline", "z"]
-    rows = [header] + [
-        [str(row[key]) for key in header] for row in drift_rows(alerts)
-    ]
-    print(rows_to_markdown(rows))
-    print()
-    for alert in alerts:
-        print(f"  - {alert.describe()}")
-    return 2 if args.fail_on_drift else 0
-
-
-def _cmd_adaptation(args: argparse.Namespace) -> int:
-    figure = run_adaptation(workload=args.workload, events=args.events, seed=args.seed)
-    _emit_figure(figure, args)
-    return 0
-
-
-def _cmd_attribution(args: argparse.Namespace) -> int:
-    figure = run_attribution(events=args.events, seed=args.seed)
-    _emit_figure(figure, args)
-    return 0
-
-
-def _cmd_servercap(args: argparse.Namespace) -> int:
-    figure = run_server_capacity(
-        workload=args.workload, events=args.events, seed=args.seed
-    )
-    _emit_figure(figure, args)
-    return 0
+    return _report_drift(alerts, args.fail_on_drift, "series")
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     from .core.graph import RelationshipGraph, graph_summary_rows, hub_files
 
-    sequence = make_workload(args.workload, args.events, args.seed).file_ids()
+    sequence = _trace(args).file_ids()
     graph = RelationshipGraph.from_sequence(sequence)
     print(
         f"relationship graph of {args.workload}: "
@@ -1127,10 +974,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     """Cache-policy shootout: hit rates of every policy on one workload."""
     from .caching import POLICIES, make_cache
     from .core.aggregating_cache import AggregatingClientCache
-    from .workloads.synthetic import make_workload
 
-    trace = make_workload(args.workload, args.events, args.seed)
-    sequence = trace.file_ids()
+    sequence = _trace(args).file_ids()
     rows = [["policy", "hit rate", "misses"]]
     for name in sorted(POLICIES):
         cache = make_cache(name, args.capacity)
@@ -1175,7 +1020,7 @@ def _cmd_anonymize(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    trace = make_workload(args.workload, args.events, args.seed)
+    trace = _trace(args)
     write_trace(trace, args.out)
     print(f"wrote {len(trace)} events ({trace.unique_files()} files) to {args.out}")
     return 0
@@ -1510,68 +1355,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    fig3 = subparsers.add_parser(
-        "fig3", help="client demand fetches vs cache capacity, per group size"
-    )
-    _add_common_options(fig3, workload_default="server")
-    _add_figure_options(fig3, sweep=True)
-    fig3.set_defaults(handler=_cmd_fig3)
-
-    fig4 = subparsers.add_parser(
-        "fig4", help="server hit rate vs intervening client cache capacity"
-    )
-    _add_common_options(fig4, workload_default="workstation")
-    _add_figure_options(fig4, sweep=True)
-    fig4.set_defaults(handler=_cmd_fig4)
-
-    fig5 = subparsers.add_parser(
-        "fig5", help="successor-list miss probability: Oracle vs LRU vs LFU"
-    )
-    _add_common_options(fig5, workload_default="workstation")
-    _add_figure_options(fig5, sweep=True)
-    fig5.set_defaults(handler=_cmd_fig5)
-
-    fig7 = subparsers.add_parser(
-        "fig7", help="successor entropy vs successor sequence length"
-    )
-    _add_common_options(fig7)
-    _add_figure_options(fig7, sweep=True)
-    fig7.set_defaults(handler=_cmd_fig7)
-
-    fig8 = subparsers.add_parser(
-        "fig8", help="successor entropy of LRU-filtered miss streams"
-    )
-    _add_common_options(fig8, workload_default="write")
-    _add_figure_options(fig8, sweep=True)
-    fig8.set_defaults(handler=_cmd_fig8)
+    for name, spec in _FIGURES.items():
+        figure = subparsers.add_parser(name, help=spec.help)
+        _add_common_options(figure, workload_default=spec.workload)
+        figure.add_argument(
+            "--csv", type=Path, default=None, help="also write the series as CSV"
+        )
+        if spec.credit:
+            figure.add_argument(
+                "--workers",
+                type=int,
+                default=1,
+                help=(
+                    "worker processes for the parameter sweep (default: 1 = "
+                    "serial; results are identical either way)"
+                ),
+            )
+        figure.add_argument(
+            "--width", type=int, default=72, help="chart width in characters"
+        )
+        figure.add_argument(
+            "--height", type=int, default=20, help="chart height in characters"
+        )
+        figure.set_defaults(handler=_cmd_figure)
 
     headline = subparsers.add_parser(
         "headline", help="recompute the paper's abstract/conclusion claims"
     )
     _add_common_options(headline)
     headline.set_defaults(handler=_cmd_headline)
-
-    placement = subparsers.add_parser(
-        "placement", help="grouping for data placement: seek distance by layout"
-    )
-    _add_common_options(placement, workload_default="server")
-    _add_figure_options(placement)
-    placement.set_defaults(handler=_cmd_placement)
-
-    hoard = subparsers.add_parser(
-        "hoard", help="mobile hoarding: offline miss rate by hoard policy"
-    )
-    _add_common_options(hoard, workload_default="server")
-    _add_figure_options(hoard)
-    hoard.set_defaults(handler=_cmd_hoard)
-
-    cooperation = subparsers.add_parser(
-        "cooperation",
-        help="server grouping with vs without piggy-backed client statistics",
-    )
-    _add_common_options(cooperation, workload_default="server")
-    _add_figure_options(cooperation)
-    cooperation.set_defaults(handler=_cmd_cooperation)
 
     profile = subparsers.add_parser(
         "profile", help="predictability profile: entropy timeline + hotspots"
@@ -1589,32 +1401,9 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="replay a workload with metric collection on; print/export a snapshot",
     )
-    metrics.add_argument(
-        "--workload",
-        default="server",
-        choices=sorted(WORKLOADS),
-        help="workload to replay (default: server)",
-    )
-    metrics.add_argument(
-        "--events",
-        type=int,
-        default=DEFAULT_EVENTS,
-        help=f"trace length in accesses (default: {DEFAULT_EVENTS})",
-    )
-    metrics.add_argument(
-        "--seed", type=int, default=None, help="workload seed (default: per-workload)"
-    )
+    _add_replay_options(metrics)
     metrics.add_argument(
         "--out", type=Path, default=None, help="write the snapshot as JSONL"
-    )
-    metrics.add_argument(
-        "--group-size", type=int, default=5, help="aggregating group size g"
-    )
-    metrics.add_argument(
-        "--client-capacity", type=int, default=250, help="client cache capacity"
-    )
-    metrics.add_argument(
-        "--server-capacity", type=int, default=300, help="server cache capacity"
     )
     metrics.add_argument(
         "--baselines",
@@ -1645,30 +1434,7 @@ def build_parser() -> argparse.ArgumentParser:
             "prefetch efficiency, eviction causes, per-file history"
         ),
     )
-    explain.add_argument(
-        "--workload",
-        default="server",
-        choices=sorted(WORKLOADS),
-        help="workload to replay (default: server)",
-    )
-    explain.add_argument(
-        "--events",
-        type=int,
-        default=DEFAULT_EVENTS,
-        help=f"trace length in accesses (default: {DEFAULT_EVENTS})",
-    )
-    explain.add_argument(
-        "--seed", type=int, default=None, help="workload seed (default: per-workload)"
-    )
-    explain.add_argument(
-        "--cache-size", type=int, default=250, help="client cache capacity"
-    )
-    explain.add_argument(
-        "--server-capacity", type=int, default=300, help="server cache capacity"
-    )
-    explain.add_argument(
-        "--group-size", type=int, default=5, help="aggregating group size g"
-    )
+    _add_replay_options(explain, client_option="--cache-size")
     explain.add_argument(
         "--file", default="", help="narrate the retained history of one file"
     )
@@ -1711,32 +1477,9 @@ def build_parser() -> argparse.ArgumentParser:
             "throughput, and entropy over a replay (or --sweep)"
         ),
     )
-    top.add_argument(
-        "--workload",
-        default="server",
-        choices=sorted(WORKLOADS),
-        help="workload to replay (default: server)",
-    )
-    top.add_argument(
-        "--events",
-        type=int,
-        default=DEFAULT_EVENTS,
-        help=f"trace length in accesses (default: {DEFAULT_EVENTS})",
-    )
-    top.add_argument(
-        "--seed", type=int, default=None, help="workload seed (default: per-workload)"
-    )
+    _add_replay_options(top)
     top.add_argument(
         "--window", type=int, default=2000, help="telemetry window (events)"
-    )
-    top.add_argument(
-        "--client-capacity", type=int, default=250, help="client cache capacity"
-    )
-    top.add_argument(
-        "--server-capacity", type=int, default=300, help="server cache capacity"
-    )
-    top.add_argument(
-        "--group-size", type=int, default=5, help="aggregating group size g"
     )
     top.add_argument(
         "--sweep",
@@ -1752,23 +1495,8 @@ def build_parser() -> argparse.ArgumentParser:
             "render its live telemetry windows instead of replaying"
         ),
     )
-    top.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="--attach: detach after this many seconds (default: until Ctrl-C)",
-    )
-    top.add_argument(
-        "--poll",
-        type=float,
-        default=0.5,
-        help="--attach: seconds between /stats polls (default: 0.5)",
-    )
-    top.add_argument(
-        "--timeout",
-        type=float,
-        default=5.0,
-        help="--attach: per-poll socket timeout in seconds",
+    _add_poll_options(
+        top, "--attach", None, "detach after this many seconds (default: until Ctrl-C)"
     )
     top.add_argument(
         "--workers",
@@ -1808,32 +1536,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="existing repro.ts/1 JSONL to scan (default: replay a workload)",
     )
-    drift.add_argument(
-        "--workload",
-        default="server",
-        choices=sorted(WORKLOADS),
-        help="workload to replay when no series file is given",
-    )
-    drift.add_argument(
-        "--events",
-        type=int,
-        default=DEFAULT_EVENTS,
-        help=f"trace length in accesses (default: {DEFAULT_EVENTS})",
-    )
-    drift.add_argument(
-        "--seed", type=int, default=None, help="workload seed (default: per-workload)"
-    )
+    _add_replay_options(drift)
     drift.add_argument(
         "--window", type=int, default=2000, help="telemetry window (events)"
-    )
-    drift.add_argument(
-        "--client-capacity", type=int, default=250, help="client cache capacity"
-    )
-    drift.add_argument(
-        "--server-capacity", type=int, default=300, help="server cache capacity"
-    )
-    drift.add_argument(
-        "--group-size", type=int, default=5, help="aggregating group size g"
     )
     drift.add_argument(
         "--metrics",
@@ -1866,26 +1571,12 @@ def build_parser() -> argparse.ArgumentParser:
             "of a file or replay (http://HOST:PORT)"
         ),
     )
-    drift.add_argument(
-        "--duration",
-        type=float,
-        default=0.0,
-        help=(
-            "--url: keep polling this many seconds after the retained "
-            "history (default: 0 = one poll over the history, then exit)"
-        ),
-    )
-    drift.add_argument(
-        "--poll",
-        type=float,
-        default=0.5,
-        help="--url: seconds between /stats polls (default: 0.5)",
-    )
-    drift.add_argument(
-        "--timeout",
-        type=float,
-        default=5.0,
-        help="--url: per-poll socket timeout in seconds",
+    _add_poll_options(
+        drift,
+        "--url",
+        0.0,
+        "keep polling this many seconds after the retained history "
+        "(default: 0 = one poll over the history, then exit)",
     )
     drift.add_argument(
         "--fail-on-drift",
@@ -1893,27 +1584,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit with status 2 when any alert fires (for CI gates)",
     )
     drift.set_defaults(handler=_cmd_drift)
-
-    adaptation = subparsers.add_parser(
-        "adaptation", help="hit rate across an abrupt workload shift"
-    )
-    _add_common_options(adaptation, workload_default="server")
-    _add_figure_options(adaptation)
-    adaptation.set_defaults(handler=_cmd_adaptation)
-
-    attribution = subparsers.add_parser(
-        "attribution", help="global vs per-client successor tracking"
-    )
-    _add_common_options(attribution)
-    _add_figure_options(attribution)
-    attribution.set_defaults(handler=_cmd_attribution)
-
-    servercap = subparsers.add_parser(
-        "servercap", help="server-capacity sensitivity of the Figure 4 result"
-    )
-    _add_common_options(servercap, workload_default="workstation")
-    _add_figure_options(servercap)
-    servercap.set_defaults(handler=_cmd_servercap)
 
     graph = subparsers.add_parser(
         "graph", help="inspect a workload's inter-file relationship graph"

@@ -46,8 +46,7 @@ call plus whatever counter reads must be consistent with it.
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
 from ..caching.base import Cache, CacheStats
@@ -66,35 +65,13 @@ class GroupFetchLog:
     one group request); ``files_retrieved`` counts every file shipped,
     demanded or predicted; ``predicted_installed`` counts predicted
     companions that were actually new to the cache (already-resident
-    companions are not shipped twice).
-
-    ``max_records`` optionally keeps per-fetch ``(demanded, size,
-    installed)`` detail records, bounded to the newest ``max_records``
-    entries so long replays never accumulate one record per group fetch
-    unbounded.  The aggregate counters above — and therefore the
-    count and :attr:`mean_group_size` summary — stay exact however
-    many records have been discarded.
+    companions are not shipped twice).  Per-fetch detail is the flight
+    recorder's ``group_fetch`` record (:mod:`repro.obs.tracing`).
     """
 
     group_fetches: int = 0
     files_retrieved: int = 0
     predicted_installed: int = 0
-    max_records: int = 0
-    records: Optional[deque] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.max_records < 0:
-            raise ValueError(
-                f"max_records must be >= 0, got {self.max_records}"
-            )
-        if self.max_records and self.records is None:
-            self.records = deque(maxlen=self.max_records)
-
-    def record(self, demanded: str, size: int, installed: int) -> None:
-        """Keep one per-fetch detail record (only when bounded keeping
-        is enabled); the oldest record is dropped once full."""
-        if self.records is not None:
-            self.records.append((demanded, size, installed))
 
     @property
     def mean_group_size(self) -> float:
@@ -120,10 +97,6 @@ class AggregatingClientCache:
     shared_tracker:
         Optional externally owned tracker, letting several caches (or a
         pre-trained server) share relationship metadata.
-    max_fetch_records:
-        When positive, the :class:`GroupFetchLog` keeps the newest
-        ``max_fetch_records`` per-fetch detail records (replays then
-        take the generic path so every fetch is seen).
     """
 
     def __init__(
@@ -133,7 +106,6 @@ class AggregatingClientCache:
         successor_policy: str = "lru",
         successor_capacity: int = 8,
         shared_tracker: Optional[SuccessorTracker] = None,
-        max_fetch_records: int = 0,
     ):
         self._cache = LRUCache(capacity)
         self._cache.trace_name = "client"
@@ -144,7 +116,7 @@ class AggregatingClientCache:
         )
         self.builder = GroupBuilder(self.tracker, group_size)
         self.group_size = group_size
-        self.fetch_log = GroupFetchLog(max_records=max_fetch_records)
+        self.fetch_log = GroupFetchLog()
 
     @property
     def capacity(self) -> int:
@@ -197,8 +169,6 @@ class AggregatingClientCache:
         installed = self._install_companions(group.predicted)
         log.files_retrieved += installed
         log.predicted_installed += installed
-        if log.records is not None:
-            log.record(file_id, 1 + installed, installed)
         return False
 
     def _install_companions(self, companions) -> int:
@@ -260,14 +230,12 @@ class AggregatingClientCache:
         The fast loop hard-codes LRU successor lists and the stock group
         builder, and bypasses the :meth:`access` / ``_install_companions``
         hooks — so subclasses and alternative policies take the generic
-        per-event path.  So do replays that need per-event visibility:
-        an active flight recorder, or per-fetch ``GroupFetchLog``
-        records (the fused loop batches its accounting and would emit
-        neither).
+        per-event path.  So do replays under an active flight recorder,
+        which needs per-event visibility (the fused loop batches its
+        accounting and would emit no records).
         """
         return (
             not (_obs.ENABLED and _tracing.ACTIVE is not None)
-            and self.fetch_log.records is None
             and type(self) is AggregatingClientCache
             and type(self.tracker) is SuccessorTracker
             and self.tracker.policy == "lru"
@@ -441,7 +409,6 @@ class AggregatingServerCache(Cache):
         successor_capacity: int = 8,
         shared_tracker: Optional[SuccessorTracker] = None,
         observe_requests: bool = True,
-        max_fetch_records: int = 0,
     ):
         super().__init__(capacity)
         self._cache = LRUCache(capacity)
@@ -453,7 +420,7 @@ class AggregatingServerCache(Cache):
         )
         self.builder = GroupBuilder(self.tracker, group_size)
         self.group_size = group_size
-        self.fetch_log = GroupFetchLog(max_records=max_fetch_records)
+        self.fetch_log = GroupFetchLog()
         # When the tracker is fed externally (cooperative clients
         # piggy-backing their full access streams), the server must not
         # double-observe its own filtered request stream.
@@ -486,8 +453,6 @@ class AggregatingServerCache(Cache):
         installed = self._cache.install_group_at_tail(group.predicted)
         log.files_retrieved += installed
         log.predicted_installed += installed
-        if log.records is not None:
-            log.record(key, 1 + installed, installed)
         return False
 
     def _lookup(self, key: str) -> bool:  # pragma: no cover - access() overrides

@@ -47,7 +47,7 @@ from .export import (
     write_jsonl,
 )
 from .live import DEFAULT_POLL_SECONDS, LiveWindow, StatsStream
-from .quantiles import latency_summary_ns, percentile
+from .quantiles import percentile
 from .registry import (
     DEFAULT_BOUNDS,
     Counter,
@@ -76,7 +76,6 @@ from .timeseries import (
     write_ts_jsonl,
 )
 from .spans import (
-    NULL_SPAN,
     SPAN_SCHEMA,
     TRACE_HEADER,
     Span,
@@ -85,12 +84,9 @@ from .spans import (
     format_header,
     format_span_tree,
     load_spans_jsonl,
-    maybe_span,
     merge_spans,
     parse_header,
-    set_buffer,
     slowest_traces,
-    span_collection,
     span_records,
     spans_chrome_trace,
     write_spans_chrome_trace,
@@ -116,21 +112,16 @@ __all__ = [
     "TRACE_HEADER",
     "TRACE_SCHEMA",
     "TS_SCHEMA",
-    "NULL_SPAN",
     "Span",
     "SpanBuffer",
     "endpoint_breakdown",
     "format_header",
     "format_span_tree",
-    "latency_summary_ns",
     "load_spans_jsonl",
-    "maybe_span",
     "merge_spans",
     "parse_header",
     "percentile",
-    "set_buffer",
     "slowest_traces",
-    "span_collection",
     "span_records",
     "spans_chrome_trace",
     "write_spans_chrome_trace",

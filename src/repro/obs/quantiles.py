@@ -15,9 +15,9 @@ in [0, 1], the percentile sits at fractional position ``q * (n - 1)``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence
+from typing import Sequence
 
-__all__ = ["percentile", "latency_summary_ns"]
+__all__ = ["percentile"]
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -42,17 +42,3 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
     return float(
         sorted_values[low] * (1.0 - fraction) + sorted_values[high] * fraction
     )
-
-
-def latency_summary_ns(sorted_window: Sequence[int]) -> Dict[str, Any]:
-    """The p50/p95/p99 block every latency surface embeds.
-
-    ``sorted_window`` is the retained sample window, ascending; the
-    caller adds its own exact lifetime counters (``count``, ``mean``)
-    around this block.
-    """
-    return {
-        "p50_ns": percentile(sorted_window, 0.50),
-        "p95_ns": percentile(sorted_window, 0.95),
-        "p99_ns": percentile(sorted_window, 0.99),
-    }

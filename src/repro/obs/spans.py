@@ -33,12 +33,9 @@ The moving parts:
   :mod:`repro.obs.tracing`) that Perfetto renders as a multi-process
   timeline.
 
-Cost discipline — the same stance as ``MetricsRegistry.ENABLED``: an
-instrumented site that is not tracing reads one module global (or one
-``None`` attribute) and moves on.  :func:`maybe_span` returns the
-shared :data:`NULL_SPAN` singleton when no buffer is active, so a
-dormant call allocates nothing; the strict 5% benchmark gate holds the
-replay fast paths to that promise.
+Spans are recorded only by code that holds a :class:`SpanBuffer`
+explicitly — the daemon (``repro serve --spans``) and the slam
+workers; a site without one checks a ``None`` attribute and moves on.
 """
 
 from __future__ import annotations
@@ -47,12 +44,10 @@ import os
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from typing import (
     Any,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -172,29 +167,6 @@ class Span:
         return f"Span({self.name!r}, trace={self.trace}, {state})"
 
 
-class _NullSpan:
-    """The shared do-nothing span :func:`maybe_span` hands out when
-    tracing is off — one module-level instance, so the disabled path
-    never allocates."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-    def annotate(self, key: str, value: Any) -> "_NullSpan":
-        return self
-
-    def finish(self, end_ns: Optional[int] = None) -> "_NullSpan":
-        return self
-
-
-NULL_SPAN = _NullSpan()
-
-
 class SpanBuffer:
     """Bounded per-process span sink with exact accounting.
 
@@ -242,10 +214,6 @@ class SpanBuffer:
             self._ids += 1
             serial = self._ids
         return f"{self._nonce}{serial:010x}"
-
-    def mint_trace(self) -> str:
-        """A fresh trace id (used by clients opening a new request)."""
-        return self._next_id()
 
     def should_sample(self) -> bool:
         """Deterministic every-``sample``-th request decision.
@@ -322,55 +290,6 @@ class SpanBuffer:
                 "sampled_out": self.sampled_out,
                 "retained": len(self._ring),
             }
-
-
-#: The buffer :func:`maybe_span` emits into, or None.  Sites read this
-#: one global and bail; the disabled path allocates nothing.
-ACTIVE: Optional[SpanBuffer] = None
-
-
-def set_buffer(buffer: Optional[SpanBuffer]) -> Optional[SpanBuffer]:
-    """Swap the active buffer; returns the previous one."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = buffer
-    return previous
-
-
-@contextmanager
-def span_collection(
-    process: str = "proc",
-    capacity: int = DEFAULT_CAPACITY,
-    sample: int = 1,
-    buffer: Optional[SpanBuffer] = None,
-) -> Iterator[SpanBuffer]:
-    """Activate a buffer for the duration of a block (tests, scripts)."""
-    owned = buffer if buffer is not None else SpanBuffer(
-        process=process, capacity=capacity, sample=sample
-    )
-    previous = set_buffer(owned)
-    try:
-        yield owned
-    finally:
-        set_buffer(previous)
-
-
-def maybe_span(
-    name: str,
-    trace: Optional[str] = None,
-    parent: Optional[str] = None,
-    kind: str = "internal",
-):
-    """A span on the active buffer, or the free :data:`NULL_SPAN`.
-
-    The instrumentation entry point for sites that do not hold an
-    explicit buffer: one global read when tracing is off, a real
-    admitted span when it is on.
-    """
-    buffer = ACTIVE
-    if buffer is None:
-        return NULL_SPAN
-    return buffer.start_span(name, trace=trace, parent=parent, kind=kind)
 
 
 # -- the propagation header --------------------------------------------------

@@ -16,9 +16,9 @@ Model (classical request-cost decomposition):
 * prefetched files that are evicted unused cost their transfer anyway —
   that waste is measured, not assumed away.
 
-:class:`InstrumentedAggregatingCache` wraps the client aggregating
-cache with prefetch-outcome accounting (useful vs wasted companions),
-and :func:`price_replay` compares priced configurations.
+:func:`price_replay` compares priced configurations, reading which
+companions were used and which were evicted unused from the flight
+recorder's prefetch provenance (:mod:`repro.obs.tracing`).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 from ..core.aggregating_cache import AggregatingClientCache
 from ..errors import SimulationError
+from ..obs import tracing
 
 
 @dataclass(frozen=True)
@@ -68,66 +69,6 @@ class CostModel:
         )
 
 
-@dataclass
-class PrefetchOutcome:
-    """What happened to opportunistically fetched companions."""
-
-    installed: int = 0
-    useful: int = 0
-    wasted: int = 0
-
-    @property
-    def pending(self) -> int:
-        """Companions still resident, fate undecided."""
-        return self.installed - self.useful - self.wasted
-
-    @property
-    def accuracy(self) -> float:
-        """Useful fraction of all *decided* companions."""
-        decided = self.useful + self.wasted
-        if not decided:
-            return 0.0
-        return self.useful / decided
-
-
-class InstrumentedAggregatingCache(AggregatingClientCache):
-    """Aggregating client cache with per-companion outcome tracking.
-
-    A companion is *useful* when it is demanded while still resident
-    (the implicit prefetch paid off) and *wasted* when it is evicted
-    without ever being demanded.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.outcome = PrefetchOutcome()
-        self._pending: set = set()
-        self._cache.evict_listener = self._on_evict
-
-    def _on_evict(self, key: str) -> None:
-        if key in self._pending:
-            self._pending.discard(key)
-            self.outcome.wasted += 1
-
-    def access(self, file_id: str) -> bool:
-        if file_id in self._pending:
-            # Demanded while resident: the prefetch was useful.
-            self._pending.discard(file_id)
-            self.outcome.useful += 1
-        return super().access(file_id)
-
-    def _install_companions(self, companions) -> int:
-        fresh = [c for c in companions if c not in self._cache]
-        installed = super()._install_companions(companions)
-        # Everything fresh that survived the batch's trim is resident
-        # right now — those are the companions whose fate we track.
-        for companion in fresh:
-            if companion in self._cache:
-                self._pending.add(companion)
-        self.outcome.installed += installed
-        return installed
-
-
 class PricedComparison(dict):
     """{configuration: {latency metrics}} with a convenience ratio."""
 
@@ -163,8 +104,15 @@ def price_replay(
         plain.stats.hits, plain.stats.misses
     )
 
-    grouped = InstrumentedAggregatingCache(capacity=capacity, group_size=group_size)
-    grouped.replay(sequence)
+    grouped = AggregatingClientCache(capacity=capacity, group_size=group_size)
+    # The recorder's provenance accounting is exact however small its
+    # ring: a companion is useful when demanded while still resident and
+    # wasted when evicted without ever being demanded.
+    with tracing.recording(capacity=1) as recorder:
+        grouped.replay(sequence)
+    prefetch = recorder.component_summary("client")
+    useful = prefetch["group_used"]
+    wasted = prefetch["group_evicted_unused"]
     grouped_total = cost_model.grouped_cost(
         grouped.stats.hits,
         grouped.fetch_log.group_fetches,
@@ -187,8 +135,11 @@ def price_replay(
                 "requests": grouped.fetch_log.group_fetches,
                 "files_shipped": grouped.fetch_log.files_retrieved,
                 "hit_rate": grouped.stats.hit_rate,
-                "prefetch_accuracy": grouped.outcome.accuracy,
-                "wasted_transfers": grouped.outcome.wasted,
+                # Useful share of the companions whose fate is decided.
+                "prefetch_accuracy": (
+                    useful / (useful + wasted) if useful + wasted else 0.0
+                ),
+                "wasted_transfers": wasted,
             },
         }
     )

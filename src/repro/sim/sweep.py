@@ -41,9 +41,6 @@ from ..obs import timeseries as _ts
 #: One result record: the parameter point plus measured values.
 Record = Dict[str, Any]
 
-#: Reserved record key carrying per-point wall time when ``timing=True``.
-POINT_SECONDS_KEY = "point_seconds"
-
 
 @dataclass
 class SweepGrid:
@@ -94,16 +91,9 @@ def _call_point(
     return dict(measured), time.perf_counter() - start
 
 
-def _merge_record(
-    params: Dict[str, Any],
-    measured: Mapping[str, Any],
-    seconds: float,
-    timing: bool,
-) -> Record:
+def _merge_record(params: Dict[str, Any], measured: Mapping[str, Any]) -> Record:
     """Merge parameters and measurements, rejecting key collisions."""
     collisions = set(params) & set(measured)
-    if timing and POINT_SECONDS_KEY in measured:
-        collisions.add(POINT_SECONDS_KEY)
     if collisions:
         raise ExperimentError(
             f"run_point returned keys that collide with parameters: "
@@ -111,8 +101,6 @@ def _merge_record(
         )
     record: Record = dict(params)
     record.update(measured)
-    if timing:
-        record[POINT_SECONDS_KEY] = seconds
     return record
 
 
@@ -129,7 +117,6 @@ def _run_serial(
     points: List[Dict[str, Any]],
     run_point: Callable[..., Mapping[str, Any]],
     progress: Optional[Callable[[int, int, Dict[str, Any], float], None]],
-    timing: bool,
     started: float,
 ) -> List[Record]:
     records: List[Record] = []
@@ -149,7 +136,7 @@ def _run_serial(
             point_counter.inc()
         if collector is not None:
             collector.record_point(index, params, measured, seconds)
-        records.append(_merge_record(params, measured, seconds, timing))
+        records.append(_merge_record(params, measured))
     return records
 
 
@@ -157,7 +144,6 @@ def _run_parallel(
     points: List[Dict[str, Any]],
     run_point: Callable[..., Mapping[str, Any]],
     progress: Optional[Callable[[int, int, Dict[str, Any], float], None]],
-    timing: bool,
     workers: int,
     started: float,
 ) -> List[Record]:
@@ -191,7 +177,7 @@ def _run_parallel(
                 busy_seconds += seconds
             if collector is not None:
                 collector.record_point(index, params, measured, seconds)
-            records.append(_merge_record(params, measured, seconds, timing))
+            records.append(_merge_record(params, measured))
     if record_metrics:
         registry.gauge("sweep.workers.used").set(used_workers)
         wall = time.perf_counter() - started
@@ -210,7 +196,6 @@ def run_sweep(
     run_point: Callable[..., Mapping[str, Any]],
     progress: Optional[Callable[[int, int, Dict[str, Any], float], None]] = None,
     workers: int = 1,
-    timing: bool = False,
     prewarm: Optional[Callable[[], Any]] = None,
 ) -> List[Record]:
     """Evaluate ``run_point(**params)`` at every grid point.
@@ -237,9 +222,6 @@ def run_sweep(
     to the serial path, which produces identical records in identical
     order.
 
-    ``timing=True`` adds each point's wall-clock seconds to its record
-    under :data:`POINT_SECONDS_KEY`.
-
     ``prewarm`` is an optional zero-argument callable invoked once in
     the parent before any point runs.  The figure experiments pass
     :func:`repro.experiments.common.prewarm_workload` through it so the
@@ -260,7 +242,7 @@ def run_sweep(
     if workers > 1 and len(points) > 1 and _is_picklable(run_point):
         try:
             records = _run_parallel(
-                points, run_point, progress, timing, workers, started
+                points, run_point, progress, workers, started
             )
             if record_metrics:
                 _record_run_ns(registry, started)
@@ -279,11 +261,11 @@ def run_sweep(
                 raise
             if record_metrics:
                 registry.counter("sweep.serial_fallbacks").inc()
-            records = _run_serial(points, run_point, progress, timing, started)
+            records = _run_serial(points, run_point, progress, started)
             if record_metrics:
                 _record_run_ns(registry, started)
             return records
-    records = _run_serial(points, run_point, progress, timing, started)
+    records = _run_serial(points, run_point, progress, started)
     if record_metrics:
         _record_run_ns(registry, started)
     return records

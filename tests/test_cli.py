@@ -1,8 +1,26 @@
 """Unit tests for the command-line interface."""
 
+import io
+import re
+import socket
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _Dashboard, _throughput, build_parser, main
+from repro.obs import LiveWindow, WindowSample
+
+
+class _Terminal(io.StringIO):
+    """A captured stream that reports itself as a tty."""
+
+    def isatty(self):
+        return True
+
+
+def _last_frame(text):
+    """The lines of a dashboard's last in-place redraw."""
+    frame = re.split(r"\x1b\[\d+F", text)[-1]
+    return [line.replace("\x1b[2K", "", 1) for line in frame.splitlines()]
 
 
 class TestParser:
@@ -435,6 +453,27 @@ class TestTimeseriesCommands:
         out = capsys.readouterr().out
         assert "scanned 6 windows of server" in out
 
+    @pytest.mark.parametrize("command", ["top", "drift"])
+    def test_zero_window_is_an_error(self, command, capsys):
+        assert main([command, "--window", "0", "--events", "100"]) == 1
+        assert "error: window must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_top_listen_announces_and_releases_its_port(self, capsys):
+        code = main(
+            ["top", "--events", "1000", "--window", "500", "--plain",
+             "--listen", "127.0.0.1:0"]
+        )
+        assert code == 0
+        announced = re.search(
+            r"serving live metrics at http://127\.0\.0\.1:(\d+)/metrics",
+            capsys.readouterr().err,
+        )
+        assert announced is not None
+        port = int(announced.group(1))
+        assert port > 0
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", port))  # the listener is closed
+
     def test_drift_rejects_bad_listen_free_of_charge(self):
         from repro.cli import _parse_listen
         from repro.errors import ReproError
@@ -443,6 +482,109 @@ class TestTimeseriesCommands:
         assert _parse_listen("0.0.0.0:9100") == ("0.0.0.0", 9100)
         with pytest.raises(ReproError):
             _parse_listen("9100")
+
+
+class TestThroughputLine:
+    """The ``throughput:`` line of the sweep figures and ``metrics``."""
+
+    def test_events_per_second(self):
+        line = _throughput(1000, 2.0)
+        assert line == "throughput: 1,000 events in 2.00s (500 events/s)"
+
+    def test_zero_time_is_zero_rate(self):
+        assert _throughput(0, 0.0) == "throughput: 0 events in 0.00s (0 events/s)"
+
+    def test_no_events_is_zero_rate(self):
+        assert _throughput(0, 1.5) == "throughput: 0 events in 1.50s (0 events/s)"
+
+    def test_rate_rounds_to_whole_events(self):
+        line = _throughput(1_234_567, 0.75)
+        assert line == "throughput: 1,234,567 events in 0.75s (1,646,089 events/s)"
+
+    @pytest.mark.parametrize(
+        "argv, events",
+        [
+            # fig3 replays the trace once per plotted point (48 of them),
+            # fig7 once per workload series (4 of them).
+            (["fig3", "--events", "500"], "24,000"),
+            (["fig7", "--events", "500"], "2,000"),
+            (["metrics", "--events", "500"], "500"),
+        ],
+    )
+    def test_replayed_events_are_credited(self, argv, events, capsys):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        throughput = [line for line in lines if line.startswith("throughput: ")]
+        assert len(throughput) == 1
+        assert throughput[0].startswith(f"throughput: {events} events in ")
+
+
+class TestDashboard:
+    """``repro top``'s tty frames, redrawn in place, in every mode."""
+
+    def test_replay_frames_redraw_in_place(self):
+        terminal = _Terminal()
+        dashboard = _Dashboard("server replay", False, total=2, stream=terminal)
+        for index in range(2):
+            dashboard.on_sample(
+                WindowSample(
+                    index=index, events=100, seconds=0.5, hits=75, misses=25,
+                    entropy=1.5,
+                )
+            )
+        dashboard.finish()
+        text = terminal.getvalue()
+        assert text.count("\x1b[5F") == 2  # two redraws over the first frame
+        frame = _last_frame(text)
+        assert frame[0] == "repro top — server replay"
+        assert frame[1].startswith("  hit ratio  ") and frame[1].endswith(" 0.750")
+        assert frame[2].startswith("  events/s   ") and frame[2].endswith(" 200")
+        assert frame[3].startswith("  entropy    ") and frame[3].endswith(" 1.500 bits")
+        assert frame[4].startswith(f"  progress   [{'#' * 48}] 2/2  ")
+
+    def test_sweep_frames_give_each_worker_a_lane(self):
+        terminal = _Terminal()
+        dashboard = _Dashboard(
+            "fig3 sweep", False, total=4, workers=2, stream=terminal
+        )
+        for point in range(3):
+            dashboard.on_sample(
+                WindowSample(
+                    source="sweep", index=point, start=point, events=10,
+                    seconds=0.1, label=f"n={point}",
+                )
+            )
+        frame = _last_frame(terminal.getvalue())
+        assert frame[:3] == [
+            "repro top — fig3 sweep",
+            f"  worker 0   {'#' * 24:<48} 2 pts",
+            f"  worker 1   {'#' * 12:<48} 1 pts",
+        ]
+        assert frame[3].startswith(f"  progress   [{'#' * 36:<48}] 3/4  ")
+        assert len(frame) == 4
+
+    def test_attach_frames_show_the_live_stream(self):
+        terminal = _Terminal()
+        dashboard = _Dashboard("attached to http://daemon", False, stream=terminal)
+        dashboard.finish()
+        assert terminal.getvalue() == ""  # no window yet, so no frame
+        window = LiveWindow(
+            sample=WindowSample(
+                source="serve", index=7, events=50, hits=40, misses=10
+            ),
+            raw={"requests_per_sec": 1500.0, "latency_ns": {"p95_ns": 2_500_000}},
+        )
+        stats = {"accesses": 1000, "errors": 1, "cache": {"hit_ratio": 0.5}}
+        health = {"failures": 1, "restarts": 0, "gaps": 2}
+        dashboard.on_window(window, health, stats)
+        frame = _last_frame(terminal.getvalue())
+        assert frame[0] == "repro top — attached to http://daemon"
+        assert frame[1].startswith("  hit ratio  ") and frame[1].endswith(" 0.800")
+        assert frame[2].startswith("  req/s      ") and frame[2].endswith(" 1,500")
+        assert frame[3].startswith("  p95 ms     ") and frame[3].endswith(" 2.50")
+        assert frame[4] == "  lifetime   accesses 1,000  hit 0.500  errors 1"
+        assert frame[5].startswith("  stream     1 window(s)  ")
+        assert frame[5].endswith("s  failures 1  restarts 0  gaps 2")
 
 
 class TestTraceTooling:

@@ -2,13 +2,10 @@
 
 import pytest
 
+from repro.core.aggregating_cache import AggregatingClientCache
 from repro.errors import SimulationError
-from repro.sim.costs import (
-    CostModel,
-    InstrumentedAggregatingCache,
-    PrefetchOutcome,
-    price_replay,
-)
+from repro.obs import tracing
+from repro.sim.costs import CostModel, price_replay
 
 
 class TestCostModel:
@@ -35,54 +32,56 @@ class TestCostModel:
             CostModel(hit_time=-1).validate()
 
 
-class TestPrefetchOutcome:
-    def test_accuracy(self):
-        outcome = PrefetchOutcome(installed=10, useful=6, wasted=2)
-        assert outcome.accuracy == pytest.approx(0.75)
-        assert outcome.pending == 2
-
-    def test_accuracy_empty(self):
-        assert PrefetchOutcome().accuracy == 0.0
-
-
 class TestInstrumentedCache:
+    """Prefetch outcomes as ``price_replay`` reads them: from the flight
+    recorder's provenance for the client cache."""
+
     def test_useful_prefetch_counted(self):
-        cache = InstrumentedAggregatingCache(capacity=10, group_size=3)
-        # Teach the chain, evict it, then resume it.
-        for _ in range(2):
-            for key in ["x", "y", "z"]:
-                cache.access(key)
-        for i in range(12):
-            cache.access(f"junk{i}")
-        cache.access("x")  # prefetches y, z
-        cache.access("y")  # useful prefetch
-        assert cache.outcome.useful >= 1
+        cache = AggregatingClientCache(capacity=10, group_size=3)
+        with tracing.recording(capacity=1) as recorder:
+            # Teach the chain, evict it, then resume it.
+            for _ in range(2):
+                for key in ["x", "y", "z"]:
+                    cache.access(key)
+            for i in range(12):
+                cache.access(f"junk{i}")
+            cache.access("x")  # prefetches y, z
+            cache.access("y")  # useful prefetch
+        assert recorder.component_summary("client")["group_used"] >= 1
 
     def test_wasted_prefetch_counted(self):
-        cache = InstrumentedAggregatingCache(capacity=6, group_size=3)
-        # Teach the chain, then evict it entirely.
-        for _ in range(2):
-            for key in ["x", "y", "z"]:
-                cache.access(key)
-        for i in range(8):
-            cache.access(f"flood{i}")
-        # Resuming at the head prefetches y and z...
-        cache.access("x")
-        assert cache.outcome.installed >= 2
-        # ...but the task is abandoned: the companions fall off the
-        # tail unused and must be counted as waste.
-        for i in range(8):
-            cache.access(f"again{i}")
-        assert cache.outcome.wasted >= 2
-        assert cache.outcome.useful == 0
+        cache = AggregatingClientCache(capacity=6, group_size=3)
+        with tracing.recording(capacity=1) as recorder:
+            # Teach the chain, then evict it entirely.
+            for _ in range(2):
+                for key in ["x", "y", "z"]:
+                    cache.access(key)
+            for i in range(8):
+                cache.access(f"flood{i}")
+            # Resuming at the head prefetches y and z...
+            cache.access("x")
+            assert recorder.component_summary("client")["group_installs"] >= 2
+            # ...but the task is abandoned: the companions fall off the
+            # tail unused and must be counted as waste.
+            for i in range(8):
+                cache.access(f"again{i}")
+        outcome = recorder.component_summary("client")
+        assert outcome["group_evicted_unused"] >= 2
+        assert outcome["group_used"] == 0
 
     def test_conservation(self):
-        cache = InstrumentedAggregatingCache(capacity=8, group_size=4)
+        cache = AggregatingClientCache(capacity=8, group_size=4)
         sequence = [f"f{i % 12}" for i in range(400)]
-        cache.replay(sequence)
-        outcome = cache.outcome
-        assert outcome.useful + outcome.wasted + outcome.pending == outcome.installed
-        assert outcome.installed == cache.fetch_log.predicted_installed
+        with tracing.recording(capacity=1) as recorder:
+            cache.replay(sequence)
+        outcome = recorder.component_summary("client")
+        assert (
+            outcome["group_used"]
+            + outcome["group_evicted_unused"]
+            + outcome["group_resident_unused"]
+            == outcome["group_installs"]
+        )
+        assert outcome["group_installs"] == cache.fetch_log.predicted_installed
 
 
 class TestPriceReplay:
@@ -110,6 +109,13 @@ class TestPriceReplay:
         free_network = CostModel(hit_time=0.0, request_latency=0.0, transfer_time=0.0)
         comparison = price_replay(sequence, capacity=5, model=free_network)
         assert comparison["lru"]["total_latency"] == 0.0
+
+    def test_no_decided_prefetch_is_zero_accuracy(self):
+        # Two files that always fit: no companion is ever installed, so
+        # none is used or wasted and the accuracy has nothing to divide.
+        comparison = price_replay(["a", "b"] * 50, capacity=5)
+        assert comparison["g5"]["prefetch_accuracy"] == 0.0
+        assert comparison["g5"]["wasted_transfers"] == 0
 
     def test_prefetch_metrics_reported(self):
         files = [f"f{i}" for i in range(30)]

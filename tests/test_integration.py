@@ -1,5 +1,7 @@
 """Integration tests: cross-module flows exercised end to end."""
 
+import importlib
+import pkgutil
 
 import pytest
 
@@ -167,8 +169,14 @@ class TestPublicAPISurface:
     def test_package_exports_resolve(self):
         import repro
 
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        packages = [repro] + [
+            importlib.import_module(f"repro.{info.name}")
+            for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg
+        ]
+        for package in packages:
+            for name in package.__all__:
+                assert hasattr(package, name), f"{package.__name__}.{name}"
 
     def test_version(self):
         import repro

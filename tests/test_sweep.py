@@ -3,12 +3,18 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.sim.sweep import POINT_SECONDS_KEY, SweepGrid, pivot, run_sweep
+from repro.obs import windowing
+from repro.sim.sweep import SweepGrid, pivot, run_sweep
 
 
 def square_point(n):
     """Module-level (hence picklable) point runner for parallel tests."""
     return {"square": n * n}
+
+
+def colliding_point(n):
+    """A picklable point runner whose measurement reuses a parameter name."""
+    return {"n": n + 1}
 
 
 class TestSweepGrid:
@@ -83,22 +89,16 @@ class TestRunSweep:
         assert all(value >= 0.0 for value in elapsed_values)
         assert elapsed_values[0] <= elapsed_values[1]
 
-    def test_timing_adds_point_seconds(self):
+    def test_point_seconds_reach_samples_not_records(self):
         grid = SweepGrid().add_axis("n", [1, 2])
-        records = run_sweep(grid, lambda n: {"out": n}, timing=True)
-        for record in records:
-            assert record[POINT_SECONDS_KEY] >= 0.0
-        # Without timing, records carry no timing key (exact-equality
-        # consumers depend on this).
-        untimed = run_sweep(grid, lambda n: {"out": n})
-        assert all(POINT_SECONDS_KEY not in record for record in untimed)
-
-    def test_timing_key_collision_rejected(self):
-        grid = SweepGrid().add_axis("n", [1])
-        with pytest.raises(ExperimentError, match="collide"):
-            run_sweep(
-                grid, lambda n: {POINT_SECONDS_KEY: 1.0}, timing=True
-            )
+        with windowing(window=10) as collector:
+            records = run_sweep(grid, lambda n: {"out": n})
+        # Records hold parameters and measurements only (exact-equality
+        # consumers depend on this); each point's wall time is a sample's.
+        assert records == [{"n": 1, "out": 1}, {"n": 2, "out": 2}]
+        seconds = [sample.seconds for sample in collector.sweep_samples()]
+        assert len(seconds) == 2
+        assert all(value >= 0.0 for value in seconds)
 
 
 class TestParallelSweep:
@@ -115,6 +115,12 @@ class TestParallelSweep:
         grid = SweepGrid().add_axis("n", [1, 2, 3])
         records = run_sweep(grid, lambda n: {"square": n * n}, workers=4)
         assert records == run_sweep(grid, square_point)
+
+    def test_parallel_key_collision_rejected(self):
+        # The pool path must surface the collision, not fall back to serial.
+        grid = SweepGrid().add_axis("n", [1, 2])
+        with pytest.raises(ExperimentError, match="collide"):
+            run_sweep(grid, colliding_point, workers=2)
 
     def test_parallel_progress_order(self):
         seen = []

@@ -272,6 +272,8 @@ class TestSweepSamples:
         assert [s.start for s in samples] == [0, 1, 2]
         assert [s.label for s in samples] == ["n=1", "n=2", "n=3"]
         assert [s.events for s in samples] == [1, 2, 3]
+        # Each point's wall time reaches its sample.
+        assert all(s.seconds >= 0.0 for s in samples)
 
     def test_parallel_sweep_aggregates_in_parent(self):
         grid = SweepGrid().add_axis("n", [1, 2, 3, 4])

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.caching import POLICIES, make_cache
-from repro.core.aggregating_cache import AggregatingClientCache, GroupFetchLog
+from repro.core.aggregating_cache import AggregatingClientCache
 from repro.obs import ObservabilityError
 from repro.obs import registry as obs_registry
 from repro.obs import tracing
@@ -34,6 +34,12 @@ class TestFlightRecorder:
             tracing.FlightRecorder(capacity=0)
         with pytest.raises(ObservabilityError):
             tracing.FlightRecorder(sample=0)
+
+    def test_recording_rejects_negative_capacity(self):
+        with pytest.raises(ObservabilityError):
+            with tracing.recording(capacity=-1):
+                pass
+        assert tracing.active() is None
 
     def test_ring_keeps_newest_and_counts_drops(self):
         recorder = tracing.FlightRecorder(capacity=3)
@@ -160,6 +166,33 @@ class TestReplayEquivalenceUnderTracing:
             )
         assert results[0] == results[1]
 
+    def test_group_fetch_records_match_the_fetch_log(self):
+        # Per-fetch detail lives in the recorder's group_fetch records;
+        # they sum to the cache's aggregate GroupFetchLog counters.
+        cache = AggregatingClientCache(capacity=50, group_size=3)
+        with tracing.recording(capacity=200_000) as recorder:
+            cache.replay(make_workload("server", 2000, 7).file_ids())
+        fetches = recorder.records("group_fetch")
+        log = cache.fetch_log
+        assert len(fetches) == log.group_fetches > 0
+        assert sum(1 + len(r["installed"]) for r in fetches) == log.files_retrieved
+        assert sum(len(r["installed"]) for r in fetches) == log.predicted_installed
+
+    def test_bounded_ring_keeps_the_newest_group_fetches(self):
+        sequence = make_workload("server", 2000, 7).file_ids()
+        reference = AggregatingClientCache(capacity=50, group_size=3)
+        with tracing.recording(capacity=200_000) as unbounded:
+            reference.replay(sequence)
+        cache = AggregatingClientCache(capacity=50, group_size=3)
+        with tracing.recording(capacity=16) as bounded:
+            cache.replay(sequence)
+        assert unbounded.ring_dropped == 0
+        assert bounded.records() == unbounded.records()[-16:]
+        # The cap bounds only the ring: counts and aggregates stay exact.
+        assert bounded.emitted["group_fetch"] == reference.fetch_log.group_fetches > 16
+        assert cache.fetch_log.group_fetches == reference.fetch_log.group_fetches
+        assert cache.fetch_log.mean_group_size == reference.fetch_log.mean_group_size
+
     def test_tracing_does_not_change_replay_results(self):
         trace = make_workload("server", EVENTS, 7)
 
@@ -249,49 +282,6 @@ class TestExports:
         count = tracing.write_chrome_trace(recorder, path)
         parsed = json.loads(path.read_text())
         assert len(parsed["traceEvents"]) == count
-
-
-class TestGroupFetchLogBounds:
-    """Satellite: optional per-fetch detail, bounded; aggregates exact."""
-
-    def test_default_log_keeps_no_records(self):
-        cache = AggregatingClientCache(capacity=50, group_size=3)
-        cache.replay(make_workload("server", 1000, 7).file_ids())
-        assert cache.fetch_log.records is None
-        assert cache.fetch_log.group_fetches > 0
-
-    def test_bounded_records_keep_only_the_newest(self):
-        sequence = make_workload("server", 2000, 7).file_ids()
-        bounded = AggregatingClientCache(
-            capacity=50, group_size=3, max_fetch_records=16
-        )
-        bounded.replay(sequence)
-        log = bounded.fetch_log
-        assert log.records is not None and len(log.records) == 16
-        assert log.group_fetches > 16  # aggregate count unaffected by the cap
-
-        reference = AggregatingClientCache(capacity=50, group_size=3)
-        reference.replay(sequence)
-        # count and mean stay exact under the cap
-        assert log.group_fetches == reference.fetch_log.group_fetches
-        assert log.mean_group_size == reference.fetch_log.mean_group_size
-
-    def test_record_detail_matches_aggregates(self):
-        cache = AggregatingClientCache(
-            capacity=50, group_size=3, max_fetch_records=10_000
-        )
-        cache.replay(make_workload("server", 2000, 7).file_ids())
-        log = cache.fetch_log
-        assert len(log.records) == log.group_fetches
-        assert sum(size for _, size, _ in log.records) == log.files_retrieved
-        assert (
-            sum(installed for _, _, installed in log.records)
-            == log.predicted_installed
-        )
-
-    def test_negative_cap_is_rejected(self):
-        with pytest.raises(ValueError):
-            GroupFetchLog(max_records=-1)
 
 
 class TestPolicyCounters:
