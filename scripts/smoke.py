@@ -18,8 +18,9 @@ Each subcommand runs its own producer, then checks what came out:
 ``serve``
     slams a daemon from worker processes and requires its served
     counters to equal a replay of its own journal exactly; then a CLI
-    ``repro slam`` with a latency report, and the same journal check on
-    the warm daemon.
+    ``repro slam`` with a latency report, the same journal check on
+    the warm daemon, and its ``/metrics`` must parse with a latency
+    histogram that counts every ``/open`` and ``/fetch`` request.
 ``live-obs``
     a daemon with an access log and event-count windows: windows
     streamed during a slam converge to the lifetime counters, ``repro
@@ -238,10 +239,20 @@ def smoke_trace(out: Path) -> None:
 # -- ts: the repro.ts/1 export -----------------------------------------------
 
 
+#: One sample line: a metric name, an optional ``le`` label, a value.
+PROM_SAMPLE = re.compile(r'([A-Za-z_:][A-Za-z0-9_:]*)(?:\{le="([^"]*)"\})? (\S+)')
+
+
 def check_prometheus(text: str) -> List[str]:
-    """Parse one Prometheus/OpenMetrics exposition; returns problems."""
+    """Parse one Prometheus/OpenMetrics exposition; returns problems.
+
+    Every sample needs a ``# TYPE``d family: a counter or gauge by its
+    own name, a histogram through its ``_bucket``, ``_sum`` and
+    ``_count`` samples.  An ``le`` label is accepted only on a
+    histogram's ``_bucket`` samples, which must carry one.
+    """
     problems: List[str] = []
-    declared = set()
+    declared = {}
     lines = text.splitlines()
     if not lines or lines[-1] != "# EOF":
         problems.append("prometheus text is not '# EOF'-terminated")
@@ -250,30 +261,50 @@ def check_prometheus(text: str) -> List[str]:
             continue
         if line.startswith("# TYPE "):
             parts = line.split()
-            if len(parts) != 4 or parts[3] not in ("counter", "gauge"):
+            if len(parts) != 4 or parts[3] not in ("counter", "gauge", "histogram"):
                 problems.append(f"prometheus line {number}: bad TYPE: {line!r}")
             else:
-                declared.add(parts[2])
+                declared[parts[2]] = parts[3]
             continue
         if line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
+        match = PROM_SAMPLE.fullmatch(line)
+        if match is None:
             problems.append(
-                f"prometheus line {number}: expected 'name value': {line!r}"
+                f"prometheus line {number}: expected 'name value' or "
+                f"'name{{le=\"bound\"}} value': {line!r}"
             )
             continue
-        name, value = parts
-        if name not in declared:
+        name, le, value = match.groups()
+        family = name
+        for suffix in ("_bucket", "_sum", "_count"):
+            stem = name[: -len(suffix)]
+            if name.endswith(suffix) and declared.get(stem) == "histogram":
+                family = stem
+        kind = declared.get(family)
+        if kind is None:
             problems.append(
                 f"prometheus line {number}: metric {name} has no # TYPE"
             )
-        try:
-            float(value)
-        except ValueError:
+        elif kind == "histogram" and family == name:
             problems.append(
-                f"prometheus line {number}: non-numeric value {value!r}"
+                f"prometheus line {number}: histogram {name} sample lacks "
+                f"a _bucket, _sum or _count suffix"
             )
+        elif (le is not None) != (kind == "histogram" and name == family + "_bucket"):
+            problems.append(
+                f"prometheus line {number}: an le label belongs on, and only "
+                f"on, a histogram's _bucket samples: {line!r}"
+            )
+        for what, number_text in (("le bound", le), ("value", value)):
+            if number_text is None:
+                continue
+            try:
+                float(number_text)
+            except ValueError:
+                problems.append(
+                    f"prometheus line {number}: non-numeric {what} {number_text!r}"
+                )
     return problems
 
 
@@ -414,6 +445,23 @@ def check_journal(url: str) -> None:
     )
 
 
+def check_metrics(url: str) -> None:
+    """``/metrics`` parses, and its latency ``_count`` is every /open and /fetch."""
+    with ServeConnection(url) as conn:
+        _status, body = conn.request("GET", "/metrics")
+        stats = conn.stats()
+    text = body["text"]
+    require_clean(check_prometheus(text), "daemon /metrics")
+    counted = re.findall(r"^repro_serve_latency_ns_count (\d+)$", text, re.MULTILINE)
+    served = sum(stats["requests"].get(path, 0) for path in ("/open", "/fetch"))
+    if counted != [str(served)]:
+        raise fail(
+            f"/metrics latency histogram counts {counted} request(s), but "
+            f"/stats has {served} /open + /fetch requests"
+        )
+    print(f"/metrics parses; its latency histogram counts all {served} requests")
+
+
 def smoke_serve(out: Path) -> None:
     report_file = out / "slam_report.json"
     with daemon() as url:
@@ -426,6 +474,7 @@ def smoke_serve(out: Path) -> None:
         if not report_file.is_file():
             raise fail(f"repro slam wrote no report at {report_file}")
         check_journal(url)
+        check_metrics(url)
 
 
 # -- live-obs: streamed windows, drift, access log, top --attach -------------

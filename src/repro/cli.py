@@ -27,6 +27,7 @@ is usable standalone::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -1894,9 +1895,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that left raises here, not at exit
+        return code
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout's reader left (``repro fig3 | head``; sockets wrap their
+        # own): silence the exit-time flush, exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

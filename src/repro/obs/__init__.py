@@ -37,6 +37,9 @@ Every JSONL export here, ``repro.span/1`` request spans included, goes
 through the one codec in :mod:`~repro.obs.export`; each schema
 supplies only its records and a per-record check.  Its ``exposition``
 renders both Prometheus pages, the replay telemetry's and the daemon's.
+:mod:`~repro.obs.quantiles` holds the one latency :class:`Histogram`
+(log-bucketed, mergeable, quantiles within 1%) the registry, the
+daemon and the slam driver share.
 """
 
 from .export import (
@@ -49,7 +52,6 @@ from .export import (
 from .live import DEFAULT_POLL_SECONDS, LiveWindow, StatsStream
 from .quantiles import percentile
 from .registry import (
-    DEFAULT_BOUNDS,
     Counter,
     Gauge,
     Histogram,
@@ -150,7 +152,6 @@ __all__ = [
     "trace_records",
     "write_chrome_trace",
     "write_trace_jsonl",
-    "DEFAULT_BOUNDS",
     "Counter",
     "Gauge",
     "Histogram",

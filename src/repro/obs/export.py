@@ -124,14 +124,23 @@ def exposition(rows: Iterable[Tuple[str, str, str, Any]]) -> str:
 
     Each row becomes a ``# HELP`` line (the help text plus a full
     stop), a ``# TYPE`` line and the sample; floats print as ``%.6g``,
-    ints verbatim.  The page is scrape-ready for a stock Prometheus
-    (text format 0.0.4) and ends with the ``# EOF`` marker strict
-    OpenMetrics parsers want.
+    ints verbatim; a ``histogram`` row's value is a
+    :class:`~repro.obs.quantiles.Histogram`, rendered as its cumulative
+    ``_bucket`` samples, ``_sum`` and ``_count``.  The page is
+    scrape-ready for a stock Prometheus (text format 0.0.4) and ends
+    with the ``# EOF`` marker strict OpenMetrics parsers want.
     """
     lines: List[str] = []
     for name, kind, help_text, value in rows:
         lines.append(f"# HELP {name} {help_text}.")
         lines.append(f"# TYPE {name} {kind}")
+        if kind == "histogram":
+            for le, count in value.cumulative():
+                lines.append(f'{name}_bucket{{le="{le}"}} {count}')
+            lines.append(f'{name}_bucket{{le="+Inf"}} {value.count}')
+            lines.append(f"{name}_sum {value.total}")
+            lines.append(f"{name}_count {value.count}")
+            continue
         lines.append(
             f"{name} {value:.6g}" if isinstance(value, float) else f"{name} {value}"
         )

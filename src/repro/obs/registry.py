@@ -20,43 +20,23 @@ never consulted *by* it.  Three further constraints shape the design:
   :meth:`Histogram.time` context manager over ``time.perf_counter_ns``
   for phase latencies (group builds, replay phases, sweep points);
   no clock value ever feeds back into simulation state.
+
+:class:`Histogram` is :class:`repro.obs.quantiles.Histogram`.
 """
 
 from __future__ import annotations
 
-import time
-from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional
 
 from ..errors import ReproError
+from .quantiles import Histogram
 
 #: Master collection switch.  Instrumentation sites read this module
 #: attribute directly (``if registry.ENABLED:``); flip it only through
 #: :func:`enable` / :func:`disable` / :func:`collecting` so the default
 #: registry stays consistent with the flag.
 ENABLED = False
-
-#: Default histogram bucket upper bounds: fine-grained at small values
-#: (group sizes, list lengths) and decade-spaced up to one second of
-#: nanoseconds (phase timers).  Values above the last bound land in the
-#: overflow bucket.
-DEFAULT_BOUNDS: Tuple[int, ...] = (
-    1,
-    2,
-    5,
-    10,
-    20,
-    50,
-    100,
-    1_000,
-    10_000,
-    100_000,
-    1_000_000,
-    10_000_000,
-    100_000_000,
-    1_000_000_000,
-)
 
 
 class ObservabilityError(ReproError):
@@ -103,80 +83,6 @@ class Gauge:
         return {"kind": "gauge", "name": self.name, "value": self.value}
 
 
-class Histogram:
-    """A bucketed value distribution with count/sum/min/max.
-
-    Buckets are cumulative-style upper bounds (``value <= bound``), with
-    one overflow bucket past the last bound.  :meth:`time` observes
-    elapsed wall time in integer nanoseconds, the convention for every
-    ``*.ns`` metric in the tree.
-    """
-
-    __slots__ = ("name", "bounds", "bucket_counts", "overflow", "count", "total", "min", "max")
-
-    def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BOUNDS):
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ObservabilityError(
-                f"histogram {self.__class__.__name__} {name!r} needs sorted, "
-                f"non-empty bounds, got {bounds!r}"
-            )
-        self.name = name
-        self.bounds = tuple(bounds)
-        self.bucket_counts = [0] * len(self.bounds)
-        self.overflow = 0
-        self.count = 0
-        self.total = 0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        """Record one sample."""
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        index = bisect_left(self.bounds, value)
-        if index == len(self.bounds):
-            self.overflow += 1
-        else:
-            self.bucket_counts[index] += 1
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        """Observe the elapsed wall time of a block, in nanoseconds."""
-        start = time.perf_counter_ns()
-        try:
-            yield
-        finally:
-            self.observe(time.perf_counter_ns() - start)
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of the observed samples (0.0 when empty)."""
-        if not self.count:
-            return 0.0
-        return self.total / self.count
-
-    def as_dict(self) -> Dict[str, Any]:
-        buckets = {
-            f"<={bound}": count
-            for bound, count in zip(self.bounds, self.bucket_counts)
-        }
-        buckets[f">{self.bounds[-1]}"] = self.overflow
-        return {
-            "kind": "histogram",
-            "name": self.name,
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "buckets": buckets,
-        }
-
-
 class MetricsRegistry:
     """A process-local, get-or-create store of named metrics.
 
@@ -220,14 +126,12 @@ class MetricsRegistry:
             self.gauges[name] = metric
         return metric
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BOUNDS
-    ) -> Histogram:
-        """Get or create the histogram ``name`` (bounds fixed at creation)."""
+    def histogram(self, name: str) -> Histogram:
+        """Get or create the histogram ``name``."""
         metric = self.histograms.get(name)
         if metric is None:
             self._check_free(name, "histogram")
-            metric = Histogram(name, bounds)
+            metric = Histogram(name)
             self.histograms[name] = metric
         return metric
 

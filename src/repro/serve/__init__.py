@@ -22,14 +22,16 @@ simulators:
   its own framing).  ``POST /open`` is one file open, ``POST
   /fetch`` a batch of opens, ``POST /invalidate`` a callback break;
   ``GET /stats`` and ``GET /metrics`` (Prometheus text) expose the
-  counters the replay simulator would have returned.
+  counters the replay simulator would have returned, and request
+  latency from one :class:`~repro.obs.quantiles.Histogram` per
+  endpoint.
   The cache itself is single-threaded by design (see the audit notes
   in :mod:`repro.core.aggregating_cache`), so every cache touch is
   serialized under one lock — the daemon is the concurrency boundary.
 * :mod:`~repro.serve.client` — ``repro slam``: N worker processes
   replay shards of a trace (text or zero-copy ``.ctrace``) against the
-  daemon, measure per-request latency, and report p50/p95/p99 plus the
-  server-side hit ratio pulled from ``/stats``.
+  daemon, time every request into a latency histogram, and report
+  p50/p95/p99 plus the server-side hit ratio pulled from ``/stats``.
 
 The wire vocabulary (endpoint names, request/response fields, error
 shapes) lives in :mod:`~repro.serve.schema` so the daemon, the driver,

@@ -21,12 +21,12 @@ forms exist:
   materializes the trace in the parent or pickles it to workers.
 
 Workers batch ``batch`` events per ``POST /fetch`` request over one
-keep-alive connection, time every request with ``perf_counter_ns``,
-and retry exactly once on a reset connection (an idle keep-alive
-connection the daemon closed, transient RSTs under load) before
-counting an error.  Results travel back over a ``multiprocessing``
-queue; the parent merges latency samples and counters into one
-:class:`SlamReport`.
+keep-alive connection, time every request with ``perf_counter_ns``
+into a latency histogram, and retry exactly once on a reset connection
+(an idle keep-alive connection the daemon closed, transient RSTs under
+load) before counting an error.  Results travel back over a
+``multiprocessing`` queue; the parent merges histograms and counters
+into one :class:`SlamReport`.
 
 For ``--workers 1`` the driver runs inline in the calling process —
 same code path minus the fork, which keeps tests and tiny smokes fast.
@@ -45,11 +45,10 @@ from urllib.parse import urlsplit
 
 from ..errors import ReproError
 from ..obs.host import read_head
-from ..obs.quantiles import percentile
+from ..obs.quantiles import Histogram, percentile
 from . import schema as wire
 
 __all__ = [
-    "MAX_SAMPLES_PER_WORKER",
     "RETRYABLE",
     "ServeConnection",
     "SlamError",
@@ -68,18 +67,9 @@ RETRYABLE = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
 #: error or timeout, or a response that breaks HTTP/1.1 framing.
 _FAILED = (OSError, wire.WireError)
 
-#: Per-worker cap on retained latency samples; counters stay exact.
-MAX_SAMPLES_PER_WORKER = 200_000
-
 
 class SlamError(ReproError):
     """The load run could not complete (connection, protocol, worker)."""
-
-
-# ``percentile`` lives in :mod:`repro.obs.quantiles` (re-exported here
-# for compatibility): the daemon's LatencyRing, the windowed telemetry,
-# and this report all interpolate identically, so a client p99 and a
-# server p99 are directly comparable.
 
 
 def _parse_url(url: str) -> Tuple[str, int]:
@@ -314,7 +304,7 @@ def _slam_worker(
     span_sample: int = 1,
     span_capacity: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Replay one shard; returns this worker's counters and samples.
+    """Replay one shard; returns this worker's counters and latency histogram.
 
     With ``span_log`` set the worker mints a trace id per sampled
     request, propagates it in the ``X-Repro-Trace`` header so the
@@ -323,7 +313,7 @@ def _slam_worker(
     ``span_log`` as ``repro.span/1`` JSONL on the way out (even after
     a failure — a partial trace still merges).
     """
-    latencies: List[int] = []
+    latency = Histogram(client_name)
     events = requests = hits = errors = 0
     buffer = None
     if span_log:
@@ -355,8 +345,7 @@ def _slam_worker(
                 span.annotate("events", len(files))
                 span.annotate("hits", int(body.get("hits", 0)))
                 span.annotate("request", requests)
-            if len(latencies) < MAX_SAMPLES_PER_WORKER:
-                latencies.append(elapsed)
+            latency.observe(elapsed)
             requests += 1
             events += int(body.get("count", len(files)))
             hits += int(body.get("hits", 0))
@@ -377,7 +366,7 @@ def _slam_worker(
         "errors": errors,
         "failure": failure,
         "seconds": time.perf_counter() - started,
-        "latencies_ns": latencies,
+        "latency": latency,
     }
     if buffer is not None:
         spans_mod.write_spans_jsonl(
@@ -403,7 +392,7 @@ def _worker_entry(queue, kwargs) -> None:  # pragma: no cover - child process
                 "errors": 1,
                 "failure": repr(error),
                 "seconds": 0.0,
-                "latencies_ns": [],
+                "latency": Histogram(),
             }
         )
 
@@ -676,20 +665,20 @@ def run_slam(
     finally:
         probe.close()
 
-    latencies = sorted(
-        ns for result in results for ns in result["latencies_ns"]
-    )
+    latency = Histogram()
     worker_latency = []
     for result in sorted(results, key=lambda r: r["client"]):
-        samples = sorted(result["latencies_ns"])
+        latency.merge(result["latency"])
+        p50, p99 = result["latency"].quantiles((0.50, 0.99))
         worker_latency.append(
             {
                 "client": result["client"],
                 "requests": result["requests"],
-                "p50_ms": percentile(samples, 0.50) / 1e6,
-                "p99_ms": percentile(samples, 0.99) / 1e6,
+                "p50_ms": p50 / 1e6,
+                "p99_ms": p99 / 1e6,
             }
         )
+    p50, p95, p99 = latency.quantiles((0.50, 0.95, 0.99))
     spans_section: Dict[str, Any] = {}
     if span_logs:
         spans_section = {
@@ -715,10 +704,10 @@ def run_slam(
         errors=sum(r["errors"] for r in results),
         failures=[r["failure"] for r in results if r["failure"]],
         seconds=seconds,
-        p50_ms=percentile(latencies, 0.50) / 1e6,
-        p95_ms=percentile(latencies, 0.95) / 1e6,
-        p99_ms=percentile(latencies, 0.99) / 1e6,
-        mean_ms=(sum(latencies) / len(latencies) / 1e6) if latencies else 0.0,
+        p50_ms=p50 / 1e6,
+        p95_ms=p95 / 1e6,
+        p99_ms=p99 / 1e6,
+        mean_ms=latency.mean / 1e6,
         worker_latency=worker_latency,
         spans=spans_section,
         server=after,

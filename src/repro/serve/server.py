@@ -37,17 +37,20 @@ Observability — the daemon is a *production-monitoring surface*, not
 just a replay harness:
 
 * **Per-endpoint telemetry.**  Every endpoint keeps its own
-  :class:`EndpointStats` — a bounded :class:`LatencyRing` for
-  percentiles, per-status-code counters, and an error count.
-  ``/stats`` exposes the summaries under ``endpoints``; ``/metrics``
-  renders the per-endpoint request and error counters.
+  :class:`EndpointStats` — a latency
+  :class:`~repro.obs.quantiles.Histogram` each request records into
+  once, per-status-code counters, and an error count.  ``/stats``
+  exposes the summaries under ``endpoints`` and the merged ``/open`` +
+  ``/fetch`` latency under ``latency_ns``; ``/metrics`` renders the
+  counters and that merged latency as a Prometheus histogram.
 * **Windowed time-series.**  :class:`DaemonTelemetry` closes
   fixed-duration (and optionally fixed-event-count) windows over the
   served counters and retains a bounded ring of ``repro.ts/1``
   ``source="serve"`` samples — hit ratio, prefetch efficiency, request
-  rate, and a per-window :class:`LatencyRing` summary — under a
-  monotonic ``seq`` cursor.  ``GET /stats?since=N`` returns only
-  windows with ``index >= N``, so a live poller
+  rate, and the window's latency (the merged histogram minus its
+  snapshot at the previous close) — under a monotonic ``seq`` cursor.
+  ``GET /stats?since=N`` returns only windows with ``index >= N``, so
+  a live poller
   (:class:`repro.obs.live.StatsStream`, ``repro top --attach``,
   ``repro drift --url``) pays one small JSON body per poll instead of
   re-downloading history.
@@ -66,9 +69,11 @@ just a replay harness:
   it with the slam workers' client spans.
 
 The instrumentation keeps the repository's observability stance: the
-idle daemon costs nothing (the sampler thread wakes, sees no activity,
-and goes back to sleep without allocating), and the per-request cost is
-a handful of dict increments under the lock the request already holds.
+idle daemon emits nothing (the sampler thread wakes, sees no activity,
+and goes back to sleep), the per-request cost is a handful of dict
+increments under the lock the request already holds, and the latency
+work a ``/stats`` call or a window close does under it is bounded by
+the bucket count, not by the requests served.
 """
 
 from __future__ import annotations
@@ -86,111 +91,43 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..obs import spans as obs_spans
 from ..obs.export import EXPOSITION_CONTENT_TYPE, exposition
 from ..obs.host import HttpHost, Request
-from ..obs.quantiles import percentile
+from ..obs.quantiles import Histogram
 from ..obs.spans import Span, SpanBuffer
 from . import schema as wire
 from .scenario import Scenario
-
-#: Latency samples retained for percentile estimates.  A bounded ring:
-#: long-lived daemons keep a sliding window of the newest samples while
-#: the cumulative count/total stay exact.
-LATENCY_RING = 65536
-
-#: Per-window latency samples retained between window boundaries; a
-#: window busier than this still counts every request (and its mean
-#: stays exact), but percentiles cover the newest samples only (the
-#: ``latency_ns`` block's ``count`` and ``dropped`` say so).
-WINDOW_LATENCY_RING = 16384
 
 #: Default access-log rotation threshold.
 ACCESS_LOG_MAX_BYTES = 16 * 1024 * 1024
 
 
-class LatencyRing:
-    """Bounded per-request latency samples with exact cumulative totals.
-
-    ``count`` and ``total_ns`` (and therefore ``mean_ns``) are exact
-    over the ring's whole lifetime; the percentile window covers only
-    the newest ``maxlen`` samples.  ``dropped`` says how many samples
-    have aged out, so a consumer can tell an exactly-full ring from a
-    wrapped one and label its percentiles honestly.
-    """
-
-    def __init__(self, maxlen: int = LATENCY_RING):
-        self.samples: deque = deque(maxlen=maxlen)
-        self.count = 0
-        self.total_ns = 0
-
-    def observe(self, ns: int) -> None:
-        self.samples.append(ns)
-        self.count += 1
-        self.total_ns += ns
-
-    @property
-    def dropped(self) -> int:
-        """Samples that have aged out of the percentile window."""
-        return self.count - len(self.samples)
-
-    def window_values(self) -> List[int]:
-        """The retained samples, oldest first (a copy, safe to sort)."""
-        return list(self.samples)
-
-    def copy(self) -> "LatencyRing":
-        """A detached copy, to summarize after releasing the lock it was taken under."""
-        twin = LatencyRing()
-        twin.samples = self.samples.copy()
-        twin.count = self.count
-        twin.total_ns = self.total_ns
-        return twin
-
-    def summary(self) -> Dict[str, Any]:
-        """count/dropped/mean plus p50/p95/p99 over the retained window.
-
-        Percentile edge cases are pinned down by tests: an empty ring
-        reports zeros, a single sample reports itself at every
-        percentile, and a wrapped ring reports ``dropped > 0`` with
-        percentiles over the window only (the mean stays lifetime-exact).
-        """
-        window = sorted(self.samples)
-        return {
-            "count": self.count,
-            "dropped": self.dropped,
-            "mean_ns": (self.total_ns / self.count) if self.count else 0.0,
-            "window": len(window),
-            "p50_ns": percentile(window, 0.50),
-            "p95_ns": percentile(window, 0.95),
-            "p99_ns": percentile(window, 0.99),
-        }
+def latency_block(latency: Histogram) -> Dict[str, Any]:
+    """A ``/stats`` ``latency_ns`` block: exact count and mean, p50/p95/p99."""
+    quantiles = latency.quantiles((0.50, 0.95, 0.99))
+    block = {"count": latency.count, "mean_ns": latency.mean}
+    block.update(zip(("p50_ns", "p95_ns", "p99_ns"), quantiles))
+    return block
 
 
 class EndpointStats:
-    """One endpoint's request accounting: latency ring, statuses, errors."""
+    """One endpoint's request accounting: latency histogram, statuses, errors."""
 
-    def __init__(self, endpoint: str, maxlen: int = LATENCY_RING):
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint
         self.name = endpoint.strip("/").replace("/", "_") or "root"
-        self.ring = LatencyRing(maxlen)
+        self.latency = Histogram(self.name)
         self.errors = 0
         self.statuses: Dict[int, int] = {}
 
     @property
     def requests(self) -> int:
-        return self.ring.count
+        return self.latency.count
 
     def record(self, status: int, ns: int) -> None:
         """Fold one completed request in (caller holds the daemon lock)."""
-        self.ring.observe(ns)
+        self.latency.observe(ns)
         self.statuses[status] = self.statuses.get(status, 0) + 1
         if status >= 400:
             self.errors += 1
-
-    def copy(self) -> "EndpointStats":
-        """A detached copy, to summarize after releasing the daemon lock."""
-        twin = EndpointStats(self.endpoint)
-        twin.ring = self.ring.copy()
-        twin.errors = self.errors
-        twin.statuses = dict(self.statuses)
-        return twin
 
     def summary(self) -> Dict[str, Any]:
         """The ``/stats`` ``endpoints`` entry for this endpoint."""
@@ -201,7 +138,7 @@ class EndpointStats:
                 str(code): count
                 for code, count in sorted(self.statuses.items())
             },
-            "latency_ns": self.ring.summary(),
+            "latency_ns": latency_block(self.latency),
         }
 
 
@@ -299,7 +236,8 @@ class DaemonTelemetry:
     the exact vocabulary of :class:`repro.obs.timeseries.WindowSample`
     plus serve-only extras (``requests``, ``errors``,
     ``requests_per_sec``, and the window's ``latency_ns`` block: the
-    :meth:`LatencyRing.summary` of a ring reset at every window).
+    daemon's ``/open`` + ``/fetch`` latency histogram minus its
+    snapshot at the previous window close).
 
     ``seq`` counts every window ever emitted; the ring retains the
     newest ``retain`` of them and ``dropped`` says how many aged out.
@@ -326,12 +264,12 @@ class DaemonTelemetry:
         self.windows: deque = deque(maxlen=retain)
         self.seq = 0
         self.dropped = 0
-        self.latency = LatencyRing(WINDOW_LATENCY_RING)
         self.requests = 0
         self.errors = 0
         self.opened_at = time.perf_counter()
         self.start_accesses = 0
         self._last: Optional[Tuple[int, ...]] = None
+        self._last_latency = Histogram()
 
     def snapshot_due(self, accesses: int) -> bool:
         """Should the event-count trigger close a window now?"""
@@ -341,12 +279,13 @@ class DaemonTelemetry:
         )
 
     def close_window(
-        self, counters: Tuple[int, ...], group_size: int, force: bool = False
+        self, counters: Tuple[int, ...], latency: Histogram, group_size: int
     ) -> Optional[Dict[str, Any]]:
         """Close the current window over a counter snapshot.
 
         ``counters`` is ``(accesses, hits, misses, evictions, installs,
-        group_fetches, files_retrieved, invalidations)`` — cumulative,
+        group_fetches, files_retrieved, invalidations)`` and ``latency``
+        the ``/open`` + ``/fetch`` latency histogram — both cumulative,
         read under the daemon lock.  Returns the emitted sample dict,
         or None when the window was empty (skipped; the window clock
         restarts so a later active window reports an honest duration).
@@ -367,7 +306,7 @@ class DaemonTelemetry:
             files_retrieved,
             invalidations,
         ) = deltas
-        if not force and accesses == 0 and self.requests == 0:
+        if accesses == 0 and self.requests == 0:
             self.opened_at = now
             return None
         seconds = max(now - self.opened_at, 1e-9)
@@ -398,7 +337,7 @@ class DaemonTelemetry:
         record["requests"] = self.requests
         record["errors"] = self.errors
         record["requests_per_sec"] = self.requests / seconds
-        record["latency_ns"] = self.latency.summary()
+        record["latency_ns"] = latency_block(latency - self._last_latency)
         if len(self.windows) == self.windows.maxlen:
             self.dropped += 1
         self.windows.append(record)
@@ -406,8 +345,8 @@ class DaemonTelemetry:
         # Open the next window.
         self._last = counters
         self.start_accesses = counters[0]
+        self._last_latency = latency
         self.opened_at = now
-        self.latency = LatencyRing(WINDOW_LATENCY_RING)
         self.requests = 0
         self.errors = 0
         return record
@@ -489,7 +428,6 @@ class CacheDaemon(HttpHost):
         self._invalidations = 0
         self._invalidation_misses = 0
         self._endpoints: Dict[str, EndpointStats] = {}
-        self._latency = LatencyRing()
         self.telemetry = DaemonTelemetry(
             window_seconds=(
                 window_seconds
@@ -574,19 +512,18 @@ class CacheDaemon(HttpHost):
     def _sampler_loop(self) -> None:
         """Close a telemetry window every ``window_seconds`` of activity."""
         while not self._stop.wait(self.telemetry.window_seconds):
-            with self._lock:
-                self.telemetry.close_window(
-                    self._counter_snapshot(), self.scenario.group_size
-                )
+            self.force_sample()
 
     def force_sample(self) -> Optional[Dict[str, Any]]:
-        """Close the current telemetry window now (tests, shutdown paths).
+        """Close the current telemetry window now (timer, event trigger, tests).
 
         Skips (returns None) when the window is empty, like the timer.
         """
         with self._lock:
             return self.telemetry.close_window(
-                self._counter_snapshot(), self.scenario.group_size
+                self._counter_snapshot(),
+                self._served_latency(),
+                self.scenario.group_size,
             )
 
     def run(
@@ -866,15 +803,10 @@ class CacheDaemon(HttpHost):
                 self._errors += 1
                 if not observability:
                     telemetry.errors += 1
-            if path in ("/open", "/fetch"):
-                self._latency.observe(elapsed)
-                telemetry.latency.observe(elapsed)
             if not observability:
                 telemetry.requests += 1
             if telemetry.snapshot_due(self._seq):
-                telemetry.close_window(
-                    self._counter_snapshot(), self.scenario.group_size
-                )
+                self.force_sample()
         if access_log is not None:
             request_id = access_log.write(
                 {
@@ -888,6 +820,14 @@ class CacheDaemon(HttpHost):
                 }
             )
         return request_id
+
+    def _served_latency(self) -> Histogram:
+        """The ``/open`` and ``/fetch`` latency, merged (caller holds the lock)."""
+        latency = Histogram()
+        for path in ("/open", "/fetch"):
+            if path in self._endpoints:
+                latency.merge(self._endpoints[path].latency)
+        return latency
 
     def _counter_snapshot(self) -> Tuple[int, ...]:
         """Cumulative counters for telemetry windows (caller holds lock)."""
@@ -1088,22 +1028,15 @@ class CacheDaemon(HttpHost):
         counter sections are always complete.
         """
         with self._lock:
-            cache_stats = self.cache.stats_dict()
-            requests = {
-                endpoint: stats.requests
-                for endpoint, stats in self._endpoints.items()
-            }
-            # Percentiles sort up to LATENCY_RING samples per ring: copy
-            # the rings here and summarize them after the lock is released.
-            endpoints = [stats.copy() for stats in self._endpoints.values()]
-            latency = self._latency.copy()
-            telemetry = self.telemetry.payload(since=since)
             payload = {
                 "schema": wire.SERVE_SCHEMA,
                 "scenario": self.scenario.to_dict(),
                 "uptime_seconds": time.time() - self._started,
                 "accesses": self._seq,
-                "requests": requests,
+                "requests": {
+                    endpoint: stats.requests
+                    for endpoint, stats in self._endpoints.items()
+                },
                 "errors": self._errors,
                 "invalidations": self._invalidations,
                 "invalidation_misses": self._invalidation_misses,
@@ -1114,29 +1047,32 @@ class CacheDaemon(HttpHost):
                         len(self._journal) if self._journal is not None else 0
                     ),
                 },
-                "latency_ns": None,  # summarized below, off the lock
-                "endpoints": None,
-                "telemetry": telemetry,
-                "cache": cache_stats,
+                "latency_ns": latency_block(self._served_latency()),
+                "endpoints": {
+                    stats.name: stats.summary()
+                    for stats in self._endpoints.values()
+                },
+                "telemetry": self.telemetry.payload(since=since),
+                "cache": self.cache.stats_dict(),
             }
             if self.access_log is not None:
                 payload["access_log"] = self.access_log.summary()
             if self.spans is not None:
                 payload["spans"] = self.spans.summary()
-        payload["latency_ns"] = latency.summary()
-        payload["endpoints"] = {stats.name: stats.summary() for stats in endpoints}
         return payload
 
     def prometheus_text(self, prefix: str = "repro_serve") -> str:
         """Render the daemon's counters in Prometheus text format.
 
-        ``_total`` counters and latest-value gauges, as rows for
+        ``_total`` counters, latest-value gauges and the ``/open`` +
+        ``/fetch`` latency histogram, as rows for
         :func:`repro.obs.export.exposition`: the replay telemetry's page
         uses the same renderer, so one scrape config covers both.
         """
         stats = self.stats_payload()
+        with self._lock:
+            latency = self._served_latency()
         cache = stats["cache"]
-        latency = stats["latency_ns"]
         rows = [
             ("accesses_total", "counter", "Demand accesses served", stats["accesses"]),
             ("hits_total", "counter", "Server cache hits", cache["hits"]),
@@ -1178,15 +1114,9 @@ class CacheDaemon(HttpHost):
             ("metadata_entries", "gauge", "Successor-list metadata entries", cache["metadata_entries"]),
             ("uptime_seconds", "gauge", "Daemon uptime", float(stats["uptime_seconds"])),
         ]
-        for name in ("p50_ns", "p95_ns", "p99_ns"):
-            rows.append(
-                (
-                    f"latency_{name}",
-                    "gauge",
-                    f"Request latency {name[:-3]} over the retained window",
-                    float(latency[name]),
-                )
-            )
+        rows.append(
+            ("latency_ns", "histogram", "Latency of /open and /fetch requests", latency)
+        )
         return exposition(
             (f"{prefix}_{name}", kind, help_text, value)
             for name, kind, help_text, value in rows

@@ -12,8 +12,9 @@ function of its parameters), so the runner can evaluate them on a
 process pool: ``run_sweep(..., workers=N)`` fans points out over a
 :class:`concurrent.futures.ProcessPoolExecutor` while preserving the
 deterministic record order of the serial path.  Callables that cannot
-be pickled (lambdas, closures) and broken pools degrade gracefully to
-the serial path, so ``workers`` is always safe to pass.
+be pickled (lambdas, closures) run serially, and a broken pool hands
+its remaining points to the serial path, so ``workers`` is always safe
+to pass.
 """
 
 from __future__ import annotations
@@ -113,82 +114,59 @@ def _is_picklable(run_point: Callable[..., Mapping[str, Any]]) -> bool:
     return True
 
 
-def _run_serial(
-    points: List[Dict[str, Any]],
-    run_point: Callable[..., Mapping[str, Any]],
-    progress: Optional[Callable[[int, int, Dict[str, Any], float], None]],
-    started: float,
-) -> List[Record]:
-    records: List[Record] = []
-    total = len(points)
-    record_metrics = _obs.ENABLED
-    collector = _ts.ACTIVE
-    if record_metrics:
-        registry = _obs.get_registry()
-        observe_point = registry.histogram("sweep.point.ns").observe
-        point_counter = registry.counter("sweep.points")
-    for index, params in enumerate(points):
-        if progress is not None:
-            progress(index, total, params, time.perf_counter() - started)
-        measured, seconds = _call_point(run_point, params)
-        if record_metrics:
-            observe_point(int(seconds * 1e9))
-            point_counter.inc()
-        if collector is not None:
-            collector.record_point(index, params, measured, seconds)
-        records.append(_merge_record(params, measured))
-    return records
+class _PointResults:
+    """The ordered source of point results: pool futures, else inline calls.
 
+    With more than one worker every point is submitted to a process
+    pool up front and each future's result is handed back in grid
+    order.  A pool failure — the pool or a submit raising, or a future
+    reporting ``BrokenProcessPool`` — shuts the pool down and turns the
+    source into inline calls from the first point not yet handed back.
+    Anything ``run_point`` raises reaches the caller unchanged.
+    """
 
-def _run_parallel(
-    points: List[Dict[str, Any]],
-    run_point: Callable[..., Mapping[str, Any]],
-    progress: Optional[Callable[[int, int, Dict[str, Any], float], None]],
-    workers: int,
-    started: float,
-) -> List[Record]:
-    from concurrent.futures import ProcessPoolExecutor
+    def __init__(
+        self,
+        points: List[Dict[str, Any]],
+        run_point: Callable[..., Mapping[str, Any]],
+        workers: int,
+    ):
+        self.points = points
+        self.run_point = run_point
+        self.workers = min(workers, len(points))
+        self.pool = None
+        self.fell_back = False
+        if self.workers > 1 and _is_picklable(run_point):
+            from concurrent.futures import ProcessPoolExecutor
 
-    total = len(points)
-    records: List[Record] = []
-    record_metrics = _obs.ENABLED
-    # Time-series samples are recorded here in the parent as each
-    # future is collected, so the series aggregates across workers.
-    collector = _ts.ACTIVE
-    busy_seconds = 0.0
-    used_workers = min(workers, total)
-    if record_metrics:
-        registry = _obs.get_registry()
-        observe_point = registry.histogram("sweep.point.ns").observe
-        point_counter = registry.counter("sweep.points")
-    with ProcessPoolExecutor(max_workers=used_workers) as pool:
-        futures = [
-            pool.submit(_call_point, run_point, params) for params in points
-        ]
-        # Collect in submission order: records stay index-aligned with
-        # the serial path no matter which worker finishes first.
-        for index, (params, future) in enumerate(zip(points, futures)):
-            if progress is not None:
-                progress(index, total, params, time.perf_counter() - started)
-            measured, seconds = future.result()
-            if record_metrics:
-                observe_point(int(seconds * 1e9))
-                point_counter.inc()
-                busy_seconds += seconds
-            if collector is not None:
-                collector.record_point(index, params, measured, seconds)
-            records.append(_merge_record(params, measured))
-    if record_metrics:
-        registry.gauge("sweep.workers.used").set(used_workers)
-        wall = time.perf_counter() - started
-        if wall > 0.0:
-            # Fraction of the pool's wall-time capacity spent computing
-            # points: 1.0 means perfectly packed workers, low values
-            # mean stragglers or pool overhead dominated.
-            registry.gauge("sweep.worker.utilisation").set(
-                min(1.0, busy_seconds / (wall * used_workers))
-            )
-    return records
+            try:
+                self.pool = ProcessPoolExecutor(max_workers=self.workers)
+                self.futures = [
+                    self.pool.submit(_call_point, run_point, params)
+                    for params in points
+                ]
+            except (OSError, RuntimeError, NotImplementedError):
+                # No fork support, resource limits, no working semaphores.
+                self.close(fell_back=True)
+
+    def result(self, index: int) -> Tuple[Dict[str, Any], float]:
+        """Point ``index``'s ``(measured, seconds)``; call in grid order."""
+        if self.pool is not None:
+            from concurrent.futures.process import BrokenProcessPool
+
+            try:
+                return self.futures[index].result()
+            except BrokenProcessPool:
+                # A worker died; run_point is pure, so compute the rest here.
+                self.close(fell_back=True)
+        return _call_point(self.run_point, self.points[index])
+
+    def close(self, fell_back: bool = False) -> None:
+        """Shut the pool down, cancelling points nobody will collect."""
+        self.fell_back |= fell_back
+        if self.pool is not None:
+            pool, self.pool = self.pool, None
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_sweep(
@@ -217,10 +195,13 @@ def run_sweep(
 
     ``workers > 1`` evaluates points on a process pool.  ``run_point``
     must then be picklable (a module-level function, or a
-    ``functools.partial`` over one); unpicklable callables, single-point
-    grids, and environments without working process pools all fall back
-    to the serial path, which produces identical records in identical
-    order.
+    ``functools.partial`` over one); unpicklable callables and
+    single-point grids run serially, which produces identical records
+    in identical order.  A pool that fails (cannot start, cannot take a
+    submit, or loses a worker) falls back to inline calls from the
+    first point not yet collected, so no point streams twice; errors
+    raised by ``progress``, the windowing collector or ``run_point``
+    propagate with their own type.
 
     ``prewarm`` is an optional zero-argument callable invoked once in
     the parent before any point runs.  The figure experiments pass
@@ -234,48 +215,49 @@ def run_sweep(
     if prewarm is not None:
         prewarm()
     started = time.perf_counter()
+    total = len(points)
+    records: List[Record] = []
     record_metrics = _obs.ENABLED
+    # Time-series samples are recorded here in the parent as each
+    # point is collected, so a pooled series aggregates across workers.
+    collector = _ts.ACTIVE
+    busy_seconds = 0.0
     if record_metrics:
         registry = _obs.get_registry()
-        registry.gauge("sweep.grid.points").set(len(points))
+        registry.gauge("sweep.grid.points").set(total)
         registry.gauge("sweep.workers.requested").set(workers)
-    if workers > 1 and len(points) > 1 and _is_picklable(run_point):
-        try:
-            records = _run_parallel(
-                points, run_point, progress, workers, started
-            )
+        observe_point = registry.histogram("sweep.point.ns").observe
+        point_counter = registry.counter("sweep.points")
+    results = _PointResults(points, run_point, workers)
+    try:
+        for index, params in enumerate(points):
+            if progress is not None:
+                progress(index, total, params, time.perf_counter() - started)
+            measured, seconds = results.result(index)
             if record_metrics:
-                _record_run_ns(registry, started)
-            return records
-        except ExperimentError:
-            raise
-        except Exception as error:
-            # A broken pool (no fork support, resource limits, a worker
-            # killed mid-run) degrades to the serial path; run_point is
-            # pure, so re-evaluating from scratch is safe.  Its own
-            # errors (ReproError subclasses, bad parameters) propagate
-            # above — only infrastructure failures are swallowed.
-            from ..errors import ReproError
-
-            if isinstance(error, ReproError) or isinstance(error, TypeError):
-                raise
-            if record_metrics:
-                registry.counter("sweep.serial_fallbacks").inc()
-            records = _run_serial(points, run_point, progress, started)
-            if record_metrics:
-                _record_run_ns(registry, started)
-            return records
-    records = _run_serial(points, run_point, progress, started)
+                observe_point(int(seconds * 1e9))
+                point_counter.inc()
+                busy_seconds += seconds
+            if collector is not None:
+                collector.record_point(index, params, measured, seconds)
+            records.append(_merge_record(params, measured))
+        pooled = results.pool is not None
+    finally:
+        results.close()
     if record_metrics:
-        _record_run_ns(registry, started)
+        if results.fell_back:
+            registry.counter("sweep.serial_fallbacks").inc()
+        wall = time.perf_counter() - started
+        if pooled and wall > 0.0:
+            registry.gauge("sweep.workers.used").set(results.workers)
+            # Fraction of the pool's wall-time capacity spent computing
+            # points: 1.0 means perfectly packed workers, low values
+            # mean stragglers or pool overhead dominated.
+            registry.gauge("sweep.worker.utilisation").set(
+                min(1.0, busy_seconds / (wall * results.workers))
+            )
+        registry.histogram("sweep.run.ns").observe(int(wall * 1e9))
     return records
-
-
-def _record_run_ns(registry, started: float) -> None:
-    """Observe one whole-sweep wall time (collection is enabled)."""
-    registry.histogram("sweep.run.ns").observe(
-        int((time.perf_counter() - started) * 1e9)
-    )
 
 
 def pivot(

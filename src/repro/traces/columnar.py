@@ -501,6 +501,13 @@ def _u32_view(view: memoryview, offset: int, count: int):
     return column
 
 
+def _utf8(raw: bytes, source: str, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ColumnarFormatError(f"{source}: {what} is not UTF-8 ({error})")
+
+
 def _decode_symbol_block(
     view: memoryview, offset: int, source: str
 ) -> Tuple[Tuple[str, ...], int]:
@@ -520,7 +527,8 @@ def _decode_symbol_block(
     symbols: List[str] = []
     cursor = blob_off
     for length in lengths:
-        symbols.append(bytes(view[cursor : cursor + length]).decode("utf-8"))
+        raw = bytes(view[cursor : cursor + length])
+        symbols.append(_utf8(raw, source, "a symbol"))
         cursor += length
     size = end - offset
     return tuple(symbols), size + _pad8(size)
@@ -588,10 +596,11 @@ def read_columnar(
             f"{len(view)} (truncated or overwritten)"
         )
 
+    if len(view) < _HEADER.size + 2:
+        raise ColumnarFormatError(f"{label}: no room for the trace name")
     name_len = struct.unpack_from("<H", view, _HEADER.size)[0]
-    name = bytes(
-        view[_HEADER.size + 2 : _HEADER.size + 2 + name_len]
-    ).decode("utf-8")
+    name_bytes = bytes(view[_HEADER.size + 2 : _HEADER.size + 2 + name_len])
+    name = _utf8(name_bytes, label, "the trace name")
 
     # Bound every column by the footer before casting, so a lying
     # header fails here and never as a short, unaligned cast.
@@ -738,6 +747,6 @@ def validate_columnar(source: Union[str, Path]) -> bool:
     """
     try:
         read_columnar(source)
-    except (OSError, ColumnarFormatError, struct.error, UnicodeDecodeError):
+    except (OSError, ColumnarFormatError):
         return False
     return True

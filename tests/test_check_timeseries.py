@@ -12,6 +12,8 @@ from repro.obs import (
     windowing,
     write_ts_jsonl,
 )
+from repro.obs.export import exposition
+from repro.obs.quantiles import Histogram
 from repro.sim.engine import DistributedFileSystem
 from repro.workloads.synthetic import make_workload
 
@@ -101,6 +103,46 @@ class TestPrometheusChecker:
         text = "# TYPE m counter\nm banana\n# EOF"
         problems = smoke.check_prometheus(text)
         assert any("non-numeric" in problem for problem in problems)
+
+    def test_histogram_family_is_clean(self):
+        latency = Histogram()
+        for value in (900, 150_000, 150_000, 7_000_000):
+            latency.observe(value)
+        text = exposition([("lat_ns", "histogram", "Latency", latency)])
+        assert smoke.check_prometheus(text) == []
+        assert 'lat_ns_bucket{le="+Inf"} 4' in text and "lat_ns_count 4" in text
+
+    def test_le_label_outside_a_histogram_bucket_flagged(self):
+        text = (
+            "# TYPE c counter\nc{le=\"5\"} 1\n"
+            "# TYPE h histogram\nh_sum{le=\"5\"} 1\n# EOF"
+        )
+        problems = smoke.check_prometheus(text)
+        assert sum("le label" in problem for problem in problems) == 2
+
+    def test_histogram_bucket_without_le_flagged(self):
+        text = "# TYPE h histogram\nh_bucket 3\n# EOF"
+        problems = smoke.check_prometheus(text)
+        assert any("le label" in problem for problem in problems)
+
+    def test_bare_histogram_sample_flagged(self):
+        text = "# TYPE h histogram\nh 3\n# EOF"
+        problems = smoke.check_prometheus(text)
+        assert any("suffix" in problem for problem in problems)
+
+    def test_bucket_of_undeclared_family_flagged(self):
+        text = "# TYPE h gauge\nh_bucket{le=\"1\"} 3\n# EOF"
+        problems = smoke.check_prometheus(text)
+        assert any("no # TYPE" in problem for problem in problems)
+
+    def test_other_labels_and_bad_bounds_flagged(self):
+        text = (
+            "# TYPE h histogram\nh_bucket{quantile=\"1\"} 3\n"
+            "h_bucket{le=\"soon\"} 3\n# EOF"
+        )
+        problems = smoke.check_prometheus(text)
+        assert any("expected 'name value'" in problem for problem in problems)
+        assert any("non-numeric le bound" in problem for problem in problems)
 
     def test_schema_tag_exported(self):
         assert smoke.TS_SCHEMA == TS_SCHEMA

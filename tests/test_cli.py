@@ -1,8 +1,12 @@
 """Unit tests for the command-line interface."""
 
 import io
+import os
 import re
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +175,35 @@ class TestMain:
         code = main(["inspect", str(bad)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    """A reader that leaves early (``| head``) ends the CLI quietly."""
+
+    @pytest.mark.parametrize(
+        "args, lines",
+        [
+            (["fig3", "--events", "3000"], 1),
+            (["top", "--plain", "--sweep", "--workers", "2", "--events", "800"], 3),
+        ],
+    )
+    def test_no_traceback_when_stdout_closes(self, args, lines):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as process:
+            for _ in range(lines):
+                assert process.stdout.readline()
+            process.stdout.close()
+            errors = process.stderr.read().decode()
+            code = process.wait(timeout=120)
+        assert "Traceback" not in errors and "BrokenPipeError" not in errors, errors
+        assert code == 1
 
 
 class TestCompareAndAnonymize:

@@ -1,9 +1,13 @@
 """Unit tests for the columnar binary trace format (``repro-ctrace``)."""
 
+import os
 import pickle
 import struct
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.traces.columnar import (
     FORMAT_NAME,
@@ -121,6 +125,15 @@ class TestLayout:
             read_columnar(path)
         assert validate_columnar(path) is False
 
+    def test_header_only_file_rejected(self, tmp_path):
+        raw = bytearray(_users_ctrace()[:64])
+        struct.pack_into("<Q", raw, 56, len(raw))  # file_size: the last field
+        path = tmp_path / "header.ctrace"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ColumnarFormatError, match="trace name"):
+            read_columnar(path)
+        assert validate_columnar(path) is False
+
     @pytest.mark.parametrize(
         "column", ["file", "kind", "client", "user", "process"]
     )
@@ -184,6 +197,62 @@ class TestLayout:
         path = tmp_path / "ok.ctrace"
         write_columnar(make_workload("server", 100), path)
         assert validate_columnar(path) is True
+
+
+_PACKED = []
+
+
+def _users_ctrace() -> bytes:
+    """A 300-event ``users`` trace, packed once."""
+    if not _PACKED:
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "users.ctrace")
+            write_columnar(make_workload("users", 300), path)
+            with open(path, "rb") as stream:
+                _PACKED.append(stream.read())
+    return _PACKED[0]
+
+
+#: A damaged file: ("cut", n) keeps the first n bytes, ("flip", bit)
+#: inverts one bit, ("version", v) stamps a future format version.
+damage = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, len(_users_ctrace()) - 1)),
+    st.tuples(st.just("flip"), st.integers(0, 8 * len(_users_ctrace()) - 1)),
+    st.tuples(st.just("version"), st.integers(FORMAT_VERSION + 1, 0xFFFF)),
+)
+
+
+class TestDamagedFiles:
+    """A damaged ``.ctrace`` opens or raises ColumnarFormatError, never
+    anything else.  Flips that still open are out of scope: the format
+    has no checksum to catch them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(damage, st.booleans())
+    @example(("flip", 522), True)  # the trace-name length: a non-UTF-8 name
+    @example(("flip", 8 * 700), False)  # inside the symbol footer
+    def test_open_or_format_error(self, how, use_mmap):
+        raw = bytearray(_users_ctrace())
+        kind, where = how
+        if kind == "cut":
+            raw = raw[:where]
+        elif kind == "flip":
+            raw[where // 8] ^= 1 << (where % 8)
+        else:
+            struct.pack_into("<H", raw, len(MAGIC), where)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "damaged.ctrace")
+            with open(path, "wb") as stream:
+                stream.write(raw)
+            for reader in (
+                lambda: read_columnar(path, use_mmap=use_mmap),
+                lambda: describe_columnar(path),
+            ):
+                try:
+                    reader()
+                except ColumnarFormatError:
+                    pass
+            assert validate_columnar(path) in (True, False)
 
 
 class TestViews:

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregating_cache import AggregatingClientCache
 from repro.obs import (
@@ -18,6 +20,7 @@ from repro.obs import (
 )
 from repro.obs import registry as obs_registry
 from repro.obs.export import write_records
+from repro.obs.quantiles import ALPHA
 from repro.sim.engine import DistributedFileSystem
 from repro.workloads.synthetic import make_workload
 
@@ -63,21 +66,36 @@ class TestHistogram:
         assert Histogram("h").mean == 0.0
 
     def test_bucketing_and_overflow(self):
-        hist = Histogram("h", bounds=(10, 100))
-        hist.observe(3)
-        hist.observe(10)  # boundary lands in its own bucket (value <= bound)
-        hist.observe(50)
-        hist.observe(5000)
+        # Each value lands in the one bucket whose (upper / gamma, upper]
+        # range holds it; past the last le bound (10 s of ns) a value
+        # counts only toward the +Inf bucket of the exposition.
+        values = (3, 10, 50, 5000, 10**11)
+        hist = Histogram("h")
+        for value in values:
+            hist.observe(value)
         buckets = hist.as_dict()["buckets"]
-        assert buckets["<=10"] == 2
-        assert buckets["<=100"] == 1
-        assert buckets[">100"] == 1
+        assert list(buckets.values()) == [1] * len(values)
+        gamma = (1 + ALPHA) / (1 - ALPHA)
+        for value, key in zip(values, buckets):
+            upper = float(key[2:])
+            assert upper / gamma < value <= upper * (1 + 1e-5)
+        assert hist.cumulative()[-1][1] == len(values) - 1
 
-    def test_rejects_unsorted_or_empty_bounds(self):
-        with pytest.raises(ObservabilityError):
-            Histogram("h", bounds=(5, 1))
-        with pytest.raises(ObservabilityError):
-            Histogram("h", bounds=())
+    def test_negative_value_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Histogram("h").observe(-1)
+
+    def test_registry_record_keeps_exact_summary(self):
+        hist = Histogram("h")
+        for value in (0, 3, 10, 10, 5000):
+            hist.observe(value)
+        record = hist.as_dict()
+        assert record["count"] == 5 and record["sum"] == 5023
+        assert record["min"] == 0 and record["max"] == 5000
+        assert record["mean"] == pytest.approx(5023 / 5)
+        assert sum(record["buckets"].values()) == 5
+        assert list(record["buckets"])[0] == "<=0"
+        assert Histogram("e").as_dict()["min"] is None
 
     def test_time_context_manager_observes_nanoseconds(self):
         hist = Histogram("h")
@@ -85,6 +103,85 @@ class TestHistogram:
             pass
         assert hist.count == 1
         assert hist.min >= 0
+
+
+#: Latency-like samples: zero, sub-unit floats are not recorded by any
+#: caller, so integers from 0 up to about 10^12 ns (17 minutes).
+samples = st.lists(st.integers(0, 10**12), min_size=1, max_size=200)
+
+
+def _filled(values):
+    hist = Histogram("h")
+    for value in values:
+        hist.observe(value)
+    return hist
+
+
+class TestHistogramProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(samples, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    def test_quantiles_within_alpha_of_the_order_statistic(self, values, qs):
+        qs = sorted(qs)
+        ordered = sorted(values)
+        reported = _filled(values).quantiles(qs)
+        for q, value in zip(qs, reported):
+            exact = ordered[int(q * (len(ordered) - 1))]
+            assert abs(value - exact) <= (ALPHA + 1e-9) * exact
+            assert ordered[0] <= value <= ordered[-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples, samples)
+    def test_merge_equals_concatenation_and_subtraction_undoes_it(self, left, right):
+        merged = _filled(left).merge(_filled(right))
+        whole = _filled(left + right)
+        assert merged.counts == whole.counts
+        assert (merged.count, merged.total) == (whole.count, whole.total)
+        assert (merged.min, merged.max) == (whole.min, whole.max)
+        undone = merged - _filled(right)
+        alone = _filled(left)
+        assert undone.counts == alone.counts
+        assert (undone.count, undone.total) == (alone.count, alone.total)
+        # min and max are not subtractable: they narrow to bucket edges.
+        gamma = (1 + ALPHA) / (1 - ALPHA) * (1 + 1e-9)
+        assert undone.min <= alone.min <= undone.min * gamma
+        assert alone.max <= undone.max <= alone.max * gamma
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples)
+    def test_count_sum_min_max_are_exact(self, values):
+        hist = _filled(values)
+        assert hist.count == len(values) == sum(hist.counts.values())
+        assert hist.total == sum(values)
+        assert (hist.min, hist.max) == (min(values), max(values))
+        assert hist.mean == pytest.approx(sum(values) / len(values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples)
+    def test_cumulative_counts_are_exact(self, values):
+        rows = _filled(values).cumulative()
+        assert len(rows) <= 30
+        assert [le for le, _count in rows] == sorted({le for le, _ in rows})
+        for le, count in rows:
+            assert count == sum(1 for value in values if value <= le)
+
+    @given(st.integers(0, 10**12))
+    def test_single_sample_is_every_quantile(self, value):
+        hist = _filled([value])
+        assert hist.quantiles((0.0, 0.5, 0.99, 1.0)) == [value] * 4
+
+    def test_empty_histogram_reports_zeros(self):
+        hist = Histogram()
+        assert hist.quantiles((0.5, 0.95, 0.99)) == [0.0, 0.0, 0.0]
+        assert hist.mean == 0.0 and hist.count == 0
+        assert hist.cumulative()[-1][1] == 0
+
+    def test_subtracting_a_later_state_is_rejected(self):
+        with pytest.raises(ValueError, match="earlier snapshot"):
+            _filled([5]) - _filled([5, 7])
+
+    def test_out_of_range_q_is_rejected(self):
+        with pytest.raises(ValueError):
+            _filled([1]).quantiles((0.5, 1.5))
 
 
 class TestMetricsRegistry:

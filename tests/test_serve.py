@@ -303,17 +303,28 @@ class TestDaemon:
             _status, body = conn.request("GET", "/metrics")
         lines = body["text"].splitlines()
         assert lines[-1] == "# EOF"
-        declared = set()
+        declared = {}
         for line in lines:
             if line.startswith("# TYPE "):
                 _hash, _type, name, kind = line.split()
-                assert kind in ("counter", "gauge")
-                declared.add(name)
+                assert kind in ("counter", "gauge", "histogram")
+                declared[name] = kind
             elif line and not line.startswith("#"):
-                name, value = line.rsplit(" ", 1)
-                assert name in declared
+                sample, value = line.rsplit(" ", 1)
+                name, brace, label = sample.partition("{")
+                stem, _, suffix = name.rpartition("_")
+                if declared.get(stem) == "histogram":
+                    assert suffix in ("bucket", "sum", "count"), line
+                    # An le label sits on, and only on, a histogram's _bucket.
+                    assert bool(brace) == (suffix == "bucket"), line
+                else:
+                    assert declared[name] in ("counter", "gauge") and not brace, line
+                if brace:
+                    assert label.startswith('le="') and label.endswith('"}'), line
+                    float(label[4:-2])
                 float(value)
-        assert "repro_serve_hits_total" in declared
+        assert declared["repro_serve_hits_total"] == "counter"
+        assert declared["repro_serve_latency_ns"] == "histogram"
 
     def test_journal_round_trip_reproduces_counters(self):
         scenario = tiny_scenario()
@@ -689,62 +700,6 @@ class TestCli:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["schema"] == wire.SLAM_SCHEMA
 
-# -- latency ring percentile edge cases --------------------------------------
-
-
-class TestLatencyRing:
-    def test_empty_ring_reports_zeros(self):
-        from repro.serve.server import LatencyRing
-
-        summary = LatencyRing().summary()
-        assert summary["count"] == 0 and summary["dropped"] == 0
-        assert summary["mean_ns"] == 0.0 and summary["window"] == 0
-        assert summary["p50_ns"] == summary["p95_ns"] == summary["p99_ns"] == 0.0
-
-    def test_single_sample_is_every_percentile(self):
-        from repro.serve.server import LatencyRing
-
-        ring = LatencyRing()
-        ring.observe(1234)
-        summary = ring.summary()
-        assert summary["count"] == 1 and summary["dropped"] == 0
-        assert summary["mean_ns"] == 1234.0
-        assert summary["p50_ns"] == summary["p95_ns"] == summary["p99_ns"] == 1234
-
-    def test_exactly_full_ring_has_no_drops(self):
-        from repro.serve.server import LatencyRing
-
-        ring = LatencyRing(maxlen=8)
-        for value in range(8):
-            ring.observe(value)
-        summary = ring.summary()
-        assert summary["count"] == 8 and summary["dropped"] == 0
-        assert summary["window"] == 8
-
-    def test_wrapped_ring_labels_window_honestly(self):
-        from repro.serve.server import LatencyRing
-
-        ring = LatencyRing(maxlen=4)
-        for value in (100, 200, 300, 400, 500, 600):
-            ring.observe(value)
-        summary = ring.summary()
-        # Cumulative count/mean stay exact over the whole lifetime...
-        assert summary["count"] == 6
-        assert summary["mean_ns"] == pytest.approx(2100 / 6)
-        # ...while percentiles honestly cover only the retained window.
-        assert summary["dropped"] == 2 and summary["window"] == 4
-        assert summary["p50_ns"] >= 300  # oldest two samples aged out
-        assert ring.window_values() == [300, 400, 500, 600]
-
-    def test_percentiles_track_window_not_lifetime(self):
-        from repro.serve.server import LatencyRing
-
-        ring = LatencyRing(maxlen=4)
-        for value in (1, 1, 1, 1, 1000, 1000, 1000, 1000):
-            ring.observe(value)
-        assert ring.summary()["p50_ns"] == 1000
-
-
 # -- per-endpoint telemetry --------------------------------------------------
 
 
@@ -788,44 +743,119 @@ class TestEndpointTelemetry:
         assert "repro_serve_errors_open_total 1" in text
         assert "repro_serve_telemetry_windows_total" in text
 
-    def test_percentiles_are_computed_off_the_lock(self, monkeypatch):
-        # A full ring's percentiles sort LATENCY_RING samples; under the
-        # cache lock that would stall every /fetch for each /stats poll.
-        from repro.serve import server as server_mod
+    def test_each_request_records_into_one_histogram(self, monkeypatch):
+        from repro.obs.quantiles import Histogram
 
-        daemon = CacheDaemon(tiny_scenario())
-        try:
-            for path in ("/fetch", "/invalidate", "/open"):
-                stats = server_mod.EndpointStats(path)
-                for index in range(server_mod.LATENCY_RING + 3):
-                    stats.record(404 if index % 9 == 0 else 200, index * 7919 % 100_003)
-                daemon._endpoints[path] = stats
-            for index in range(server_mod.LATENCY_RING + 3):
-                daemon._latency.observe(index * 104_729 % 99_991)
-            endpoints = {s.name: s.summary() for s in daemon._endpoints.values()}
-            latency = daemon._latency.summary()
-            real = server_mod.percentile
-            calls = []
+        recorded = []
+        observe = Histogram.observe
 
-            def off_the_lock(values, q):
-                assert not daemon._lock._is_owned()
-                calls.append(len(values))
-                return real(values, q)
+        def spy(histogram, value):
+            recorded.append(histogram.name)
+            observe(histogram, value)
 
-            monkeypatch.setattr(server_mod, "percentile", off_the_lock)
-            payload = daemon.stats_payload()
-            text = daemon.prometheus_text()
-        finally:
-            daemon.close()
-        assert calls.count(server_mod.LATENCY_RING) == 2 * 4 * 3  # two renders, 4 rings, p50/95/99
-        assert payload["endpoints"] == endpoints
-        assert payload["latency_ns"] == latency
-        assert list(payload) == [
+        with CacheDaemon(tiny_scenario()) as daemon, ServeConnection(daemon.url) as conn:
+            conn.request("POST", "/open", {"file": "f1"})
+            monkeypatch.setattr(Histogram, "observe", spy)
+            conn.fetch(["f1", "f2", "f3"])
+            conn.request("POST", "/open", {"file": "f2"})
+            conn.request("POST", "/invalidate", {"file": "f1"})
+            monkeypatch.setattr(Histogram, "observe", observe)
+            stats = conn.stats()
+        assert recorded == ["fetch", "open", "invalidate"]
+        assert stats["latency_ns"]["count"] == 3  # /open + /fetch only
+        assert stats["endpoints"]["invalidate"]["latency_ns"]["count"] == 1
+
+    def test_lock_work_is_bounded_by_buckets_not_requests(self):
+        # stats_payload and a window close run the same lines under the
+        # lock whether the histograms hold 300 samples or 300,000.
+        import sys
+
+        from repro.serve.server import EndpointStats
+
+        def lines_run(requests):
+            daemon = CacheDaemon(tiny_scenario(telemetry_window_seconds=0.0))
+            try:
+                for path in ("/open", "/fetch", "/invalidate"):
+                    stats = daemon._endpoints[path] = EndpointStats(path)
+                    for index in range(requests):
+                        stats.record(200, 50_000 * (1 + index % 10))
+                daemon.telemetry.requests = 1
+                counted = [0]
+
+                def tracer(frame, event, arg):
+                    if event == "line" and daemon._lock._is_owned():
+                        counted[0] += 1
+                    return tracer
+
+                sys.settrace(tracer)
+                try:
+                    payload = daemon.stats_payload()
+                    window = daemon.force_sample()
+                finally:
+                    sys.settrace(None)
+            finally:
+                daemon.close()
+            assert payload["endpoints"]["fetch"]["requests"] == requests
+            assert window["latency_ns"]["count"] == 2 * requests
+            # ...and what the lock guards holds a bucket per latency, not
+            # a sample per request.
+            for stats in daemon._endpoints.values():
+                assert len(stats.latency.counts) == 10
+            return counted[0]
+
+        assert lines_run(1_000) == lines_run(100_000)
+
+    def test_window_latency_covers_only_its_window(self):
+        scenario = tiny_scenario(telemetry_window_seconds=0.0)
+        with CacheDaemon(scenario) as daemon, ServeConnection(daemon.url) as conn:
+            for _ in range(3):
+                conn.fetch(["a"])
+            first = daemon.force_sample()
+            for _ in range(5):
+                conn.request("POST", "/open", {"file": "b"})
+            second = daemon.force_sample()
+            stats = conn.stats()
+        assert first["latency_ns"]["count"] == 3
+        assert second["latency_ns"]["count"] == 5
+        assert stats["latency_ns"]["count"] == 8
+        fetch = stats["endpoints"]["fetch"]["latency_ns"]
+        assert set(fetch) == {"count", "mean_ns", "p50_ns", "p95_ns", "p99_ns"}
+        assert 0 < fetch["p50_ns"] <= fetch["p95_ns"] <= fetch["p99_ns"]
+
+    def test_metrics_latency_histogram_counts_are_exact(self):
+        from repro.obs.quantiles import Histogram
+
+        with CacheDaemon(tiny_scenario()) as daemon, ServeConnection(daemon.url) as conn:
+            for _ in range(4):
+                conn.fetch(["a", "b"])
+            conn.request("POST", "/open", {"file": "c"})
+            conn.request("POST", "/invalidate", {"file": "c"})
+            _status, body = conn.request("GET", "/metrics")
+            stats = conn.stats()
+        samples = {}
+        for line in body["text"].splitlines():
+            if line.startswith("repro_serve_latency_ns"):
+                name, value = line.rsplit(" ", 1)
+                samples[name] = int(value)
+        buckets = [
+            (name, count) for name, count in samples.items() if "_bucket" in name
+        ]
+        assert len(buckets) <= 31 and buckets[-1][0].endswith('{le="+Inf"}')
+        counts = [count for _name, count in buckets]
+        assert counts == sorted(counts)
+        assert samples["repro_serve_latency_ns_count"] == 5 == counts[-1]
+        assert stats["requests"]["/open"] + stats["requests"]["/fetch"] == 5
+        # The cumulative counts equal a histogram built from the endpoints'.
+        merged = Histogram()
+        for path in ("/open", "/fetch"):
+            merged.merge(daemon._endpoints[path].latency)
+        assert [count for _le, count in merged.cumulative()] == counts[:-1]
+        assert samples["repro_serve_latency_ns_sum"] == merged.total
+        assert list(stats) == [
             "schema", "scenario", "uptime_seconds", "accesses", "requests",
             "errors", "invalidations", "invalidation_misses", "journal",
             "latency_ns", "endpoints", "telemetry", "cache",
         ]
-        assert f"repro_serve_latency_p99_ns {float(latency['p99_ns']):.6g}" in text
 
 
 # -- windowed telemetry ------------------------------------------------------

@@ -1,9 +1,16 @@
 """Unit tests for the parameter sweep runner."""
 
+import functools
+import os
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
-from repro.obs import windowing
+from repro.obs import collecting, windowing
 from repro.sim.sweep import SweepGrid, pivot, run_sweep
 
 
@@ -145,6 +152,88 @@ class TestParallelSweep:
             run_sweep(
                 SweepGrid().add_axis("n", [1, 2]), square_colliding, workers=2
             )
+
+
+def injected_point(n, fail_at=None, exit_at=None, parent=None):
+    """A picklable point runner that raises at ``fail_at`` and, in a
+    pool worker only, kills its process at ``exit_at``."""
+    if n == fail_at:
+        raise OSError(f"run_point failed at {n}")
+    if n == exit_at and os.getpid() != parent:
+        os._exit(1)
+    return {"square": n * n}
+
+
+class TestInjectedFailures:
+    """One failure, in a callback, in run_point or in the pool, at any
+    point: no point streams twice, a pool failure still returns the
+    serial records, and every other error reaches the caller."""
+
+    POINTS = 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        site=st.sampled_from(["progress", "on_sample", "run_point", "exit", "submit"]),
+        at=st.integers(0, POINTS - 1),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_one_failure(self, site, at, workers):
+        grid = SweepGrid().add_axis("n", list(range(self.POINTS)))
+        serial = run_sweep(grid, injected_point)
+        pending = [site]  # progress and on_sample fail once
+
+        def fail_once(index, where):
+            if site == where and index == at and pending:
+                pending.pop()
+                raise OSError(f"{where} failed at {index}")
+
+        streamed = []
+
+        def on_sample(sample):
+            streamed.append(sample.start)
+            fail_once(sample.start, "on_sample")
+
+        run_point = functools.partial(
+            injected_point,
+            fail_at=at if site == "run_point" else None,
+            exit_at=at if site == "exit" else None,
+            parent=os.getpid(),
+        )
+        submit = ProcessPoolExecutor.submit
+        submits = []
+
+        def failing_submit(pool, *args, **kwargs):
+            submits.append(1)
+            if site == "submit" and len(submits) == at + 1:
+                raise OSError("submit failed")
+            return submit(pool, *args, **kwargs)
+
+        with collecting() as registry, mock.patch.object(
+            ProcessPoolExecutor, "submit", failing_submit
+        ):
+            with windowing(window=10, on_sample=on_sample):
+                try:
+                    records = run_sweep(
+                        grid,
+                        run_point,
+                        progress=lambda i, *_rest: fail_once(i, "progress"),
+                        workers=workers,
+                    )
+                    error = None
+                except OSError as raised:
+                    error = raised
+        assert len(streamed) == len(set(streamed)), streamed
+        fallbacks = registry.snapshot()["counters"].get("sweep.serial_fallbacks", 0)
+        if site in ("progress", "on_sample", "run_point"):
+            assert error is not None and site in str(error)
+            last = at if site == "on_sample" else at - 1
+            assert streamed == list(range(last + 1))
+            assert fallbacks == 0
+        else:
+            assert error is None
+            assert records == serial
+            assert streamed == list(range(self.POINTS))
+            assert fallbacks == (1 if workers > 1 else 0)
 
 
 def square_colliding(n):
