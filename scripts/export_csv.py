@@ -17,6 +17,10 @@ import sys
 from pathlib import Path
 
 from repro.analysis.export import figure_to_csv
+from repro.errors import ReproError
+
+#: Where the figure CSVs go.
+RESULTS_CSV = Path(__file__).resolve().parent.parent / "results" / "csv"
 
 #: CSV column order for time-series exports: identity first, then raw
 #: counters, then the derived ratios plotting tools want directly.
@@ -62,49 +66,15 @@ def export_timeseries_csv(source: Path, destination: Path) -> int:
     return len(loaded["samples"])
 
 
-def export_figures(events: int) -> int:
-    from repro.experiments import (
-        run_adaptation,
-        run_attribution,
-        run_cooperation,
-        run_fig3,
-        run_fig4,
-        run_fig5,
-        run_fig7,
-        run_fig8,
-        run_hoarding,
-        run_metadata_budget,
-        run_peer_caching,
-        run_placement,
-        run_server_capacity,
-    )
+def export_figures(events: int, out: Path = RESULTS_CSV) -> int:
+    """Write every figure of the evaluation table to ``out`` as CSV."""
+    from repro.experiments import Evaluation
 
-    out = Path(__file__).resolve().parent.parent / "results" / "csv"
-    out.mkdir(parents=True, exist_ok=True)
-
-    figures = []
-    for workload in ("server", "write"):
-        figures.append(run_fig3(workload=workload, events=events))
-    for workload in ("workstation", "users", "server"):
-        figures.append(run_fig4(workload=workload, events=events))
-    for workload in ("workstation", "server"):
-        figures.append(run_fig5(workload=workload, events=events))
-    figures.append(run_fig7(events=events))
-    for workload in ("write", "users"):
-        figures.append(run_fig8(workload=workload, events=events))
-    figures += [
-        run_placement(events=events),
-        run_hoarding(events=events),
-        run_cooperation(events=events),
-        run_attribution(events=events),
-        run_adaptation(events=events),
-        run_server_capacity(events=events),
-        run_peer_caching(events=events),
-        run_metadata_budget(events=events),
-    ]
-    for figure in figures:
+    sections = Evaluation(events).sections()
+    for _, build in sections:
+        figure = build()
         figure_to_csv(figure, out / f"{figure.figure_id}.csv")
-    print(f"wrote {len(figures)} CSVs to {out}")
+    print(f"wrote {len(sections)} CSVs to {out}")
     return 0
 
 
@@ -140,7 +110,11 @@ def main(argv=None) -> int:
         rows = export_timeseries_csv(args.timeseries, destination)
         print(f"wrote {rows} time-series rows to {destination}")
         return 0
-    return export_figures(args.events)
+    try:
+        return export_figures(args.events)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from .predictability import (
     predictability_heatmap,
     profile_sequence,
 )
-from .report import build_report, default_sections, write_report
+from .report import build_report, write_report
 from .robustness import (
     SeedBand,
     band_figure,
@@ -46,7 +46,6 @@ __all__ = [
     "band_figure",
     "ordering_holds_for_every_seed",
     "seed_sweep",
-    "default_sections",
     "write_report",
     "TimescaleReport",
     "entropy_at_timescales",

@@ -26,7 +26,8 @@ def _format_cell(value: Any) -> str:
 
 
 def figure_to_csv(figure: FigureData, destination: Union[str, Path, TextIO, None] = None) -> str:
-    """Render a figure as CSV; optionally also write it out.
+    """Render a figure as CSV; optionally also write it out (a path's
+    directory is created).
 
     Returns the CSV text in all cases so callers can both persist and
     inspect.
@@ -39,7 +40,9 @@ def figure_to_csv(figure: FigureData, destination: Union[str, Path, TextIO, None
     if destination is None:
         return text
     if isinstance(destination, (str, Path)):
-        Path(destination).write_text(text, encoding="utf-8")
+        path = Path(destination)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
     else:
         destination.write(text)
     return text

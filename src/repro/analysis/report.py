@@ -12,7 +12,6 @@ import io
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from ..errors import AnalysisError
 from .ascii_chart import render_figure
 from .export import figure_to_markdown, rows_to_markdown
 from .series import FigureData
@@ -35,59 +34,6 @@ def _figure_section(figure: FigureData, charts: bool) -> str:
         parts.append(f"*{figure.notes}*")
     parts.append("")
     return "\n".join(parts)
-
-
-def default_sections(events: int) -> List[Tuple[str, SectionBuilder]]:
-    """The standard full-evaluation section list at a given scale.
-
-    Imports are deferred so building a custom report does not drag in
-    every experiment module.
-    """
-    from ..experiments import (
-        run_adaptation,
-        run_attribution,
-        run_cooperation,
-        run_fig3,
-        run_fig4,
-        run_fig5,
-        run_fig7,
-        run_fig8,
-        run_hoarding,
-        run_peer_caching,
-        run_placement,
-        run_server_capacity,
-    )
-
-    sections: List[Tuple[str, SectionBuilder]] = []
-    for workload in ("server", "write"):
-        sections.append(
-            (f"fig3-{workload}", lambda w=workload: run_fig3(workload=w, events=events))
-        )
-    for workload in ("workstation", "users", "server"):
-        sections.append(
-            (f"fig4-{workload}", lambda w=workload: run_fig4(workload=w, events=events))
-        )
-    for workload in ("workstation", "server"):
-        sections.append(
-            (f"fig5-{workload}", lambda w=workload: run_fig5(workload=w, events=events))
-        )
-    sections.append(("fig7", lambda: run_fig7(events=events)))
-    for workload in ("write", "users"):
-        sections.append(
-            (f"fig8-{workload}", lambda w=workload: run_fig8(workload=w, events=events))
-        )
-    sections.extend(
-        [
-            ("placement", lambda: run_placement(events=events)),
-            ("hoarding", lambda: run_hoarding(events=events)),
-            ("cooperation", lambda: run_cooperation(events=events)),
-            ("attribution", lambda: run_attribution(events=events)),
-            ("adaptation", lambda: run_adaptation(events=events)),
-            ("server-capacity", lambda: run_server_capacity(events=events)),
-            ("peer-caching", lambda: run_peer_caching(events=events)),
-        ]
-    )
-    return sections
 
 
 #: Workloads the provenance section traces, in report order.
@@ -320,14 +266,18 @@ def build_report(
 ) -> str:
     """Regenerate the evaluation and return the Markdown text.
 
-    ``sections`` overrides the standard list (pairs of id + builder);
-    ``progress`` receives each section id as it starts; ``explain``
-    appends the traced prefetch-provenance section; ``drift`` appends
-    the per-workload change-point section from windowed telemetry.
+    The sections are the rows of :data:`repro.experiments.STUDIES`, one
+    per workload panel, unless ``sections`` overrides them (pairs of id
+    + builder); the headline rows read the same Figure 3 and Figure 4
+    figures as their sections.  ``progress`` receives each section id
+    as it starts; ``explain`` appends the traced prefetch-provenance
+    section; ``drift`` appends the per-workload change-point section
+    from windowed telemetry.
     """
-    if events <= 0:
-        raise AnalysisError(f"events must be positive, got {events}")
-    chosen = list(sections) if sections is not None else default_sections(events)
+    from ..experiments import Evaluation
+
+    evaluation = Evaluation(events)
+    chosen = list(sections) if sections is not None else evaluation.sections()
     buffer = io.StringIO()
     buffer.write("# Full evaluation report\n\n")
     buffer.write(
@@ -337,13 +287,10 @@ def build_report(
         "for this scale and the default seeds.\n\n"
     )
 
-    from ..experiments import run_headline
-
     if progress is not None:
         progress("headline")
-    headline = run_headline(events=events)
     buffer.write("## Headline claims\n\n")
-    buffer.write(rows_to_markdown(headline.to_rows()))
+    buffer.write(rows_to_markdown(evaluation.headline().to_rows()))
     buffer.write("\n\n")
 
     if progress is not None:
@@ -379,17 +326,17 @@ def write_report(
     explain: bool = False,
     drift: bool = False,
 ) -> Path:
-    """Build the report and write it to ``destination``; returns the path."""
-    path = Path(destination)
-    path.write_text(
-        build_report(
-            events=events,
-            charts=charts,
-            sections=sections,
-            progress=progress,
-            explain=explain,
-            drift=drift,
-        ),
-        encoding="utf-8",
+    """Build the report and write it to ``destination`` (creating its
+    directory); returns the path."""
+    text = build_report(
+        events=events,
+        charts=charts,
+        sections=sections,
+        progress=progress,
+        explain=explain,
+        drift=drift,
     )
+    path = Path(destination)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
     return path

@@ -10,7 +10,7 @@ generator all consume them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..errors import AnalysisError
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, Optional
 
 from ..errors import CacheConfigurationError
 from ..obs import registry as _obs

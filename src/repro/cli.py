@@ -30,29 +30,16 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
+from inspect import signature
 from pathlib import Path
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .analysis.ascii_chart import render_figure
 from .analysis.export import figure_to_csv, rows_to_markdown
 from .analysis.predictability import profile_sequence
-from .analysis.series import FigureData
 from .errors import ReproError
-from .experiments import (
-    DEFAULT_EVENTS,
-    run_adaptation,
-    run_attribution,
-    run_cooperation,
-    run_fig3,
-    run_fig4,
-    run_fig5,
-    run_fig7,
-    run_fig8,
-    run_headline,
-    run_hoarding,
-    run_placement,
-    run_server_capacity,
-)
+from .experiments import DEFAULT_EVENTS, run_headline, studies
 from .traces.reader import read_trace
 from .traces.stats import summarize
 from .traces.writer import write_trace
@@ -165,97 +152,27 @@ def _sweep_progress() -> Optional[Callable[[int, int, dict, float], None]]:
     return progress
 
 
-class _Figure(NamedTuple):
-    """One figure subcommand.
-
-    ``workload`` is the default of its ``--workload`` option ("" for a
-    figure that replays a fixed set of workloads).  ``credit`` says how
-    a sweep figure credits replayed events for its ``throughput:``
-    line: ``"point"`` (one trace replay per plotted point) or
-    ``"series"`` (one replay per series); "" marks a figure that is not
-    a parameter sweep and takes no ``--workers``.
-    """
-
-    run: Callable[..., FigureData]
-    help: str
-    workload: str = ""
-    credit: str = ""
-
-
-_FIGURES: Dict[str, _Figure] = {
-    "fig3": _Figure(
-        run_fig3,
-        "client demand fetches vs cache capacity, per group size",
-        "server",
-        "point",
-    ),
-    "fig4": _Figure(
-        run_fig4,
-        "server hit rate vs intervening client cache capacity",
-        "workstation",
-        "point",
-    ),
-    "fig5": _Figure(
-        run_fig5,
-        "successor-list miss probability: Oracle vs LRU vs LFU",
-        "workstation",
-        "point",
-    ),
-    "fig7": _Figure(
-        run_fig7, "successor entropy vs successor sequence length", "", "series"
-    ),
-    "fig8": _Figure(
-        run_fig8, "successor entropy of LRU-filtered miss streams", "write", "series"
-    ),
-    "placement": _Figure(
-        run_placement,
-        "grouping for data placement: seek distance by layout",
-        "server",
-    ),
-    "hoard": _Figure(
-        run_hoarding, "mobile hoarding: offline miss rate by hoard policy", "server"
-    ),
-    "cooperation": _Figure(
-        run_cooperation,
-        "server grouping with vs without piggy-backed client statistics",
-        "server",
-    ),
-    "adaptation": _Figure(
-        run_adaptation, "hit rate across an abrupt workload shift", "server"
-    ),
-    "attribution": _Figure(
-        run_attribution, "global vs per-client successor tracking"
-    ),
-    "servercap": _Figure(
-        run_server_capacity,
-        "server-capacity sensitivity of the Figure 4 result",
-        "workstation",
-    ),
-}
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    """Run one :data:`_FIGURES` entry; print its chart and table (and
-    write its CSV with ``--csv``)."""
-    spec = _FIGURES[args.command]
+def _cmd_figure(study: studies.Study, args: argparse.Namespace) -> int:
+    """Run one table row's figure; print its chart and table (and write
+    its CSV with ``--csv``)."""
     options: Dict[str, Any] = {"events": args.events, "seed": args.seed}
-    if spec.workload:
+    if "workload" in vars(args):
         options["workload"] = args.workload
     throughput = ""
-    if spec.credit:
+    if study.credit:
         progress = _sweep_progress()
         started = time.perf_counter()
-        figure = spec.run(workers=args.workers, progress=progress, **options)
+        figure = study.run(workers=args.workers, progress=progress, **options)
         seconds = time.perf_counter() - started
         if progress is not None:  # clear the status line
             print("\r" + " " * 60 + "\r", end="", file=sys.stderr, flush=True)
-        if spec.credit == "point":
+        if study.credit == "point":
             replays = sum(len(series.points) for series in figure.series)
         else:
             replays = len(figure.series)
         throughput = _throughput(args.events * replays, seconds)
     else:
-        figure = spec.run(**options)
+        figure = study.run(**options)
     print(render_figure(figure, width=args.width, height=args.height))
     print()
     print(rows_to_markdown(figure.to_rows()))
@@ -744,8 +661,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     """
     if args.attach:
         return _cmd_top_attach(args)
-    from functools import partial
-
     from .obs import WindowedCollector, serve_metrics, windowing, write_ts_jsonl
 
     # Built first: it rejects a window < 1 before the window divides.
@@ -1356,13 +1271,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    for name, spec in _FIGURES.items():
-        figure = subparsers.add_parser(name, help=spec.help)
-        _add_common_options(figure, workload_default=spec.workload)
+    for study in studies.STUDIES:
+        if not study.command:
+            continue
+        parameters = signature(study.run).parameters
+        workload = parameters.get("workload")
+        figure = subparsers.add_parser(study.command, help=study.help)
+        _add_common_options(figure, workload.default if workload else "")
         figure.add_argument(
             "--csv", type=Path, default=None, help="also write the series as CSV"
         )
-        if spec.credit:
+        if "workers" in parameters:
             figure.add_argument(
                 "--workers",
                 type=int,
@@ -1378,7 +1297,7 @@ def build_parser() -> argparse.ArgumentParser:
         figure.add_argument(
             "--height", type=int, default=20, help="chart height in characters"
         )
-        figure.set_defaults(handler=_cmd_figure)
+        figure.set_defaults(handler=partial(_cmd_figure, study))
 
     headline = subparsers.add_parser(
         "headline", help="recompute the paper's abstract/conclusion claims"

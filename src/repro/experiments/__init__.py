@@ -4,6 +4,8 @@ One module per paper figure; each ``run_*`` function returns
 :class:`~repro.analysis.series.FigureData` (or a report object for the
 headline claims).  The CLI, the examples, and the benchmark harness all
 call these — there is exactly one definition of every experiment.
+:data:`STUDIES` lists them once for the figure subcommands, the report
+and the CSV export.
 """
 
 from .common import (
@@ -44,7 +46,8 @@ from .fig4 import (
 from .fig5 import fig5_point, run_fig5
 from .fig7 import fig7_point, run_fig7
 from .fig8 import fig8_point, run_fig8
-from .headline import HeadlineReport, run_headline
+from .headline import HeadlineReport, headline_from_figures, run_headline
+from .studies import STUDIES, Evaluation, Study
 
 __all__ = [
     "DEFAULT_EVENTS",
@@ -57,7 +60,10 @@ __all__ = [
     "FIG5_LIST_SIZES",
     "FIG7_LENGTHS",
     "FIG8_FILTERS",
+    "STUDIES",
+    "Evaluation",
     "HeadlineReport",
+    "Study",
     "demand_fetches",
     "fetch_reduction",
     "fig3_point",
@@ -65,6 +71,7 @@ __all__ = [
     "fig5_point",
     "fig7_point",
     "fig8_point",
+    "headline_from_figures",
     "improvement_over_lru",
     "make_server_cache",
     "run_adaptation",

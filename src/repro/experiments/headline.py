@@ -16,11 +16,15 @@ each regenerated here from the same machinery as the figures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence
 
+from ..analysis.series import FigureData
 from .common import DEFAULT_EVENTS, FIG4_SERVER_CAPACITY
 from .fig3 import fetch_reduction, run_fig3
 from .fig4 import improvement_over_lru, run_fig4
+
+#: The Figure 4 workloads the server-side claims read.
+HEADLINE_WORKLOADS = ("workstation", "users", "server")
 
 
 @dataclass
@@ -85,30 +89,25 @@ class HeadlineReport:
         return rows
 
 
-def run_headline(
-    events: int = DEFAULT_EVENTS,
+def headline_from_figures(
+    fig3: FigureData,
+    fig4: Mapping[str, FigureData],
+    events: int,
     client_workload: str = "server",
-    server_workloads: Sequence[str] = ("workstation", "users", "server"),
     client_capacity: int = 400,
-    seed: Optional[int] = None,
 ) -> HeadlineReport:
-    """Recompute every headline number from fresh figure runs."""
-    fig3 = run_fig3(workload=client_workload, events=events, seed=seed)
-    reduction_g2 = fetch_reduction(fig3, "g2", client_capacity)
-    reduction_g5 = fetch_reduction(fig3, "g5", client_capacity)
-    reduction_g10 = fetch_reduction(fig3, "g10", client_capacity)
-
+    """Read every headline number off one Figure 3 panel (run on
+    ``client_workload``) and the Figure 4 panels keyed by workload."""
     small_improvements: List[float] = []
     large_g5_rates: List[float] = []
     large_lru_rates: List[float] = []
-    for workload in server_workloads:
-        fig4 = run_fig4(workload=workload, events=events, seed=seed)
-        improvements = improvement_over_lru(fig4, "g5")
+    for figure in fig4.values():
+        improvements = improvement_over_lru(figure, "g5")
         for capacity, ratio in improvements.items():
             if capacity < 200:
                 small_improvements.append(ratio)
-        g5_points = dict(fig4.get_series("g5").points)
-        lru_points = dict(fig4.get_series("lru").points)
+        g5_points = dict(figure.get_series("g5").points)
+        lru_points = dict(figure.get_series("lru").points)
         for capacity, rate in g5_points.items():
             if capacity >= FIG4_SERVER_CAPACITY:
                 large_g5_rates.append(rate)
@@ -116,12 +115,30 @@ def run_headline(
 
     return HeadlineReport(
         client_workload=client_workload,
-        client_reduction_g5=reduction_g5,
-        client_reduction_g10=reduction_g10,
-        client_reduction_g2=reduction_g2,
-        server_workloads=list(server_workloads),
+        client_reduction_g5=fetch_reduction(fig3, "g5", client_capacity),
+        client_reduction_g10=fetch_reduction(fig3, "g10", client_capacity),
+        client_reduction_g2=fetch_reduction(fig3, "g2", client_capacity),
+        server_workloads=list(fig4),
         server_small_filter_improvements=small_improvements,
         server_large_filter_g5_rates=large_g5_rates,
         server_large_filter_lru_rates=large_lru_rates,
         events=events,
+    )
+
+
+def run_headline(
+    events: int = DEFAULT_EVENTS,
+    client_workload: str = "server",
+    server_workloads: Sequence[str] = HEADLINE_WORKLOADS,
+    client_capacity: int = 400,
+    seed: Optional[int] = None,
+) -> HeadlineReport:
+    """Recompute every headline number from fresh figure runs."""
+    fig3 = run_fig3(workload=client_workload, events=events, seed=seed)
+    fig4 = {
+        workload: run_fig4(workload=workload, events=events, seed=seed)
+        for workload in server_workloads
+    }
+    return headline_from_figures(
+        fig3, fig4, events, client_workload, client_capacity
     )

@@ -505,10 +505,6 @@ class CacheDaemon(HttpHost):
                 meta={"role": "server", "scenario": self.scenario.name},
             )
 
-    def request_stop(self) -> None:
-        """Ask the blocking :meth:`run` loop to exit (thread-safe)."""
-        self._stop.set()
-
     def _sampler_loop(self) -> None:
         """Close a telemetry window every ``window_seconds`` of activity."""
         while not self._stop.wait(self.telemetry.window_seconds):

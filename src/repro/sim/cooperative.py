@@ -19,7 +19,7 @@ much of each workload's miss stream each tier captures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..caching.lru import LRUCache
 from ..core.grouping import GroupBuilder

@@ -9,7 +9,7 @@ while keeping client attribution coherent.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from ..errors import TraceError
 from .events import Trace, TraceEvent

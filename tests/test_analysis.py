@@ -135,6 +135,11 @@ class TestExport:
         figure_to_csv(small_figure, path)
         assert path.read_text().startswith("capacity")
 
+    def test_csv_to_file_creates_missing_directory(self, small_figure, tmp_path):
+        path = tmp_path / "new" / "fig.csv"
+        figure_to_csv(small_figure, path)
+        assert path.read_text().startswith("capacity")
+
     def test_markdown_table(self, small_figure):
         markdown = figure_to_markdown(small_figure)
         assert "**figX: Test figure**" in markdown

@@ -21,7 +21,7 @@ from repro.traces.columnar import (
     validate_columnar,
     write_columnar,
 )
-from repro.traces.events import EventKind, Trace, TraceEvent
+from repro.traces.events import Trace
 from repro.traces.symbols import intern_sequence
 from repro.workloads.synthetic import make_workload
 

@@ -62,3 +62,10 @@ class TestExportTimeseriesCsv:
         source, _ = _series(tmp_path)
         assert export_csv.main(["--timeseries", str(source)]) == 0
         assert source.with_suffix(".csv").exists()
+
+
+class TestExportFigures:
+    @pytest.mark.parametrize("events", ["0", "-5"])
+    def test_bad_scale_is_an_error_not_a_traceback(self, events, capsys):
+        assert export_csv.main([events]) == 1
+        assert capsys.readouterr().err == f"error: events must be positive, got {events}\n"

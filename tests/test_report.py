@@ -1,10 +1,25 @@
 """Unit tests for the full-evaluation report generator."""
 
+import argparse
+import importlib.util
+import inspect
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from repro.analysis.report import build_report, default_sections, write_report
+import repro.experiments
+from repro.analysis.report import build_report, write_report
 from repro.analysis.series import FigureData
-from repro.errors import AnalysisError
+from repro.cli import build_parser, main
+from repro.errors import ExperimentError
+from repro.experiments import studies
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "export_csv.py"
+_spec = importlib.util.spec_from_file_location("export_csv", _SCRIPT)
+export_csv = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(export_csv)
 
 
 def tiny_sections():
@@ -50,7 +65,7 @@ class TestBuildReport:
         assert seen == ["headline", "engine-paths", "tiny"]
 
     def test_rejects_bad_events(self):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ExperimentError):
             build_report(events=0)
 
     def test_drift_flag_appends_drift_section(self):
@@ -64,12 +79,103 @@ class TestBuildReport:
         assert "## Workload drift (windowed telemetry)" in text
         assert "drift" in seen
 
-    def test_default_sections_cover_every_figure(self):
-        ids = [section_id for section_id, _ in default_sections(1000)]
-        for expected in ("fig3-server", "fig4-users", "fig5-workstation",
-                         "fig7", "fig8-write", "placement", "hoarding",
-                         "attribution", "peer-caching"):
-            assert expected in ids
+
+def _figure_subcommands():
+    """{name: parser} of the subcommands that draw a figure (``--csv``)."""
+    (choices,) = [
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: sub
+        for name, sub in choices.items()
+        if any("--csv" in action.option_strings for action in sub._actions)
+    }
+
+
+def _tiny_runner(workload="server", events=100, seed=None):
+    figure = FigureData(f"tiny-{workload}", f"Tiny ({workload})", "x", "y")
+    figure.add_series("s").add(1, events)
+    return figure
+
+
+class TestEvaluationTable:
+    def test_report_csvs_and_subcommands_come_from_the_table(self, tmp_path):
+        rows = studies.STUDIES
+        runners = {
+            getattr(repro.experiments, name)
+            for name in repro.experiments.__all__
+            if name.startswith("run_") and name != "run_headline"
+        }
+        assert len(rows) == 13 and {row.run for row in rows} == runners
+        seen = []
+        build_report(events=500, charts=False, progress=seen.append)
+        # One section per row and workload panel, in table order.
+        assert seen[2:] == [
+            f"{row.id}-{workload}" if workload else row.id
+            for row in rows
+            for workload in row.panels or ("",)
+        ]
+        assert len(seen[2:]) == 18
+        export_csv.export_figures(500, out=tmp_path)
+        assert {path.stem for path in tmp_path.glob("*.csv")} == {
+            build().figure_id for _, build in studies.Evaluation(500).sections()
+        }
+        assert len(list(tmp_path.glob("*.csv"))) == 18
+        figures = _figure_subcommands()
+        assert set(figures) == {row.command for row in rows if row.command}
+        assert len(figures) == 11
+        for row in rows:
+            if not row.command:
+                continue
+            options = {
+                action.dest: action.default for action in figures[row.command]._actions
+            }
+            parameters = inspect.signature(row.run).parameters
+            if "workload" in parameters:
+                assert options["workload"] == parameters["workload"].default
+            else:
+                assert "workload" not in options
+            assert ("workers" in options) == ("workers" in parameters)
+            assert bool(row.credit) == ("workers" in parameters)
+
+    def test_appended_row_reaches_report_csvs_and_parser(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        row = studies.Study(
+            "tiny", _tiny_runner, ("users", "write"), command="tiny", help="tiny"
+        )
+        monkeypatch.setattr(studies, "STUDIES", studies.STUDIES + (row,))
+        seen = []
+        text = build_report(events=500, charts=False, progress=seen.append)
+        assert seen[-2:] == ["tiny-users", "tiny-write"]
+        assert text.endswith("## Tiny (users)\n\n| x | s |\n|---|---|\n| 1 | 500 |\n\n"
+                             "## Tiny (write)\n\n| x | s |\n|---|---|\n| 1 | 500 |\n\n")
+        export_csv.export_figures(500, out=tmp_path)
+        assert (tmp_path / "tiny-write.csv").read_text() == "x,s\n1,500\n"
+        assert "tiny" in _figure_subcommands()
+        assert main(["tiny", "--events", "7", "--workload", "users"]) == 0
+        assert "| 1 | 7 |" in capsys.readouterr().out
+
+    def test_report_builds_each_figure_once(self):
+        names = [name for name in repro.experiments.__all__ if name.startswith("run_")]
+        codes = {getattr(repro.experiments, name).__code__: name for name in names}
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                calls[codes[frame.f_code], frame.f_locals.get("workload", "")] += 1
+
+        sys.setprofile(profile)
+        try:
+            build_report(events=500, charts=False)
+        finally:
+            sys.setprofile(None)
+        assert calls[("run_fig3", "server")] == 1
+        for workload in ("workstation", "users", "server"):
+            assert calls[("run_fig4", workload)] == 1
+        assert set(calls.values()) == {1} and len(calls) == 18
 
 
 class TestProvenanceDisabledNote:
@@ -105,4 +211,10 @@ class TestWriteReport:
             tmp_path / "report.md", events=2500, sections=tiny_sections()
         )
         assert path.exists()
+        assert "Tiny section" in path.read_text()
+
+    def test_creates_missing_directory(self, tmp_path):
+        path = write_report(
+            tmp_path / "new" / "report.md", events=2500, sections=tiny_sections()
+        )
         assert "Tiny section" in path.read_text()
