@@ -55,6 +55,7 @@ def export_timeseries_csv(source: Path, destination: Path) -> int:
     from repro.obs import load_ts_jsonl
 
     loaded = load_ts_jsonl(source)
+    destination.parent.mkdir(parents=True, exist_ok=True)
     with destination.open("w", encoding="utf-8", newline="") as stream:
         writer = csv.writer(stream)
         writer.writerow(TS_COLUMNS)
@@ -101,7 +102,9 @@ def main(argv=None) -> int:
         help="CSV destination for --timeseries (default: alongside the input)",
     )
     args = parser.parse_args(argv)
-    if args.timeseries is not None:
+    try:
+        if args.timeseries is None:
+            return export_figures(args.events)
         destination = (
             args.out
             if args.out is not None
@@ -110,8 +113,6 @@ def main(argv=None) -> int:
         rows = export_timeseries_csv(args.timeseries, destination)
         print(f"wrote {rows} time-series rows to {destination}")
         return 0
-    try:
-        return export_figures(args.events)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -19,152 +19,90 @@ See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced figure.
 """
 
-from .caching import (
-    ARCCache,
-    Cache,
-    CacheStats,
-    ClockCache,
-    FIFOCache,
-    LFUCache,
-    LRUCache,
-    MQCache,
-    MultiLevelHierarchy,
-    NullCache,
-    OPTCache,
-    RandomCache,
-    TwoLevelHierarchy,
-    make_cache,
-)
-from .core import (
-    AggregatingClientCache,
-    AggregatingServerCache,
-    FirstSuccessorPredictor,
-    Group,
-    GroupBuilder,
-    LastSuccessorPredictor,
-    NoopPredictor,
-    OracleSuccessorList,
-    PrefetchingCache,
-    ProbabilityGraphPredictor,
-    RelationshipGraph,
-    SuccessorTracker,
-    entropy_profile,
-    evaluate_successor_misses,
-    filtered_entropy_profile,
-    successor_entropy,
-    successor_entropy_breakdown,
-)
-from .hoarding import (
-    FrequencyHoard,
-    GroupClosureHoard,
-    RecencyHoard,
-    compare_hoards,
-    simulate_disconnection,
-)
-from .placement import (
-    DiskLayout,
-    compare_placements,
-    group_layout,
-    replicated_group_layout,
-)
-from .errors import (
-    AnalysisError,
-    CacheConfigurationError,
-    ExperimentError,
-    ReproError,
-    SimulationError,
-    TraceError,
-    TraceFormatError,
-    WorkloadError,
-)
-from .sim import DistributedFileSystem, Store, replay_cache
-from .traces import (
-    EventKind,
-    Trace,
-    TraceEvent,
-    cache_filtered,
-    read_trace,
-    summarize,
-    write_trace,
-)
-from .workloads import (
-    WORKLOADS,
-    WorkloadSpec,
-    build_workload,
-    make_server,
-    make_users,
-    make_workload,
-    make_workstation,
-    make_write,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ARCCache",
-    "AggregatingClientCache",
-    "AggregatingServerCache",
-    "AnalysisError",
-    "Cache",
-    "CacheConfigurationError",
-    "DiskLayout",
-    "FrequencyHoard",
-    "GroupClosureHoard",
-    "RecencyHoard",
-    "CacheStats",
-    "ClockCache",
-    "DistributedFileSystem",
-    "EventKind",
-    "ExperimentError",
-    "FIFOCache",
-    "FirstSuccessorPredictor",
-    "Group",
-    "GroupBuilder",
-    "LFUCache",
-    "LRUCache",
-    "LastSuccessorPredictor",
-    "MQCache",
-    "MultiLevelHierarchy",
-    "NoopPredictor",
-    "NullCache",
-    "OPTCache",
-    "OracleSuccessorList",
-    "PrefetchingCache",
-    "ProbabilityGraphPredictor",
-    "RandomCache",
-    "RelationshipGraph",
-    "ReproError",
-    "SimulationError",
-    "Store",
-    "SuccessorTracker",
-    "Trace",
-    "TraceError",
-    "TraceEvent",
-    "TraceFormatError",
-    "TwoLevelHierarchy",
-    "WORKLOADS",
-    "WorkloadError",
-    "WorkloadSpec",
-    "build_workload",
-    "cache_filtered",
-    "compare_hoards",
-    "compare_placements",
-    "entropy_profile",
-    "evaluate_successor_misses",
-    "filtered_entropy_profile",
-    "group_layout",
-    "make_cache",
-    "make_server",
-    "make_users",
-    "make_workload",
-    "make_workstation",
-    "make_write",
-    "read_trace",
-    "replay_cache",
-    "replicated_group_layout",
-    "simulate_disconnection",
-    "successor_entropy",
-    "successor_entropy_breakdown",
-    "summarize",
-    "write_trace",
-]
+#: The public names, listed under the subpackage or module that exports each.
+_EXPORTS = {
+    "caching": [
+        "ARCCache",
+        "Cache",
+        "CacheStats",
+        "ClockCache",
+        "FIFOCache",
+        "LFUCache",
+        "LRUCache",
+        "MQCache",
+        "MultiLevelHierarchy",
+        "NullCache",
+        "OPTCache",
+        "RandomCache",
+        "TwoLevelHierarchy",
+        "make_cache",
+    ],
+    "core": [
+        "AggregatingClientCache",
+        "AggregatingServerCache",
+        "FirstSuccessorPredictor",
+        "Group",
+        "GroupBuilder",
+        "LastSuccessorPredictor",
+        "NoopPredictor",
+        "OracleSuccessorList",
+        "PrefetchingCache",
+        "ProbabilityGraphPredictor",
+        "RelationshipGraph",
+        "SuccessorTracker",
+        "entropy_profile",
+        "evaluate_successor_misses",
+        "filtered_entropy_profile",
+        "successor_entropy",
+        "successor_entropy_breakdown",
+    ],
+    "hoarding": [
+        "FrequencyHoard",
+        "GroupClosureHoard",
+        "RecencyHoard",
+        "compare_hoards",
+        "simulate_disconnection",
+    ],
+    "placement": [
+        "DiskLayout",
+        "compare_placements",
+        "group_layout",
+        "replicated_group_layout",
+    ],
+    "errors": [
+        "AnalysisError",
+        "CacheConfigurationError",
+        "ExperimentError",
+        "ReproError",
+        "SimulationError",
+        "TraceError",
+        "TraceFormatError",
+        "WorkloadError",
+    ],
+    "sim": ["DistributedFileSystem", "Store", "replay_cache"],
+    "traces": [
+        "EventKind",
+        "Trace",
+        "TraceEvent",
+        "cache_filtered",
+        "read_trace",
+        "summarize",
+        "write_trace",
+    ],
+    "workloads": [
+        "WORKLOADS",
+        "WorkloadSpec",
+        "build_workload",
+        "make_server",
+        "make_users",
+        "make_workload",
+        "make_workstation",
+        "make_write",
+    ],
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -7,74 +7,30 @@ policy.  ``POLICIES`` maps policy names to constructors for CLI and
 sweep use.
 """
 
-from typing import Callable, Dict
+from .._lazy import lazy_exports
 
-from .arc import ARCCache
-from .base import Cache, CacheStats, NullCache
-from .clock import ClockCache
-from .fifo import FIFOCache
-from .lfu import LFUCache
-from .lirs import LIRSCache
-from .lru import LRUCache
-from .mq import MQCache
-from .multilevel import HierarchyResult, MultiLevelHierarchy, TwoLevelHierarchy
-from .opt import OPTCache, opt_miss_count
-from .random_cache import RandomCache
-from .slru import SLRUCache
-from .stack_distance import hit_rate_curve, miss_curve, stack_distances, working_set_knee
-from .twoq import TwoQCache
-
-#: Online policies constructible from a capacity alone.
-POLICIES: Dict[str, Callable[[int], Cache]] = {
-    "lru": LRUCache,
-    "lfu": LFUCache,
-    "fifo": FIFOCache,
-    "clock": ClockCache,
-    "mq": MQCache,
-    "arc": ARCCache,
-    "lirs": LIRSCache,
-    "random": RandomCache,
-    "2q": TwoQCache,
-    "slru": SLRUCache,
+#: The public names, listed under the submodule that defines each.
+_EXPORTS = {
+    "arc": ["ARCCache"],
+    "base": ["Cache", "CacheStats", "NullCache"],
+    "clock": ["ClockCache"],
+    "fifo": ["FIFOCache"],
+    "lfu": ["LFUCache"],
+    "lirs": ["LIRSCache"],
+    "lru": ["LRUCache"],
+    "mq": ["MQCache"],
+    "multilevel": ["HierarchyResult", "MultiLevelHierarchy", "TwoLevelHierarchy"],
+    "opt": ["OPTCache", "opt_miss_count"],
+    "policies": ["POLICIES", "make_cache"],
+    "random_cache": ["RandomCache"],
+    "slru": ["SLRUCache"],
+    "stack_distance": [
+        "hit_rate_curve",
+        "miss_curve",
+        "stack_distances",
+        "working_set_knee",
+    ],
+    "twoq": ["TwoQCache"],
 }
 
-
-def make_cache(policy: str, capacity: int) -> Cache:
-    """Construct an online cache by policy name.
-
-    Raises KeyError listing the valid names when the policy is unknown.
-    """
-    try:
-        constructor = POLICIES[policy]
-    except KeyError:
-        names = ", ".join(sorted(POLICIES))
-        raise KeyError(f"unknown policy {policy!r} (expected one of: {names})")
-    return constructor(capacity)
-
-
-__all__ = [
-    "ARCCache",
-    "Cache",
-    "CacheStats",
-    "ClockCache",
-    "FIFOCache",
-    "HierarchyResult",
-    "LFUCache",
-    "LIRSCache",
-    "LRUCache",
-    "MQCache",
-    "MultiLevelHierarchy",
-    "NullCache",
-    "OPTCache",
-    "POLICIES",
-    "RandomCache",
-    "SLRUCache",
-    "TwoLevelHierarchy",
-    "TwoQCache",
-    "hit_rate_curve",
-    "make_cache",
-    "miss_curve",
-    "opt_miss_count",
-    "stack_distances",
-    "working_set_knee",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -5,85 +5,52 @@ Successor tracking, dynamic group construction, the aggregating cache
 and the related-work predictors it is benchmarked against.
 """
 
-from .aggregating_cache import (
-    AggregatingClientCache,
-    AggregatingServerCache,
-    GroupFetchLog,
-)
-from .context import PPMPredictor
-from .partitioned import (
-    AttributionComparison,
-    PartitionedSuccessorTracker,
-    evaluate_partitioned_misses,
-)
-from .entropy import (
-    EntropyBreakdown,
-    entropy_profile,
-    filtered_entropy_profile,
-    perplexity,
-    successor_entropy,
-    successor_entropy_breakdown,
-)
-from .graph import Edge, RelationshipGraph, graph_summary_rows, hub_files
-from .grouping import AdaptiveGroupBuilder, Group, GroupBuilder
-from .predictors import (
-    PREDICTORS,
-    FirstSuccessorPredictor,
-    LastSuccessorPredictor,
-    NoopPredictor,
-    PrefetchingCache,
-    Predictor,
-    ProbabilityGraphPredictor,
-)
-from .successors import (
-    SUCCESSOR_POLICIES,
-    HybridSuccessorList,
-    LFUSuccessorList,
-    LRUSuccessorList,
-    OracleSuccessorList,
-    SuccessorList,
-    SuccessorMissReport,
-    SuccessorTracker,
-    evaluate_successor_misses,
-    make_successor_list,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveGroupBuilder",
-    "AggregatingClientCache",
-    "AggregatingServerCache",
-    "AttributionComparison",
-    "Edge",
-    "EntropyBreakdown",
-    "FirstSuccessorPredictor",
-    "Group",
-    "GroupBuilder",
-    "GroupFetchLog",
-    "HybridSuccessorList",
-    "LFUSuccessorList",
-    "LRUSuccessorList",
-    "LastSuccessorPredictor",
-    "NoopPredictor",
-    "OracleSuccessorList",
-    "PPMPredictor",
-    "PREDICTORS",
-    "PartitionedSuccessorTracker",
-    "PrefetchingCache",
-    "Predictor",
-    "ProbabilityGraphPredictor",
-    "RelationshipGraph",
-    "SUCCESSOR_POLICIES",
-    "SuccessorList",
-    "SuccessorMissReport",
-    "SuccessorTracker",
-    "entropy_profile",
-    "evaluate_partitioned_misses",
-    "graph_summary_rows",
-    "hub_files",
-    "evaluate_successor_misses",
-    "filtered_entropy_profile",
-    "make_successor_list",
-    "perplexity",
-    "successor_entropy",
-    "successor_entropy_breakdown",
-]
+#: The public names, listed under the submodule that defines each.
+_EXPORTS = {
+    "aggregating_cache": [
+        "AggregatingClientCache",
+        "AggregatingServerCache",
+        "GroupFetchLog",
+    ],
+    "context": ["PPMPredictor"],
+    "partitioned": [
+        "AttributionComparison",
+        "PartitionedSuccessorTracker",
+        "evaluate_partitioned_misses",
+    ],
+    "entropy": [
+        "EntropyBreakdown",
+        "entropy_profile",
+        "filtered_entropy_profile",
+        "perplexity",
+        "successor_entropy",
+        "successor_entropy_breakdown",
+    ],
+    "graph": ["Edge", "RelationshipGraph", "graph_summary_rows", "hub_files"],
+    "grouping": ["AdaptiveGroupBuilder", "Group", "GroupBuilder"],
+    "predictors": [
+        "PREDICTORS",
+        "FirstSuccessorPredictor",
+        "LastSuccessorPredictor",
+        "NoopPredictor",
+        "PrefetchingCache",
+        "Predictor",
+        "ProbabilityGraphPredictor",
+    ],
+    "successors": [
+        "SUCCESSOR_POLICIES",
+        "HybridSuccessorList",
+        "LFUSuccessorList",
+        "LRUSuccessorList",
+        "OracleSuccessorList",
+        "SuccessorList",
+        "SuccessorMissReport",
+        "SuccessorTracker",
+        "evaluate_successor_misses",
+        "make_successor_list",
+    ],
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

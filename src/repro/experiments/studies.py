@@ -8,32 +8,23 @@ draws it.  Adding a study is adding one row.
 
 from __future__ import annotations
 
+import sys
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Tuple, Union
 
-from ..analysis.series import FigureData
 from ..errors import ExperimentError
-from .extensions import (
-    run_adaptation,
-    run_attribution,
-    run_cooperation,
-    run_hoarding,
-    run_metadata_budget,
-    run_peer_caching,
-    run_placement,
-    run_server_capacity,
-)
-from .fig3 import run_fig3
-from .fig4 import run_fig4
-from .fig5 import run_fig5
-from .fig7 import run_fig7
-from .fig8 import run_fig8
-from .headline import HEADLINE_WORKLOADS, HeadlineReport, headline_from_figures
+
+if TYPE_CHECKING:
+    from ..analysis.series import FigureData
+    from .headline import HeadlineReport
 
 
 class Study(NamedTuple):
     """One row of :data:`STUDIES`.
 
+    ``runner`` is the runner's public name in :mod:`repro.experiments`,
+    imported the first time :attr:`run` is read, or the runner itself;
+    reading the table imports no runner.
     ``panels`` are the workloads the report and the CSV export evaluate,
     one figure each; ``()`` evaluates the runner's own default.  A row
     with a ``command`` is also that CLI subcommand, with ``help`` as its
@@ -45,40 +36,47 @@ class Study(NamedTuple):
     """
 
     id: str
-    run: Callable[..., FigureData]
+    runner: Union[str, Callable[..., FigureData]]
     panels: Tuple[str, ...] = ()
     command: str = ""
     help: str = ""
     credit: str = ""
 
+    @property
+    def run(self) -> Callable[..., FigureData]:
+        """The runner callable."""
+        if isinstance(self.runner, str):
+            return getattr(sys.modules[__package__], self.runner)
+        return self.runner
 
-#: Every study, in report order: id, runner, panels, and for a
+
+#: Every study, in report order: id, runner name, panels, and for a
 #: subcommand its name, help text and sweep credit.
 STUDIES: Tuple[Study, ...] = (
-    Study("fig3", run_fig3, ("server", "write"), "fig3",
+    Study("fig3", "run_fig3", ("server", "write"), "fig3",
           "client demand fetches vs cache capacity, per group size", "point"),
-    Study("fig4", run_fig4, ("workstation", "users", "server"), "fig4",
+    Study("fig4", "run_fig4", ("workstation", "users", "server"), "fig4",
           "server hit rate vs intervening client cache capacity", "point"),
-    Study("fig5", run_fig5, ("workstation", "server"), "fig5",
+    Study("fig5", "run_fig5", ("workstation", "server"), "fig5",
           "successor-list miss probability: Oracle vs LRU vs LFU", "point"),
-    Study("fig7", run_fig7, (), "fig7",
+    Study("fig7", "run_fig7", (), "fig7",
           "successor entropy vs successor sequence length", "series"),
-    Study("fig8", run_fig8, ("write", "users"), "fig8",
+    Study("fig8", "run_fig8", ("write", "users"), "fig8",
           "successor entropy of LRU-filtered miss streams", "series"),
-    Study("placement", run_placement, (), "placement",
+    Study("placement", "run_placement", (), "placement",
           "grouping for data placement: seek distance by layout"),
-    Study("hoarding", run_hoarding, (), "hoard",
+    Study("hoarding", "run_hoarding", (), "hoard",
           "mobile hoarding: offline miss rate by hoard policy"),
-    Study("cooperation", run_cooperation, (), "cooperation",
+    Study("cooperation", "run_cooperation", (), "cooperation",
           "server grouping with vs without piggy-backed client statistics"),
-    Study("attribution", run_attribution, (), "attribution",
+    Study("attribution", "run_attribution", (), "attribution",
           "global vs per-client successor tracking"),
-    Study("adaptation", run_adaptation, (), "adaptation",
+    Study("adaptation", "run_adaptation", (), "adaptation",
           "hit rate across an abrupt workload shift"),
-    Study("server-capacity", run_server_capacity, (), "servercap",
+    Study("server-capacity", "run_server_capacity", (), "servercap",
           "server-capacity sensitivity of the Figure 4 result"),
-    Study("peer-caching", run_peer_caching),
-    Study("metadata-budget", run_metadata_budget),
+    Study("peer-caching", "run_peer_caching"),
+    Study("metadata-budget", "run_metadata_budget"),
 )
 
 
@@ -116,6 +114,8 @@ class Evaluation:
 
     def headline(self) -> HeadlineReport:
         """The headline claims, read off this evaluation's figures."""
+        from .headline import HEADLINE_WORKLOADS, headline_from_figures
+
         return headline_from_figures(
             self.figure("fig3", "server"),
             {workload: self.figure("fig4", workload) for workload in HEADLINE_WORKLOADS},

@@ -6,24 +6,20 @@ hoarding expands recent seeds through their dynamic groups, capturing
 whole task working sets.
 """
 
-from .hoard import (
-    HOARD_POLICIES,
-    DisconnectionReport,
-    FrequencyHoard,
-    GroupClosureHoard,
-    HoardPolicy,
-    RecencyHoard,
-    compare_hoards,
-    simulate_disconnection,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DisconnectionReport",
-    "FrequencyHoard",
-    "GroupClosureHoard",
-    "HOARD_POLICIES",
-    "HoardPolicy",
-    "RecencyHoard",
-    "compare_hoards",
-    "simulate_disconnection",
-]
+#: The public names, listed under the submodule that defines each.
+_EXPORTS = {
+    "hoard": [
+        "HOARD_POLICIES",
+        "DisconnectionReport",
+        "FrequencyHoard",
+        "GroupClosureHoard",
+        "HoardPolicy",
+        "RecencyHoard",
+        "compare_hoards",
+        "simulate_disconnection",
+    ],
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -42,128 +42,75 @@ renders both Prometheus pages, the replay telemetry's and the daemon's.
 daemon and the slam driver share.
 """
 
-from .export import (
-    SCHEMA,
-    TS_SCHEMA,
-    load_jsonl,
-    snapshot_records,
-    write_jsonl,
-)
-from .live import DEFAULT_POLL_SECONDS, LiveWindow, StatsStream
-from .quantiles import percentile
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ObservabilityError,
-    collecting,
-    disable,
-    enable,
-    enabled,
-    get_registry,
-    set_registry,
-)
-from .timeseries import (
-    MetricsServer,
-    WindowedCollector,
-    WindowSample,
-    get_collector,
-    load_ts_jsonl,
-    prometheus_text,
-    serve_metrics,
-    set_collector,
-    ts_records,
-    windowing,
-    write_ts_jsonl,
-)
-from .spans import (
-    SPAN_SCHEMA,
-    TRACE_HEADER,
-    Span,
-    SpanBuffer,
-    endpoint_breakdown,
-    format_header,
-    format_span_tree,
-    load_spans_jsonl,
-    merge_spans,
-    parse_header,
-    slowest_traces,
-    span_records,
-    spans_chrome_trace,
-    write_spans_chrome_trace,
-    write_spans_jsonl,
-)
-from .tracing import (
-    TRACE_SCHEMA,
-    FlightRecorder,
-    chrome_payload,
-    chrome_trace,
-    load_trace_jsonl,
-    recording,
-    set_recorder,
-    trace_records,
-    write_chrome_json,
-    write_chrome_trace,
-    write_trace_jsonl,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA",
-    "SPAN_SCHEMA",
-    "TRACE_HEADER",
-    "TRACE_SCHEMA",
-    "TS_SCHEMA",
-    "Span",
-    "SpanBuffer",
-    "endpoint_breakdown",
-    "format_header",
-    "format_span_tree",
-    "load_spans_jsonl",
-    "merge_spans",
-    "parse_header",
-    "percentile",
-    "slowest_traces",
-    "span_records",
-    "spans_chrome_trace",
-    "write_spans_chrome_trace",
-    "write_spans_jsonl",
-    "chrome_payload",
-    "write_chrome_json",
-    "DEFAULT_POLL_SECONDS",
-    "LiveWindow",
-    "StatsStream",
-    "MetricsServer",
-    "WindowSample",
-    "WindowedCollector",
-    "get_collector",
-    "load_ts_jsonl",
-    "prometheus_text",
-    "serve_metrics",
-    "set_collector",
-    "ts_records",
-    "windowing",
-    "write_ts_jsonl",
-    "FlightRecorder",
-    "chrome_trace",
-    "load_trace_jsonl",
-    "recording",
-    "set_recorder",
-    "trace_records",
-    "write_chrome_trace",
-    "write_trace_jsonl",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ObservabilityError",
-    "collecting",
-    "disable",
-    "enable",
-    "enabled",
-    "get_registry",
-    "load_jsonl",
-    "set_registry",
-    "snapshot_records",
-    "write_jsonl",
-]
+#: The public names, listed under the submodule that defines each.
+_EXPORTS = {
+    "export": [
+        "SCHEMA",
+        "TS_SCHEMA",
+        "load_jsonl",
+        "snapshot_records",
+        "write_jsonl",
+    ],
+    "live": ["DEFAULT_POLL_SECONDS", "LiveWindow", "StatsStream"],
+    "quantiles": ["percentile"],
+    "registry": [
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "ObservabilityError",
+        "collecting",
+        "disable",
+        "enable",
+        "enabled",
+        "get_registry",
+        "set_registry",
+    ],
+    "timeseries": [
+        "MetricsServer",
+        "WindowedCollector",
+        "WindowSample",
+        "get_collector",
+        "load_ts_jsonl",
+        "prometheus_text",
+        "serve_metrics",
+        "set_collector",
+        "ts_records",
+        "windowing",
+        "write_ts_jsonl",
+    ],
+    "spans": [
+        "SPAN_SCHEMA",
+        "TRACE_HEADER",
+        "Span",
+        "SpanBuffer",
+        "endpoint_breakdown",
+        "format_header",
+        "format_span_tree",
+        "load_spans_jsonl",
+        "merge_spans",
+        "parse_header",
+        "slowest_traces",
+        "span_records",
+        "spans_chrome_trace",
+        "write_spans_chrome_trace",
+        "write_spans_jsonl",
+    ],
+    "tracing": [
+        "TRACE_SCHEMA",
+        "FlightRecorder",
+        "chrome_payload",
+        "chrome_trace",
+        "load_trace_jsonl",
+        "recording",
+        "set_recorder",
+        "trace_records",
+        "write_chrome_json",
+        "write_chrome_trace",
+        "write_trace_jsonl",
+    ],
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -259,7 +259,10 @@ class HttpHost:
     def __init__(self, host: str, port: int, thread_name: str):
         # socketserver calls its handler class as handler(request,
         # client_address, server); a bound method serves as one.
-        self._server = _Server((host, port), self._serve_connection)
+        try:
+            self._server = _Server((host, port), self._serve_connection)
+        except (OSError, OverflowError) as error:  # busy, unresolvable, out of range
+            raise ReproError(f"cannot listen on {host}:{port}: {error}") from error
         self.host, self.port = self._server.server_address[:2]
         self._thread = threading.Thread(
             target=self._server.serve_forever, name=thread_name, daemon=True

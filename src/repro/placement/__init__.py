@@ -7,27 +7,20 @@ traditional placement requires and the overlapping/replicated form the
 paper argues for — with the space overhead of overlap measured.
 """
 
-from .disk import DiskLayout, SeekStats, layout_from_order, organ_pipe_order
-from .strategies import (
-    PLACEMENTS,
-    compare_placements,
-    frequency_layout,
-    group_layout,
-    name_order_layout,
-    random_layout,
-    replicated_group_layout,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DiskLayout",
-    "PLACEMENTS",
-    "SeekStats",
-    "compare_placements",
-    "frequency_layout",
-    "group_layout",
-    "layout_from_order",
-    "name_order_layout",
-    "organ_pipe_order",
-    "random_layout",
-    "replicated_group_layout",
-]
+#: The public names, listed under the submodule that defines each.
+_EXPORTS = {
+    "disk": ["DiskLayout", "SeekStats", "layout_from_order", "organ_pipe_order"],
+    "strategies": [
+        "PLACEMENTS",
+        "compare_placements",
+        "frequency_layout",
+        "group_layout",
+        "name_order_layout",
+        "random_layout",
+        "replicated_group_layout",
+    ],
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

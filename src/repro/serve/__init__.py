@@ -41,29 +41,20 @@ Nothing here imports outside the standard library, matching the rest
 of the repository's zero-heavy-deps stance.
 """
 
-from .client import (
-    ServeConnection,
-    SlamReport,
-    SlamError,
-    percentile,
-    run_slam,
-)
-from .scenario import Scenario, ScenarioError, load_scenario
-from .schema import SERVE_SCHEMA, SPAN_SCHEMA, TRACE_HEADER, WireError
-from .server import CacheDaemon
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CacheDaemon",
-    "Scenario",
-    "ScenarioError",
-    "ServeConnection",
-    "SERVE_SCHEMA",
-    "SPAN_SCHEMA",
-    "SlamError",
-    "SlamReport",
-    "TRACE_HEADER",
-    "WireError",
-    "load_scenario",
-    "percentile",
-    "run_slam",
-]
+#: The public names, listed under the submodule that defines each.
+_EXPORTS = {
+    "client": [
+        "ServeConnection",
+        "SlamReport",
+        "SlamError",
+        "percentile",
+        "run_slam",
+    ],
+    "scenario": ["Scenario", "ScenarioError", "load_scenario"],
+    "schema": ["SERVE_SCHEMA", "SPAN_SCHEMA", "TRACE_HEADER", "WireError"],
+    "server": ["CacheDaemon"],
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -150,6 +150,14 @@ def _typed(value: Any, kind, source: str, name: str):
     return value
 
 
+def check_port(port: int, name: str) -> int:
+    """``port`` when it is a TCP port (0 binds an ephemeral one); ``name``
+    says where it came from in the error."""
+    if not 0 <= port <= 65535:
+        raise ScenarioError(f"{name} must be 0..65535, got {port}")
+    return port
+
+
 def scenario_from_dict(
     payload: Mapping[str, Any], source: str = "<inline>"
 ) -> Scenario:
@@ -188,9 +196,10 @@ def scenario_from_dict(
     server = _typed(payload.get("server", {}), Mapping, source, "server")
     _require(server, ("host", "port", "allow_shutdown"), source, "server")
     scenario.host = _typed(server.get("host", scenario.host), str, source, "server.host")
-    scenario.port = _typed(server.get("port", scenario.port), int, source, "server.port")
-    if not 0 <= scenario.port <= 65535:
-        raise ScenarioError(f"{source}: server.port must be 0..65535, got {scenario.port}")
+    scenario.port = check_port(
+        _typed(server.get("port", scenario.port), int, source, "server.port"),
+        f"{source}: server.port",
+    )
     scenario.allow_shutdown = _typed(
         server.get("allow_shutdown", True), bool, source, "server.allow_shutdown"
     )

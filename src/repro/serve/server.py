@@ -88,6 +88,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..errors import ReproError
 from ..obs import spans as obs_spans
 from ..obs.export import EXPOSITION_CONTENT_TYPE, exposition
 from ..obs.host import HttpHost, Request
@@ -455,11 +456,16 @@ class CacheDaemon(HttpHost):
         self._journaled = 0
         self._started = time.time()
         self._stop = threading.Event()
-        super().__init__(
-            host if host is not None else scenario.host,
-            port if port is not None else scenario.port,
-            "repro-serve",
-        )
+        try:
+            super().__init__(
+                host if host is not None else scenario.host,
+                port if port is not None else scenario.port,
+                "repro-serve",
+            )
+        except ReproError:
+            if self.access_log is not None:
+                self.access_log.close()
+            raise
         self._sampler = (
             threading.Thread(
                 target=self._sampler_loop,
@@ -548,6 +554,7 @@ class CacheDaemon(HttpHost):
                 pass
         self.start()
         if port_file is not None:
+            Path(port_file).parent.mkdir(parents=True, exist_ok=True)
             Path(port_file).write_text(f"{self.port}\n", encoding="utf-8")
         if announce is not None:
             announce(

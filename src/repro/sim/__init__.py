@@ -1,22 +1,13 @@
 """Simulation engine: replay driver, system topology, costs, metrics, sweeps."""
 
-from .costs import CostModel, PricedComparison, price_replay
-from .cooperative import PeerMetrics, PeerNetwork
-from .engine import DistributedFileSystem, Store, SystemMetrics, replay_cache
-from .sweep import Record, SweepGrid, pivot, run_sweep
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "DistributedFileSystem",
-    "PeerMetrics",
-    "PeerNetwork",
-    "PricedComparison",
-    "price_replay",
-    "Record",
-    "Store",
-    "SweepGrid",
-    "SystemMetrics",
-    "pivot",
-    "replay_cache",
-    "run_sweep",
-]
+#: The public names, listed under the submodule that defines each.
+_EXPORTS = {
+    "costs": ["CostModel", "PricedComparison", "price_replay"],
+    "cooperative": ["PeerMetrics", "PeerNetwork"],
+    "engine": ["DistributedFileSystem", "Store", "SystemMetrics", "replay_cache"],
+    "sweep": ["Record", "SweepGrid", "pivot", "run_sweep"],
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -6,96 +6,56 @@ provides the stream reductions (opens-only projection, intervening-cache
 filtering) that the paper's analyses depend on.
 """
 
-from .adapters import from_csv, from_path_lines, from_strace_log
-from .anonymize import anonymize_trace, enumerate_trace, verify_structure_preserved
-from .artifacts import (
-    CACHE_ENV_VAR,
-    artifact_path,
-    cache_dir,
-    load_or_generate,
-    load_or_generate_columnar,
-)
-from .columnar import (
-    ColumnarFormatError,
-    ColumnarTrace,
-    describe_columnar,
-    read_columnar,
-    validate_columnar,
-    write_columnar,
-)
-from .symbols import SymbolTable, intern_sequence
-from .events import EventKind, Trace, TraceEvent
-from .filters import (
-    by_client,
-    by_kind,
-    by_predicate,
-    by_prefix,
-    cache_filtered,
-    collapse_repeats,
-    opens_only,
-    split_rounds,
-)
-from .merge import concatenate, interleave, prefix_files, relabel_clients
-from .reader import iter_events, parse_event_line, read_file_ids, read_trace
-from .stats import (
-    TraceSummary,
-    access_counts,
-    entropy_of_counts,
-    interreference_distances,
-    last_successor_repeat_rate,
-    popularity_gini,
-    summarize,
-    working_set_sizes,
-)
-from .writer import format_event, write_trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_ENV_VAR",
-    "ColumnarFormatError",
-    "ColumnarTrace",
-    "EventKind",
-    "SymbolTable",
-    "Trace",
-    "TraceEvent",
-    "TraceSummary",
-    "artifact_path",
-    "cache_dir",
-    "describe_columnar",
-    "intern_sequence",
-    "load_or_generate",
-    "load_or_generate_columnar",
-    "read_columnar",
-    "validate_columnar",
-    "write_columnar",
-    "access_counts",
-    "anonymize_trace",
-    "by_client",
-    "by_kind",
-    "by_predicate",
-    "by_prefix",
-    "cache_filtered",
-    "collapse_repeats",
-    "concatenate",
-    "entropy_of_counts",
-    "enumerate_trace",
-    "format_event",
-    "from_csv",
-    "from_path_lines",
-    "from_strace_log",
-    "interleave",
-    "interreference_distances",
-    "iter_events",
-    "last_successor_repeat_rate",
-    "opens_only",
-    "parse_event_line",
-    "popularity_gini",
-    "prefix_files",
-    "read_file_ids",
-    "relabel_clients",
-    "read_trace",
-    "split_rounds",
-    "summarize",
-    "verify_structure_preserved",
-    "working_set_sizes",
-    "write_trace",
-]
+#: The public names, listed under the submodule that defines each.
+_EXPORTS = {
+    "adapters": ["from_csv", "from_path_lines", "from_strace_log"],
+    "anonymize": [
+        "anonymize_trace",
+        "enumerate_trace",
+        "verify_structure_preserved",
+    ],
+    "artifacts": [
+        "CACHE_ENV_VAR",
+        "artifact_path",
+        "cache_dir",
+        "load_or_generate",
+        "load_or_generate_columnar",
+    ],
+    "columnar": [
+        "ColumnarFormatError",
+        "ColumnarTrace",
+        "describe_columnar",
+        "read_columnar",
+        "validate_columnar",
+        "write_columnar",
+    ],
+    "symbols": ["SymbolTable", "intern_sequence"],
+    "events": ["EventKind", "Trace", "TraceEvent"],
+    "filters": [
+        "by_client",
+        "by_kind",
+        "by_predicate",
+        "by_prefix",
+        "cache_filtered",
+        "collapse_repeats",
+        "opens_only",
+        "split_rounds",
+    ],
+    "merge": ["concatenate", "interleave", "prefix_files", "relabel_clients"],
+    "reader": ["iter_events", "parse_event_line", "read_file_ids", "read_trace"],
+    "stats": [
+        "TraceSummary",
+        "access_counts",
+        "entropy_of_counts",
+        "interreference_distances",
+        "last_successor_repeat_rate",
+        "popularity_gini",
+        "summarize",
+        "working_set_sizes",
+    ],
+    "writer": ["format_event", "write_trace"],
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

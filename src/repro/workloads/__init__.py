@@ -6,69 +6,41 @@ substitution rationale), plus generic activity/session/Markov building
 blocks for constructing custom workloads.
 """
 
-from .catalog import CATALOG, WorkloadProfile, catalog_rows, describe_workload
-from .activities import (
-    Access,
-    Activity,
-    MarkovActivity,
-    ScriptedActivity,
-    make_file_names,
-)
-from .markov import (
-    MarkovTraceGenerator,
-    TransitionTable,
-    cycle_with_noise,
-    validate_transitions,
-)
-from .sessions import ClientSession, Interleaver, SessionConfig
-from .synthetic import (
-    SERVER_SPEC,
-    SHARED_UTILITIES,
-    USERS_SPEC,
-    WORKLOADS,
-    WORKSTATION_SPEC,
-    WRITE_SPEC,
-    WorkloadSpec,
-    build_workload,
-    make_server,
-    make_users,
-    make_workload,
-    make_workstation,
-    make_write,
-)
-from .zipf import ZipfSampler, geometric, zipf_choice
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Access",
-    "CATALOG",
-    "WorkloadProfile",
-    "catalog_rows",
-    "describe_workload",
-    "Activity",
-    "ClientSession",
-    "Interleaver",
-    "MarkovActivity",
-    "MarkovTraceGenerator",
-    "SERVER_SPEC",
-    "SHARED_UTILITIES",
-    "ScriptedActivity",
-    "SessionConfig",
-    "TransitionTable",
-    "USERS_SPEC",
-    "WORKLOADS",
-    "WORKSTATION_SPEC",
-    "WRITE_SPEC",
-    "WorkloadSpec",
-    "ZipfSampler",
-    "build_workload",
-    "cycle_with_noise",
-    "geometric",
-    "make_file_names",
-    "make_server",
-    "make_users",
-    "make_workload",
-    "make_workstation",
-    "make_write",
-    "validate_transitions",
-    "zipf_choice",
-]
+#: The public names, listed under the submodule that defines each.
+_EXPORTS = {
+    "catalog": ["CATALOG", "WorkloadProfile", "catalog_rows", "describe_workload"],
+    "activities": [
+        "Access",
+        "Activity",
+        "MarkovActivity",
+        "ScriptedActivity",
+        "make_file_names",
+    ],
+    "markov": [
+        "MarkovTraceGenerator",
+        "TransitionTable",
+        "cycle_with_noise",
+        "validate_transitions",
+    ],
+    "sessions": ["ClientSession", "Interleaver", "SessionConfig"],
+    "synthetic": [
+        "SERVER_SPEC",
+        "SHARED_UTILITIES",
+        "USERS_SPEC",
+        "WORKLOADS",
+        "WORKSTATION_SPEC",
+        "WRITE_SPEC",
+        "WorkloadSpec",
+        "build_workload",
+        "make_server",
+        "make_users",
+        "make_workload",
+        "make_workstation",
+        "make_write",
+    ],
+    "zipf": ["ZipfSampler", "geometric", "zipf_choice"],
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -6,7 +6,20 @@ import random
 
 import pytest
 
+from repro.traces.artifacts import CACHE_ENV_VAR
 from repro.traces.events import EventKind, Trace, TraceEvent
+
+
+@pytest.fixture(scope="session", autouse=True)
+def trace_cache(tmp_path_factory):
+    """One temporary trace-artifact cache for the whole session.
+
+    Set in ``os.environ`` so CLI subprocesses inherit it too; without
+    it the suite fills ``~/.cache/repro/traces``.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CACHE_ENV_VAR, str(tmp_path_factory.mktemp("trace-cache")))
+        yield
 
 
 @pytest.fixture

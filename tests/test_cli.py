@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import _Dashboard, _throughput, build_parser, main
+from repro.cli import build_parser, main, throughput_line
 from repro.obs import LiveWindow, WindowSample
+from repro.obs.frontend import _Dashboard
 
 
 class _Terminal(io.StringIO):
@@ -508,30 +509,42 @@ class TestTimeseriesCommands:
             probe.bind(("127.0.0.1", port))  # the listener is closed
 
     def test_drift_rejects_bad_listen_free_of_charge(self):
-        from repro.cli import _parse_listen
         from repro.errors import ReproError
+        from repro.obs.frontend import _parse_listen
 
         assert _parse_listen(":0") == ("127.0.0.1", 0)
         assert _parse_listen("0.0.0.0:9100") == ("0.0.0.0", 9100)
         with pytest.raises(ReproError):
             _parse_listen("9100")
 
+    def test_top_listen_on_a_busy_port_is_an_error(self, capsys):
+        with socket.socket() as blocker:
+            blocker.bind(("127.0.0.1", 0))
+            blocker.listen(1)
+            port = blocker.getsockname()[1]
+            code = main(
+                ["top", "--events", "500", "--plain", "--listen", f"127.0.0.1:{port}"]
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+
 
 class TestThroughputLine:
     """The ``throughput:`` line of the sweep figures and ``metrics``."""
 
     def test_events_per_second(self):
-        line = _throughput(1000, 2.0)
+        line = throughput_line(1000, 2.0)
         assert line == "throughput: 1,000 events in 2.00s (500 events/s)"
 
     def test_zero_time_is_zero_rate(self):
-        assert _throughput(0, 0.0) == "throughput: 0 events in 0.00s (0 events/s)"
+        assert throughput_line(0, 0.0) == "throughput: 0 events in 0.00s (0 events/s)"
 
     def test_no_events_is_zero_rate(self):
-        assert _throughput(0, 1.5) == "throughput: 0 events in 1.50s (0 events/s)"
+        assert throughput_line(0, 1.5) == "throughput: 0 events in 1.50s (0 events/s)"
 
     def test_rate_rounds_to_whole_events(self):
-        line = _throughput(1_234_567, 0.75)
+        line = throughput_line(1_234_567, 0.75)
         assert line == "throughput: 1,234,567 events in 0.75s (1,646,089 events/s)"
 
     @pytest.mark.parametrize(

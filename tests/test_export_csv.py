@@ -63,6 +63,21 @@ class TestExportTimeseriesCsv:
         assert export_csv.main(["--timeseries", str(source)]) == 0
         assert source.with_suffix(".csv").exists()
 
+    def test_cli_creates_the_destination_directory(self, tmp_path, capsys):
+        source, collector = _series(tmp_path)
+        destination = tmp_path / "new" / "series.csv"
+        argv = ["--timeseries", str(source), "--out", str(destination)]
+        assert export_csv.main(argv) == 0
+        assert len(destination.read_text().splitlines()) == len(collector.samples) + 1
+
+    def test_cli_non_ts_input_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        source = tmp_path / "bad.jsonl"
+        source.write_text('{"kind": "meta", "schema": "other/1"}\n')
+        assert export_csv.main(["--timeseries", str(source)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "repro.ts/1" in err
+        assert not source.with_suffix(".csv").exists()
+
 
 class TestExportFigures:
     @pytest.mark.parametrize("events", ["0", "-5"])

@@ -84,7 +84,7 @@ def _figure_subcommands():
     """{name: parser} of the subcommands that draw a figure (``--csv``)."""
     (choices,) = [
         action.choices
-        for action in build_parser()._actions
+        for action in build_parser().declare()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
     return {

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
+from repro.obs import host as obs_host
 from repro.obs.timeseries import MetricsServer
 from repro.serve import (
     CacheDaemon,
@@ -637,6 +638,45 @@ class TestProcessLifecycle:
             conn.request("POST", "/shutdown")
         process.communicate(timeout=10)
         assert process.returncode == 0
+
+    def test_port_file_directory_is_created(self, tmp_path):
+        directory = tmp_path / "new" / "dir"
+        process, port = _spawn_daemon(directory)
+        process.send_signal(signal.SIGTERM)
+        process.communicate(timeout=10)
+        assert process.returncode == 0
+        assert (directory / "port").read_text() == f"{port}\n"
+
+
+class TestStartFailures:
+    """A daemon that cannot start says why on stderr and exits 1."""
+
+    SMOKE = str(SCENARIOS / "smoke.json")
+
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    def test_port_out_of_range(self, port, capsys):
+        assert main(["serve", self.SMOKE, "--port", port]) == 1
+        assert capsys.readouterr().err == f"error: --port must be 0..65535, got {port}\n"
+
+    def test_busy_port(self, capsys):
+        with socket.socket() as blocker:
+            blocker.bind(("127.0.0.1", 0))
+            blocker.listen(1)
+            port = blocker.getsockname()[1]
+            assert main(["serve", self.SMOKE, "--port", str(port)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+
+    def test_unresolvable_host(self, monkeypatch, capsys):
+        # bind() resolves the host; failing there keeps the test off DNS.
+        def unresolvable(server):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(obs_host._Server, "server_bind", unresolvable)
+        host = "no.such.host.invalid"
+        assert main(["serve", self.SMOKE, "--host", host]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot listen on {host}:0: ")
 
 
 # -- the shared HTTP host: port-0 and close() contract -----------------------
