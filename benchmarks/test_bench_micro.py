@@ -153,6 +153,8 @@ def _system_trace():
 
 
 def _record_throughput(benchmark, events):
+    if benchmark.stats is None:  # --benchmark-disable: nothing was timed
+        return
     benchmark.extra_info["events_per_round"] = events
     # Median, not mean: a single GC / scheduler hiccup in one round
     # would otherwise skew the recorded throughput.

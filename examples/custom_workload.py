@@ -77,7 +77,6 @@ def main():
         client_capacity=60,
         server_capacity=250,
         group_size=5,
-        cooperative=True,
     )
     metrics = system.replay(trace)
     print("\ntopology results:")

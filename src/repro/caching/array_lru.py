@@ -111,8 +111,7 @@ class ArrayLRU:
     operation: ``access`` is the demand path (hit-promote or
     evict-and-admit), ``install_tail`` is the batch companion install
     at the eviction end, ``evict`` pops the exact least-recently-used
-    resident.  ``evict_listener`` receives each victim, like the dict
-    cache's hook.
+    resident.
     """
 
     __slots__ = (
@@ -125,7 +124,6 @@ class ArrayLRU:
         "cold",
         "cold_stack",
         "queue",
-        "evict_listener",
     )
 
     def __init__(self, capacity: int, universe: int):
@@ -155,7 +153,6 @@ class ArrayLRU:
         #: Lazy eviction queue: (stamp, key) snapshots, descending, so
         #: ``pop()`` is the oldest.  Stale entries are skipped on pop.
         self.queue: List[tuple] = []
-        self.evict_listener = None
 
     # -- construction / export -------------------------------------------
 
@@ -285,8 +282,6 @@ class ArrayLRU:
                 refill_queue(queue, in_cache, stamp)
         in_cache[victim] = 0
         self.size -= 1
-        if self.evict_listener is not None:
-            self.evict_listener(victim)
         return victim
 
     def install_tail(self, keys: Iterable[int]) -> int:

@@ -32,10 +32,6 @@ class LRUCache(Cache):
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self._order: "OrderedDict[str, None]" = OrderedDict()
-        #: Optional callback invoked with each evicted key.  Used by
-        #: instrumentation (e.g. prefetch-waste accounting) that needs
-        #: to know when a key left without ever being demanded.
-        self.evict_listener = None
 
     def _lookup(self, key: str) -> bool:
         if key in self._order:
@@ -48,8 +44,6 @@ class LRUCache(Cache):
 
     def _evict_one(self) -> str:
         key, _ = self._order.popitem(last=False)
-        if self.evict_listener is not None:
-            self.evict_listener(key)
         return key
 
     def _remove(self, key: str) -> None:
@@ -177,12 +171,9 @@ class LRUCache(Cache):
             return 0
         overflow = len(order) + len(newcomers) - capacity
         if overflow > 0:
-            listener = self.evict_listener
             popitem = order.popitem
             for _ in range(overflow):
-                victim, _value = popitem(last=False)
-                if listener is not None:
-                    listener(victim)
+                popitem(last=False)
             stats.evictions += overflow
         move_to_front = order.move_to_end
         for key in newcomers:

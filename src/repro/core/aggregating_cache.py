@@ -166,14 +166,10 @@ class AggregatingClientCache:
         # companions go to the LRU tail as one batch so unconfirmed
         # predictions never outrank demand-fetched residents (and never
         # evict each other).
-        installed = self._install_companions(group.predicted)
+        installed = self._cache.install_group_at_tail(group.predicted)
         log.files_retrieved += installed
         log.predicted_installed += installed
         return False
-
-    def _install_companions(self, companions) -> int:
-        """Place predicted companions; subclass hook for instrumentation."""
-        return self._cache.install_group_at_tail(companions)
 
     def _metrics_baseline(self) -> Tuple[int, ...]:
         """Pre-replay totals used to record per-replay metric deltas."""
@@ -228,11 +224,11 @@ class AggregatingClientCache:
         """Whether the inlined replay loop matches this configuration.
 
         The fast loop hard-codes LRU successor lists and the stock group
-        builder, and bypasses the :meth:`access` / ``_install_companions``
-        hooks — so subclasses and alternative policies take the generic
-        per-event path.  So do replays under an active flight recorder,
-        which needs per-event visibility (the fused loop batches its
-        accounting and would emit no records).
+        builder, and bypasses :meth:`access` — so subclasses and
+        alternative policies take the generic per-event path.  So do
+        replays under an active flight recorder, which needs per-event
+        visibility (the fused loop batches its accounting and would emit
+        no records).
         """
         return (
             not (_obs.ENABLED and _tracing.ACTIVE is not None)
@@ -273,7 +269,6 @@ class AggregatingClientCache:
             started = time.perf_counter_ns()
         cache = self._cache
         order = cache._order
-        listener = cache.evict_listener
         capacity = cache.capacity
         stats = cache.stats
         lists = tracker._lists
@@ -306,9 +301,7 @@ class AggregatingClientCache:
                 continue
             misses += 1
             while len(order) >= capacity:
-                victim, _value = order.popitem(last=False)
-                if listener is not None:
-                    listener(victim)
+                order.popitem(last=False)
                 evictions += 1
             order[file_id] = None
             members = build_group_fast(lists_get, group_size, file_id)

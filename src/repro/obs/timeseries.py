@@ -244,10 +244,6 @@ class WindowedCollector:
         Byte weight of one store fetch.  The model ships whole files,
         so files are the byte proxy; 1 keeps ``bytes_fetched`` in file
         units, a mean file size turns it into approximate bytes.
-    entropy:
-        Compute each window's successor entropy (costs one
-        :func:`~repro.analysis.predictability.entropy_timeline` pass
-        per window; disable for maximum-throughput monitoring).
     on_sample:
         Optional callback invoked with each appended sample — the live
         ``repro top`` dashboard and the ``/metrics`` endpoint hang off
@@ -258,7 +254,6 @@ class WindowedCollector:
         self,
         window: int = 2000,
         bytes_per_file: int = 1,
-        entropy: bool = True,
         on_sample: Optional[Callable[[WindowSample], None]] = None,
     ):
         if window < 1:
@@ -269,7 +264,6 @@ class WindowedCollector:
             )
         self.window = window
         self.bytes_per_file = bytes_per_file
-        self.entropy = entropy
         self.on_sample = on_sample
         self.samples: List[WindowSample] = []
         # Source-stream cursors: replay starts accumulate across
@@ -328,14 +322,13 @@ class WindowedCollector:
         Called by the replay engine after each window of ``count``
         events.  ``deltas`` is the window's counter movement in the
         engine's snapshot shape: per-client and server-cache (hits,
-        misses, evictions, installs), then store fetches, remote
-        requests and invalidations.  ``file_ids`` is the window's access
-        sequence (strings or columnar codes — entropy only cares about
-        the successor distribution), empty when entropy is off.  Index
-        and start continue across successive replays, so an exported
-        series keeps strictly monotone starts.
+        misses, evictions, installs), then store fetches and remote
+        requests.  ``file_ids`` is the window's access sequence (strings
+        or columnar codes — entropy only cares about the successor
+        distribution).  Index and start continue across successive
+        replays, so an exported series keeps strictly monotone starts.
         """
-        clients, server, store_fetches, remote_requests, invalidations = deltas
+        clients, server, store_fetches, remote_requests = deltas
         hits, misses, evictions, installs = (
             sum(column) for column in zip((0, 0, 0, 0), *clients.values())
         )
@@ -358,7 +351,6 @@ class WindowedCollector:
             companion_slots=remote_requests * max(system.group_size - 1, 0),
             speculative_fetches=max(store_fetches - demanded, 0),
             evictions=evictions + server[2],
-            invalidations=invalidations,
             entropy=_chunk_entropy(file_ids),
         )
         self._replay_windows += 1
@@ -423,29 +415,18 @@ def set_collector(
 def windowing(
     window: int = 2000,
     collector: Optional[WindowedCollector] = None,
-    bytes_per_file: int = 1,
-    entropy: bool = True,
-    on_sample: Optional[Callable[[WindowSample], None]] = None,
 ) -> Iterator[WindowedCollector]:
     """Activate windowed telemetry for a block.
 
     Replays and sweeps inside the block stream samples into the yielded
-    collector; the previous collector (usually None) is restored on
-    exit.  Windowing is independent of the metrics master switch — it
-    changes how the replay is *driven* (chunk by chunk), not what the
-    per-event loops do, so it composes with :func:`repro.obs.collecting`
-    and :func:`repro.obs.tracing.recording` freely.
+    collector (``collector``, or a fresh ``window``-event one); the
+    previous collector (usually None) is restored on exit.  Windowing
+    is independent of the metrics master switch — it changes how the
+    replay is *driven* (chunk by chunk), not what the per-event loops
+    do, so it composes with :func:`repro.obs.collecting` and
+    :func:`repro.obs.tracing.recording` freely.
     """
-    target = (
-        collector
-        if collector is not None
-        else WindowedCollector(
-            window=window,
-            bytes_per_file=bytes_per_file,
-            entropy=entropy,
-            on_sample=on_sample,
-        )
-    )
+    target = collector if collector is not None else WindowedCollector(window)
     previous = set_collector(target)
     try:
         yield target

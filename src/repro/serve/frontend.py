@@ -23,18 +23,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     bound port for scripted callers (scenarios default to port 0, so
     parallel CI legs never collide).
     """
-    from .scenario import check_port, load_scenario
+    from .scenario import (
+        check_port,
+        check_window_events,
+        check_window_seconds,
+        load_scenario,
+    )
     from .server import CacheDaemon
+
+    def checked(value, check, name):
+        return value if value is None else check(value, name)
 
     scenario = load_scenario(args.scenario)
     daemon = CacheDaemon(
         scenario,
         host=args.host if args.host else None,
-        port=args.port if args.port is None else check_port(args.port, "--port"),
+        port=checked(args.port, check_port, "--port"),
         access_log=args.access_log,
         access_log_max_bytes=args.access_log_max_bytes,
-        window_seconds=args.stats_window,
-        window_events=args.stats_window_events,
+        window_seconds=checked(
+            args.stats_window, check_window_seconds, "--stats-window"
+        ),
+        window_events=checked(
+            args.stats_window_events, check_window_events, "--stats-window-events"
+        ),
         span_log=args.spans,
         span_capacity=args.span_capacity,
         span_sample=args.span_sample,

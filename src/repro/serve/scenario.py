@@ -33,11 +33,14 @@ fail loudly, not silently run the default.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
 from ..core.aggregating_cache import AggregatingServerCache
+from ..core.successors import SUCCESSOR_POLICIES
 from ..errors import ReproError
 
 Pathish = Union[str, Path]
@@ -128,7 +131,7 @@ class Scenario:
 
 
 def _require(mapping: Mapping[str, Any], allowed, source: str, section: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
+    unknown = sorted(str(key) for key in set(mapping) - set(allowed))
     if unknown:
         raise ScenarioError(
             f"{source}: unknown {section} key(s): {', '.join(unknown)} "
@@ -150,12 +153,33 @@ def _typed(value: Any, kind, source: str, name: str):
     return value
 
 
-def check_port(port: int, name: str) -> int:
-    """``port`` when it is a TCP port (0 binds an ephemeral one); ``name``
+def _in_range(value, low, high, name: str):
+    """``value`` when ``low <= value <= high`` (never for NaN); ``name``
     says where it came from in the error."""
-    if not 0 <= port <= 65535:
-        raise ScenarioError(f"{name} must be 0..65535, got {port}")
-    return port
+    if not low <= value <= high:
+        raise ScenarioError(f"{name} must be {low}..{high}, got {value!r}")
+    return value
+
+
+def check_port(port: int, name: str) -> int:
+    """``port`` when it is a TCP port (0 binds an ephemeral one)."""
+    return _in_range(port, 0, 65535, name)
+
+
+def check_window_seconds(seconds: float, name: str) -> float:
+    """``seconds`` when the sampler thread can wait that long (0 turns
+    the timer-driven sampler off)."""
+    return float(_in_range(seconds, 0, threading.TIMEOUT_MAX, name))
+
+
+def check_window_events(events: int, name: str) -> int:
+    """``events`` when it is a window length in accesses (0 = timer only)."""
+    return _in_range(events, 0, sys.maxsize, name)
+
+
+def _ring_size(size: int, name: str) -> int:
+    """``size`` when a bounded ring (``deque(maxlen=size)``) can hold it."""
+    return _in_range(size, 1, sys.maxsize, name)
 
 
 def scenario_from_dict(
@@ -223,6 +247,12 @@ def scenario_from_dict(
         source,
         "cache.successor_policy",
     )
+    if scenario.successor_policy not in SUCCESSOR_POLICIES:
+        raise ScenarioError(
+            f"{source}: cache.successor_policy must be one of "
+            f"{', '.join(sorted(SUCCESSOR_POLICIES))}, "
+            f"got {scenario.successor_policy!r}"
+        )
     scenario.successor_capacity = _typed(
         cache.get("successor_capacity", scenario.successor_capacity),
         int,
@@ -256,14 +286,15 @@ def scenario_from_dict(
     scenario.journal_enabled = _typed(
         journal.get("enabled", True), bool, source, "journal.enabled"
     )
-    scenario.journal_max_events = _typed(
-        journal.get("max_events", scenario.journal_max_events),
-        int,
-        source,
-        "journal.max_events",
+    scenario.journal_max_events = _ring_size(
+        _typed(
+            journal.get("max_events", scenario.journal_max_events),
+            int,
+            source,
+            "journal.max_events",
+        ),
+        f"{source}: journal.max_events",
     )
-    if scenario.journal_max_events < 1:
-        raise ScenarioError(f"{source}: journal.max_events must be >= 1")
 
     telemetry = _typed(payload.get("telemetry", {}), Mapping, source, "telemetry")
     _require(
@@ -279,28 +310,27 @@ def scenario_from_dict(
             f"{source}: telemetry.window_seconds must be a number, "
             f"got {window_seconds!r}"
         )
-    scenario.telemetry_window_seconds = float(window_seconds)
-    scenario.telemetry_window_events = _typed(
-        telemetry.get("window_events", scenario.telemetry_window_events),
-        int,
-        source,
-        "telemetry.window_events",
+    scenario.telemetry_window_seconds = check_window_seconds(
+        window_seconds, f"{source}: telemetry.window_seconds"
     )
-    scenario.telemetry_retain = _typed(
-        telemetry.get("retain", scenario.telemetry_retain),
-        int,
-        source,
-        "telemetry.retain",
+    scenario.telemetry_window_events = check_window_events(
+        _typed(
+            telemetry.get("window_events", scenario.telemetry_window_events),
+            int,
+            source,
+            "telemetry.window_events",
+        ),
+        f"{source}: telemetry.window_events",
     )
-    if scenario.telemetry_window_seconds < 0:
-        raise ScenarioError(
-            f"{source}: telemetry.window_seconds must be >= 0 (0 disables "
-            f"the timer-driven sampler)"
-        )
-    if scenario.telemetry_window_events < 0:
-        raise ScenarioError(f"{source}: telemetry.window_events must be >= 0")
-    if scenario.telemetry_retain < 1:
-        raise ScenarioError(f"{source}: telemetry.retain must be >= 1")
+    scenario.telemetry_retain = _ring_size(
+        _typed(
+            telemetry.get("retain", scenario.telemetry_retain),
+            int,
+            source,
+            "telemetry.retain",
+        ),
+        f"{source}: telemetry.retain",
+    )
     return scenario
 
 
@@ -311,21 +341,26 @@ def load_scenario(path: Pathish) -> Scenario:
         text = target.read_text(encoding="utf-8")
     except OSError as error:
         raise ScenarioError(f"cannot read scenario {target}: {error}")
-    if target.suffix.lower() in (".yaml", ".yml"):
-        try:
-            import yaml  # type: ignore[import-untyped]
-        except ImportError:
-            raise ScenarioError(
-                f"{target}: YAML scenarios need PyYAML, which is not "
-                f"installed — use the JSON form instead"
-            )
-        try:
-            payload = yaml.safe_load(text)
-        except yaml.YAMLError as error:  # pragma: no cover - yaml optional
-            raise ScenarioError(f"{target}: invalid YAML ({error})")
-    else:
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ScenarioError(f"{target}: invalid JSON ({error})")
+    except UnicodeDecodeError as error:
+        raise ScenarioError(f"{target}: not UTF-8 text ({error})")
+    try:
+        if target.suffix.lower() in (".yaml", ".yml"):
+            try:
+                import yaml  # type: ignore[import-untyped]
+            except ImportError:
+                raise ScenarioError(
+                    f"{target}: YAML scenarios need PyYAML, which is not "
+                    f"installed — use the JSON form instead"
+                )
+            try:
+                payload = yaml.safe_load(text)
+            except yaml.YAMLError as error:  # pragma: no cover - yaml optional
+                raise ScenarioError(f"{target}: invalid YAML ({error})")
+        else:
+            try:
+                payload = json.loads(text)
+            except ValueError as error:  # malformed, or an over-long integer
+                raise ScenarioError(f"{target}: invalid JSON ({error})")
+    except RecursionError:
+        raise ScenarioError(f"{target}: nested too deeply to decode")
     return scenario_from_dict(payload, source=str(target))

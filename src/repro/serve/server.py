@@ -101,6 +101,18 @@ from .scenario import Scenario
 ACCESS_LOG_MAX_BYTES = 16 * 1024 * 1024
 
 
+def _open_output(path: Path, what: str, mode: str):
+    """Open ``path`` for writing, creating its directory; a path that
+    cannot be written raises a :class:`ReproError` naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open(mode, encoding="utf-8")
+    except OSError as error:
+        raise ReproError(
+            f"cannot write {what} {path}: {error.strerror or error}"
+        ) from error
+
+
 def latency_block(latency: Histogram) -> Dict[str, Any]:
     """A ``/stats`` ``latency_ns`` block: exact count and mean, p50/p95/p99."""
     quantiles = latency.quantiles((0.50, 0.95, 0.99))
@@ -176,9 +188,7 @@ class AccessLog:
         self.lines = 0
         self.rotations = 0
         self._lock = threading.Lock()
-        if self.path.parent and not self.path.parent.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._stream = self.path.open("a", encoding="utf-8")
+        self._stream = _open_output(self.path, "access log", "a")
         self._size = self.path.stat().st_size
 
     def write(self, record: Dict[str, Any]) -> int:
@@ -422,6 +432,9 @@ class CacheDaemon(HttpHost):
             )
         self.spans = spans
         self._span_log = Path(span_log) if span_log is not None else None
+        if self._span_log is not None:
+            # Written on close(): fail now rather than lose every span.
+            _open_output(self._span_log, "span log", "a").close()
         self._lock = threading.RLock()
         self._seq = 0
         self._request_ids = 0
@@ -535,8 +548,8 @@ class CacheDaemon(HttpHost):
     ) -> int:
         """Blocking CLI entry: serve until SIGTERM/SIGINT or ``/shutdown``.
 
-        Installs signal handlers (restored on exit), optionally writes
-        the bound port to ``port_file`` for scripted callers, and always
+        Optionally writes the bound port to ``port_file`` for scripted
+        callers, installs signal handlers (restored on exit), and always
         closes the socket on the way out.  Returns the process exit
         code (0 for every clean stop).
         """
@@ -547,30 +560,30 @@ class CacheDaemon(HttpHost):
             self._stop.set()
 
         previous = {}
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous[signum] = signal.signal(signum, handle)
-            except ValueError:  # pragma: no cover - non-main threads
-                pass
-        self.start()
-        if port_file is not None:
-            Path(port_file).parent.mkdir(parents=True, exist_ok=True)
-            Path(port_file).write_text(f"{self.port}\n", encoding="utf-8")
-        if announce is not None:
-            announce(
-                f"serving {wire.SERVE_SCHEMA} scenario "
-                f"{self.scenario.name!r} on {self.url} "
-                f"(capacity {self.scenario.capacity}, "
-                f"g={self.scenario.group_size}, pid {os.getpid()})"
-            )
-            if self.access_log is not None:
-                announce(f"access log: {self.access_log.path}")
-            if self._span_log is not None:
-                announce(
-                    f"request tracing on: {obs_spans.SPAN_SCHEMA} spans "
-                    f"to {self._span_log} on exit"
-                )
         try:
+            if port_file is not None:
+                with _open_output(Path(port_file), "port file", "w") as stream:
+                    stream.write(f"{self.port}\n")
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    previous[signum] = signal.signal(signum, handle)
+                except ValueError:  # pragma: no cover - non-main threads
+                    pass
+            self.start()
+            if announce is not None:
+                announce(
+                    f"serving {wire.SERVE_SCHEMA} scenario "
+                    f"{self.scenario.name!r} on {self.url} "
+                    f"(capacity {self.scenario.capacity}, "
+                    f"g={self.scenario.group_size}, pid {os.getpid()})"
+                )
+                if self.access_log is not None:
+                    announce(f"access log: {self.access_log.path}")
+                if self._span_log is not None:
+                    announce(
+                        f"request tracing on: {obs_spans.SPAN_SCHEMA} spans "
+                        f"to {self._span_log} on exit"
+                    )
             while not self._stop.wait(0.2):
                 pass
         except KeyboardInterrupt:  # pragma: no cover - signal path covers it
@@ -579,14 +592,9 @@ class CacheDaemon(HttpHost):
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
             self.close()
-            if announce is not None:
-                reason = (
-                    f"signal {received[0]}" if received else "shutdown request"
-                )
-                announce(
-                    f"stopped after {self._seq} accesses ({reason}); "
-                    f"socket released"
-                )
+        if announce is not None:
+            reason = f"signal {received[0]}" if received else "shutdown request"
+            announce(f"stopped after {self._seq} accesses ({reason}); socket released")
         return 0
 
     # -- request dispatch --------------------------------------------------

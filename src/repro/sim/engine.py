@@ -12,14 +12,13 @@ reports (demand fetches, hit rates) is a counting metric and the paper
 explicitly rejects timing as a modelling input (Section 2.2).
 
 Replay throughput is the budget every figure spends, so
-:meth:`DistributedFileSystem.replay` carries a specialized fast loop
-for the common configuration (LRU successor lists, plain LRU caches,
-no write invalidation): the per-event work of ``tracker.observe`` +
-``cache.access`` + ``builder.build`` is inlined over the caches'
-ordered dicts, eliminating the CPython call overhead that dominates
-the hot path.  The loop is count-for-count identical to the generic
-path — the tests assert byte-identical :class:`SystemMetrics` — and
-any configuration the fast loop does not cover falls back to the
+:meth:`DistributedFileSystem.replay` carries a specialized fast loop:
+the per-event work of ``tracker.observe`` + ``cache.access`` +
+``builder.build`` is inlined over the caches' ordered dicts,
+eliminating the CPython call overhead that dominates the hot path.
+The loop is count-for-count identical to the generic path — the tests
+assert byte-identical :class:`SystemMetrics` — and only a replay under
+an active flight recorder, which needs per-decision records, takes the
 generic one.
 
 Each input form has one fast loop: an event :class:`Trace` runs the
@@ -49,7 +48,7 @@ from ..obs import registry as _obs
 from ..obs import timeseries as _ts
 from ..obs import tracing as _tracing
 from ..traces.columnar import ColumnarTrace
-from ..traces.events import EventKind, Trace, TraceEvent
+from ..traces.events import Trace, TraceEvent
 
 
 class Store:
@@ -78,7 +77,6 @@ class SystemMetrics:
     store_fetches: int
     remote_requests: int
     metadata_entries: int
-    invalidations: int = 0
 
     @property
     def total_client_accesses(self) -> int:
@@ -108,21 +106,15 @@ class DistributedFileSystem:
     group_size:
         Best-effort group size ``g``; 1 reduces the system to plain
         demand-fetch LRU everywhere.
-    cooperative:
-        When True (the Figure 2 design), clients piggy-back their full
-        access stream to the server, so relationship metadata sees
-        unfiltered behaviour.  When False (the Section 4.3 scenario),
-        the server learns only from the requests that reach it.
-    successor_policy / successor_capacity:
-        Server-side successor list management.
-    invalidate_on_write:
-        When True, mutation events are treated as AFS/Coda-style
-        callback breaks: a WRITE by one client invalidates every other
-        client's cached copy, and a DELETE invalidates the file
-        everywhere (clients and server cache).  Grouping's group
-        overlaps impose no extra consistency burden here — exactly the
-        paper's Section 2.1 point — because invalidation is per file,
-        not per group.
+    successor_capacity:
+        Entries per server-side LRU successor list.
+
+    Clients piggy-back their full access stream to the server (the
+    Figure 2 design), so relationship metadata sees unfiltered
+    behaviour.  Every event is a demand access, writes and deletes
+    included; per-file invalidation is the ``repro serve`` daemon's
+    ``/invalidate``, and the uncooperative server of Section 4.3 is
+    :class:`~repro.core.aggregating_cache.AggregatingServerCache`.
     """
 
     def __init__(
@@ -130,17 +122,11 @@ class DistributedFileSystem:
         client_capacity: int,
         server_capacity: int = 0,
         group_size: int = 5,
-        cooperative: bool = True,
-        successor_policy: str = "lru",
         successor_capacity: int = 8,
-        invalidate_on_write: bool = False,
     ):
-        self.tracker = SuccessorTracker(
-            policy=successor_policy, capacity=successor_capacity
-        )
+        self.tracker = SuccessorTracker(capacity=successor_capacity)
         self.builder = GroupBuilder(self.tracker, group_size)
         self.group_size = group_size
-        self.cooperative = cooperative
         self.client_capacity = client_capacity
         self.server_cache: Optional[LRUCache] = (
             LRUCache(server_capacity) if server_capacity > 0 else None
@@ -150,8 +136,6 @@ class DistributedFileSystem:
         self.store = Store()
         self.clients: Dict[str, LRUCache] = {}
         self.remote_requests = 0
-        self.invalidate_on_write = invalidate_on_write
-        self.invalidations = 0
 
     def _client_cache(self, client_id: str) -> LRUCache:
         cache = self.clients.get(client_id)
@@ -163,16 +147,13 @@ class DistributedFileSystem:
 
     def access(self, client_id: str, file_id: str) -> bool:
         """One file open from one client; returns True on client hit."""
-        if self.cooperative:
-            self.tracker.observe(file_id)
+        self.tracker.observe(file_id)
         cache = self._client_cache(client_id)
         if cache.access(file_id):
             return True
 
         # Client miss: one remote request retrieves the whole group.
         self.remote_requests += 1
-        if not self.cooperative:
-            self.tracker.observe(file_id)
         group = self.builder.build(file_id)
         if _obs.ENABLED:
             _obs.get_registry().histogram("engine.group_fetch.size").observe(
@@ -208,79 +189,25 @@ class DistributedFileSystem:
         cache.install_group_at_tail(client_companions)
         return False
 
-    def _apply_mutation(self, client_id: str, file_id, kind: EventKind) -> None:
-        """Invalidate cached copies for one mutation (see class docs)."""
-        recorder = _tracing.ACTIVE if _obs.ENABLED else None
-        if kind is EventKind.DELETE:
-            for cache in self.clients.values():
-                if cache.invalidate(file_id):
-                    self.invalidations += 1
-                    if recorder is not None:
-                        recorder.evict(cache.trace_name, file_id, "invalidate")
-            if self.server_cache is not None:
-                if self.server_cache.invalidate(file_id):
-                    self.invalidations += 1
-                    if recorder is not None:
-                        recorder.evict("server", file_id, "invalidate")
-            return
-        for other_id, cache in self.clients.items():
-            if other_id != client_id and cache.invalidate(file_id):
-                self.invalidations += 1
-                if recorder is not None:
-                    recorder.evict(cache.trace_name, file_id, "invalidate")
-
-    def process_mutation(self, client_id: str, event) -> None:
-        """Apply one mutation event's consistency effects.
-
-        A WRITE breaks other clients' callbacks on the file; a DELETE
-        removes the file everywhere.  The writing client keeps (or, for
-        DELETE, also loses) its copy.
-        """
-        self._apply_mutation(client_id, event.file_id, event.kind)
-
     def _fast_replay_ok(self) -> bool:
-        """Whether the specialized replay loop matches this configuration.
+        """Whether the fused replay loops may run (no active flight recorder).
 
-        The fast loop hard-codes LRU successor lists, plain LRU caches,
-        the stock group builder, and no write invalidation; anything
-        else (subclasses, alternative policies) takes the generic path.
-        An active flight recorder also forces the generic path: the
-        fused loop batches its accounting and cannot emit per-decision
-        trace records, and the tracing contract is that traced and
-        untraced replays count identically.
+        The fused loops batch their accounting and cannot emit
+        per-decision trace records, and the tracing contract is that
+        traced and untraced replays count identically, so a replay under
+        an active recorder takes the per-event path.
         """
-        if _obs.ENABLED and _tracing.ACTIVE is not None:
-            return False
-        if self.invalidate_on_write:
-            return False
-        if type(self.tracker) is not SuccessorTracker or self.tracker.policy != "lru":
-            return False
-        if type(self.builder) is not GroupBuilder:
-            return False
-        if self.builder.tracker is not self.tracker:
-            return False
-        if self.builder.group_size != self.group_size:
-            return False
-        if self.server_cache is not None and type(self.server_cache) is not LRUCache:
-            return False
-        if any(type(cache) is not LRUCache for cache in self.clients.values()):
-            return False
-        if any(
-            type(slist) is not LRUSuccessorList
-            for slist in self.tracker._lists.values()
-        ):
-            return False
-        return True
+        return not (_obs.ENABLED and _tracing.ACTIVE is not None)
 
     def _metrics_baseline(self) -> Tuple:
         """Snapshot of every counter a replay moves.
 
-        ``(clients, server, store_fetches, remote_requests,
-        invalidations)``: ``clients`` maps each client id to its cache's
-        (hits, misses, evictions, installs) and ``server`` is the server
-        cache's, or None without one.  :meth:`_counter_deltas` turns a
-        snapshot into the movement since, for the registry and for the
-        windowed collector alike.
+        ``(clients, server, store_fetches, remote_requests)``:
+        ``clients`` maps each client id to its cache's (hits, misses,
+        evictions, installs) and ``server`` is the server cache's, or
+        None without one.  :meth:`_counter_deltas` turns a snapshot into
+        the movement since, for the registry and for the windowed
+        collector alike.
         """
         server = self.server_cache
         return (
@@ -291,7 +218,6 @@ class DistributedFileSystem:
             _stats_tuple(server.stats) if server is not None else None,
             self.store.fetches,
             self.remote_requests,
-            self.invalidations,
         )
 
     def _counter_deltas(self, baseline: Tuple) -> Tuple:
@@ -301,12 +227,8 @@ class DistributedFileSystem:
         client created since counts from zero) and zeros for ``server``
         when there is no server cache.
         """
-        clients_before, server_before, store_before, remote_before, inv_before = (
-            baseline
-        )
-        clients, server, store_fetches, remote_requests, invalidations = (
-            self._metrics_baseline()
-        )
+        clients_before, server_before, store_before, remote_before = baseline
+        clients, server, store_fetches, remote_requests = self._metrics_baseline()
         zeros = (0, 0, 0, 0)
         return (
             {
@@ -316,7 +238,6 @@ class DistributedFileSystem:
             _minus(server or zeros, server_before or zeros),
             store_fetches - store_before,
             remote_requests - remote_before,
-            invalidations - inv_before,
         )
 
     def _record_replay_metrics(
@@ -329,8 +250,8 @@ class DistributedFileSystem:
         by the fused loops (the per-event path counts transitions inside
         :meth:`SuccessorTracker.observe_transition`).
         """
-        clients, server, store_fetches, remote_requests, invalidations = (
-            self._counter_deltas(baseline)
+        clients, server, store_fetches, remote_requests = self._counter_deltas(
+            baseline
         )
         for client_id, (hits, misses, _evictions, _installs) in clients.items():
             registry.counter(f"engine.client.{client_id}.hits").inc(hits)
@@ -345,7 +266,6 @@ class DistributedFileSystem:
         registry.counter("engine.server.misses").inc(server[1])
         registry.counter("engine.store.fetches").inc(store_fetches)
         registry.counter("engine.remote_requests").inc(remote_requests)
-        registry.counter("engine.invalidations").inc(invalidations)
         registry.gauge("engine.clients").set(len(self.clients))
         registry.gauge("engine.metadata.entries").set(
             self.tracker.metadata_entries()
@@ -376,7 +296,7 @@ class DistributedFileSystem:
         )
 
     def _replay_fast(self, events: Sequence[TraceEvent]) -> SystemMetrics:
-        """Inlined replay loop for the common LRU configuration.
+        """Inlined replay loop over the caches' ordered dicts.
 
         Count-for-count identical to driving :meth:`access` per event;
         the bound-method and dataclass traffic of the generic path is
@@ -392,7 +312,6 @@ class DistributedFileSystem:
         lists_get = lists.get
         successor_capacity = tracker.capacity
         group_size = self.group_size
-        cooperative = self.cooperative
         clients = self.clients
         client_capacity = self.client_capacity
         server = self.server_cache
@@ -400,7 +319,6 @@ class DistributedFileSystem:
             server_order = server._order
             server_stats = server.stats
             server_capacity = server.capacity
-            server_listener = server.evict_listener
             server_install = server.install_group_at_tail_fast
 
         # Metrics: read the flag once, keep the per-event loop untouched,
@@ -422,29 +340,27 @@ class DistributedFileSystem:
         store_fetches = 0
         current_client = None
         cache = None
-        cache_listener = None
         order = None
         cache_stats = None
         pending_hits = 0
 
         for file_id, client_id in zip(codes, client_ids):
-            if cooperative:
-                if prev is not None:
-                    slist = lists_get(prev)
-                    if slist is None:
-                        slist = LRUSuccessorList(successor_capacity)
-                        slist._items = [file_id]
-                        lists[prev] = slist
-                    else:
-                        items = slist._items
-                        if items[0] != file_id:
-                            try:
-                                items.remove(file_id)
-                            except ValueError:
-                                if len(items) >= successor_capacity:
-                                    items.pop()
-                            items.insert(0, file_id)
-                prev = file_id
+            if prev is not None:
+                slist = lists_get(prev)
+                if slist is None:
+                    slist = LRUSuccessorList(successor_capacity)
+                    slist._items = [file_id]
+                    lists[prev] = slist
+                else:
+                    items = slist._items
+                    if items[0] != file_id:
+                        try:
+                            items.remove(file_id)
+                        except ValueError:
+                            if len(items) >= successor_capacity:
+                                items.pop()
+                        items.insert(0, file_id)
+            prev = file_id
 
             if client_id != current_client:
                 if pending_hits:
@@ -456,7 +372,6 @@ class DistributedFileSystem:
                     cache = LRUCache(client_capacity)
                     cache.trace_name = f"client.{client_id}"
                     clients[client_id] = cache
-                cache_listener = cache.evict_listener
                 order = cache._order
                 cache_stats = cache.stats
 
@@ -468,30 +383,10 @@ class DistributedFileSystem:
             # ---- client miss: demand admit, then one group request ----
             cache_stats.misses += 1
             while len(order) >= client_capacity:
-                victim, _value = order.popitem(last=False)
-                if cache_listener is not None:
-                    cache_listener(victim)
+                order.popitem(last=False)
                 cache_stats.evictions += 1
             order[file_id] = None
             remote_requests += 1
-
-            if not cooperative:
-                if prev is not None:
-                    slist = lists_get(prev)
-                    if slist is None:
-                        slist = LRUSuccessorList(successor_capacity)
-                        slist._items = [file_id]
-                        lists[prev] = slist
-                    else:
-                        items = slist._items
-                        if items[0] != file_id:
-                            try:
-                                items.remove(file_id)
-                            except ValueError:
-                                if len(items) >= successor_capacity:
-                                    items.pop()
-                            items.insert(0, file_id)
-                prev = file_id
 
             members = build_group_fast(lists_get, group_size, file_id)
             if observe_group is not None:
@@ -508,9 +403,7 @@ class DistributedFileSystem:
                     server_stats.misses += 1
                     store_fetches += 1
                     while len(server_order) >= server_capacity:
-                        victim, _value = server_order.popitem(last=False)
-                        if server_listener is not None:
-                            server_listener(victim)
+                        server_order.popitem(last=False)
                         server_stats.evictions += 1
                     server_order[file_id] = None
                 for member in companions:
@@ -528,17 +421,9 @@ class DistributedFileSystem:
         self.remote_requests += remote_requests
         self.store.fetches += store_fetches
         if record:
-            if cooperative:
-                transition_sites = len(events)
-            else:
-                # Non-cooperative: the tracker observes only the miss
-                # stream, so each remote request is one transition site.
-                transition_sites = remote_requests
-            transitions = (
-                transition_sites - 1
-                if (prev_was_none and transition_sites)
-                else transition_sites
-            )
+            transitions = len(events)
+            if prev_was_none and transitions:
+                transitions -= 1
             self._record_replay_metrics(registry, baseline, transitions)
             self._record_policy_counters(registry, baseline)
             if singleton_builds:
@@ -552,20 +437,19 @@ class DistributedFileSystem:
     def replay(self, trace: Trace, progress=None) -> SystemMetrics:
         """Drive the system with a trace (events carry client ids).
 
-        Every event is a demand access to its file (a write still needs
-        the file resident); with ``invalidate_on_write`` the mutation
-        side effects are applied after the access.
+        Every event is a demand access to its file (a write or delete
+        still needs the file resident).
 
         This is the one replay entry point; it picks the loop once.  A
         :class:`~repro.traces.columnar.ColumnarTrace` runs through one
         array-kernel session (:func:`repro.sim.kernel.replay_columns_v2`)
-        when the configuration qualifies for fast replay and
+        when :meth:`_fast_replay_ok` holds and
         :func:`repro.sim.kernel.v2_import` accepts the live state (int
-        keys in the trace's code space, no evict listeners, default
-        client capacities).  Any other trace, and a columnar one the
-        kernel declines, is replayed as decoded events: through the
-        fused loop when :meth:`_fast_replay_ok` holds, per event through
-        :meth:`access` otherwise.  Every loop counts exactly like the
+        keys in the trace's code space, default client capacities).  Any
+        other trace, and a columnar one the kernel declines, is replayed
+        as decoded events: through the fused loop when
+        :meth:`_fast_replay_ok` holds, per event through :meth:`access`
+        otherwise.  Every loop counts exactly like the
         per-event path; ``engine.replay.path.*`` records which one ran,
         once per window.
 
@@ -646,9 +530,7 @@ class DistributedFileSystem:
         started = time.perf_counter()
         metrics = run(chunk)
         seconds = time.perf_counter() - started
-        if not collector.entropy:
-            file_ids = ()
-        elif columnar:
+        if columnar:
             # Codes, not strings: entropy is invariant under the
             # bijective relabelling, so the sample matches the event path.
             file_ids = chunk.file_codes
@@ -667,10 +549,7 @@ class DistributedFileSystem:
             baseline = self._metrics_baseline()
             started = time.perf_counter_ns()
         for event in events:
-            client = event.client_id or "client00"
-            self.access(client, event.file_id)
-            if self.invalidate_on_write and event.is_mutation:
-                self.process_mutation(client, event)
+            self.access(event.client_id or "client00", event.file_id)
         if record:
             # Transitions were already counted per event by the tracker.
             self._record_replay_metrics(registry, baseline, None)
@@ -698,7 +577,6 @@ class DistributedFileSystem:
             store_fetches=self.store.fetches,
             remote_requests=self.remote_requests,
             metadata_entries=self.tracker.metadata_entries(),
-            invalidations=self.invalidations,
         )
 
 

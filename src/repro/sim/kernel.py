@@ -277,15 +277,11 @@ class V2ReplayState:
 def v2_import(system, ctrace):
     """Import a system's live state into array form, or None if it can't.
 
-    The caller must already hold ``system._fast_replay_ok()`` (LRU
-    everything, stock builder, no tracing) — this adds the *array*
-    eligibility on top:
-
-    * no evict listeners (the arrays batch evictions and cannot call
-      back per victim);
-    * every cache key, successor key and entry, and the carried
-      previous file is an int in this trace's code space, and every
-      client cache matches the system capacity.
+    The caller must already hold ``system._fast_replay_ok()`` (no
+    active flight recorder) — this adds the *array* eligibility on top:
+    every cache key, successor key and entry, and the carried previous
+    file is an int in this trace's code space, and every client cache
+    matches the system capacity.
 
     Codes carry no trace identity: int state left by a replay of a
     *different* columnar trace is accepted whenever it fits this
@@ -298,12 +294,8 @@ def v2_import(system, ctrace):
     """
     universe = len(ctrace.file_symbols)
     server = system.server_cache
-    if server is not None and server.evict_listener is not None:
-        return None
     client_capacity = system.client_capacity
     for cache in system.clients.values():
-        if cache.evict_listener is not None:
-            return None
         if cache.capacity != client_capacity:
             return None
     tracker = system.tracker
@@ -335,10 +327,9 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
     """Replay a columnar trace through the array-backed eviction core.
 
     The caller (:meth:`DistributedFileSystem.replay`) guarantees
-    ``system._fast_replay_ok()``: LRU successor lists, plain LRU caches,
-    the stock group builder, no write invalidation, no active flight
-    recorder.  The loop is the engine's fused fast loop re-specialized
-    for integer columns and flat-array state: file identifiers are ints
+    ``system._fast_replay_ok()``: no active flight recorder.  The loop
+    is the engine's fused fast loop re-specialized for integer columns
+    and flat-array state: file identifiers are ints
     straight out of the mmap, client segmentation is precomputed per
     run, a hit is one stamp store, a miss runs the lazy exact-LRU
     eviction and stamps group installs from the cold clock, and
@@ -378,7 +369,6 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
     clock = state.clock
 
     group_size = system.group_size
-    cooperative = system.cooperative
     clients = system.clients
     client_capacity = system.client_capacity
     client_lrus = state.client_lrus
@@ -441,21 +431,20 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
         seg_installs = 0
 
         for i, f in enumerate(codes[lo:hi], clock + lo):
-            if cooperative:
-                if heads[prev] != f:
-                    items = slots[prev]
-                    if items is None:
-                        slots[prev] = [f]
-                        new_preds.append(prev)
-                    else:
-                        try:
-                            items.remove(f)
-                        except ValueError:
-                            if len(items) >= successor_capacity:
-                                items.pop()
-                        items.insert(0, f)
-                    heads[prev] = f
-                prev = f
+            if heads[prev] != f:
+                items = slots[prev]
+                if items is None:
+                    slots[prev] = [f]
+                    new_preds.append(prev)
+                else:
+                    try:
+                        items.remove(f)
+                    except ValueError:
+                        if len(items) >= successor_capacity:
+                            items.pop()
+                    items.insert(0, f)
+                heads[prev] = f
+            prev = f
 
             if resident[f]:
                 stamp[f] = i
@@ -484,22 +473,6 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
             stamp[f] = i
             size += 1
             remote_requests += 1
-
-            if not cooperative:
-                if heads[prev] != f:
-                    items = slots[prev]
-                    if items is None:
-                        slots[prev] = [f]
-                        new_preds.append(prev)
-                    else:
-                        try:
-                            items.remove(f)
-                        except ValueError:
-                            if len(items) >= successor_capacity:
-                                items.pop()
-                        items.insert(0, f)
-                    heads[prev] = f
-                prev = f
 
             # ---- group build over the shared slots ----
             members = [f]
@@ -683,15 +656,9 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
     system.remote_requests += remote_requests
     system.store.fetches += store_fetches
     if record:
-        if cooperative:
-            transition_sites = len(ctrace)
-        else:
-            transition_sites = remote_requests
-        transitions = (
-            transition_sites - 1
-            if (prev_was_none and transition_sites)
-            else transition_sites
-        )
+        transitions = len(ctrace)
+        if prev_was_none and transitions:
+            transitions -= 1
         system._record_replay_metrics(registry, baseline, transitions)
         system._record_policy_counters(registry, baseline)
         if singleton_builds:

@@ -14,8 +14,6 @@ from repro.caching.lru import LRUCache
 from repro.core.aggregating_cache import AggregatingClientCache, AggregatingServerCache
 from repro.core.grouping import GroupBuilder
 from repro.core.successors import SuccessorTracker
-from repro.sim.engine import DistributedFileSystem
-from repro.traces.events import EventKind, Trace, TraceEvent
 
 
 class TestAdversarialAccessPatterns:
@@ -92,26 +90,6 @@ class TestMetadataChurn:
                 server.invalidate(f"f{rng.randrange(60)}")
         assert len(server) <= 30
         assert server.stats.accesses == 2000
-
-    def test_delete_heavy_trace_with_invalidation(self):
-        rng = random.Random(3)
-        trace = Trace()
-        for i in range(1500):
-            file_id = f"f{rng.randrange(40)}"
-            kind = EventKind.DELETE if rng.random() < 0.2 else EventKind.OPEN
-            trace.append(
-                TraceEvent(file_id, kind, client_id=f"c{rng.randrange(3)}")
-            )
-        system = DistributedFileSystem(
-            client_capacity=15,
-            server_capacity=30,
-            group_size=5,
-            invalidate_on_write=True,
-        )
-        metrics = system.replay(trace)
-        assert metrics.total_client_accesses == 1500
-        for cache in system.clients.values():
-            assert len(cache) <= 15
 
 
 class TestMalformedTraceInput:

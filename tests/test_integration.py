@@ -51,9 +51,7 @@ class TestClientServerStack:
         trace = make_workload("server", 6000)
         sequence = trace.file_ids()
 
-        system = DistributedFileSystem(
-            client_capacity=200, group_size=5, cooperative=True
-        )
+        system = DistributedFileSystem(client_capacity=200, group_size=5)
         for key in sequence:
             system.access("c", key)
         manual = AggregatingClientCache(capacity=200, group_size=5)

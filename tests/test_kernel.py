@@ -162,15 +162,13 @@ class TestKernelReplay:
         assert system._fast_replay_ok()
         assert system.replay(ctrace) == reference
 
-    def test_no_server_and_uncooperative_configs(self, numpy_mode):
+    def test_no_server_and_small_group_configs(self, numpy_mode):
         ctrace = ColumnarTrace.from_trace(make_workload("write", EVENTS))
         trace = ctrace.to_trace()
         for config in (
             dict(client_capacity=200, server_capacity=0, group_size=5),
-            dict(client_capacity=200, server_capacity=150, group_size=3,
-                 cooperative=False),
-            dict(client_capacity=200, server_capacity=0, group_size=1,
-                 cooperative=False),
+            dict(client_capacity=200, server_capacity=150, group_size=3),
+            dict(client_capacity=200, server_capacity=0, group_size=1),
         ):
             reference = generic_engine_metrics(
                 DistributedFileSystem(**config), trace
@@ -180,15 +178,26 @@ class TestKernelReplay:
             ), config
 
     def test_non_qualifying_config_falls_back(self, numpy_mode):
-        # Hybrid successor lists are outside the kernel's contract; the
-        # columnar trace must be decoded and replayed generically.
+        # An active flight recorder needs per-decision records, which
+        # the kernel cannot emit: the columnar trace is decoded and
+        # replayed per event, counting exactly like the untraced kernel.
+        from repro.obs.registry import MetricsRegistry
+        from repro.obs.tracing import recording
+
         ctrace = ColumnarTrace.from_trace(make_workload("server", EVENTS))
-        system = DistributedFileSystem(
-            client_capacity=100, successor_policy="hybrid"
-        )
-        assert not system._fast_replay_ok()
-        metrics = system.replay(ctrace)
-        assert metrics.total_client_accesses == EVENTS
+        system = DistributedFileSystem(**CONFIG)
+        assert system._fast_replay_ok()
+        registry = MetricsRegistry()
+        with recording(registry=registry, capacity=1):
+            assert not system._fast_replay_ok()
+            metrics = system.replay(ctrace)
+        paths = {
+            name: value
+            for name, value in registry.snapshot()["counters"].items()
+            if name.startswith("engine.replay.path.")
+        }
+        assert paths == {"engine.replay.path.generic": 1}
+        assert metrics == DistributedFileSystem(**CONFIG).replay(ctrace)
 
     def test_repeated_replay_carries_previous(self, numpy_mode):
         # Two consecutive replays must chain successor state exactly as
@@ -212,13 +221,18 @@ class TestWindowedColumnarReplay:
         ctrace = ColumnarTrace.from_trace(make_workload("write", EVENTS))
         trace = ctrace.to_trace()
 
-        def with_listener():
-            # Declined by the array kernel: windowed as decoded events.
+        def string_keyed():
+            # Warm string-keyed state is declined by the array kernel:
+            # the columnar trace is windowed as decoded events.
             system = DistributedFileSystem(**CONFIG)
-            system.server_cache.evict_listener = lambda victim: None
+            system.access("client00", "warm")
             return system
 
-        for new_system in (lambda: DistributedFileSystem(**CONFIG), with_listener):
+        for new_system, declined in (
+            (lambda: DistributedFileSystem(**CONFIG), False),
+            (string_keyed, True),
+        ):
+            assert (kernel.v2_import(new_system(), ctrace) is None) == declined
             events_collector = WindowedCollector(window=500)
             columnar_collector = WindowedCollector(window=500)
             with windowing(collector=events_collector):
@@ -269,26 +283,6 @@ class TestArrayKernelDispatch:
         assert self._path_counters(registry) == {
             "engine.replay.path.kernel_v2": 1
         }
-
-    def test_evict_listener_falls_back_to_dict_kernel(self, numpy_mode):
-        # The array kernel cannot call back per victim, so the trace is
-        # decoded and the fused dict loop fires the hook per eviction,
-        # exactly as the per-event oracle does.
-        from repro.obs import collecting
-
-        ctrace = ColumnarTrace.from_trace(make_workload("server", EVENTS))
-        system = DistributedFileSystem(**CONFIG)
-        victims = []
-        system.server_cache.evict_listener = victims.append
-        with collecting() as registry:
-            metrics = system.replay(ctrace)
-        assert self._path_counters(registry) == {"engine.replay.path.fast": 1}
-        reference = DistributedFileSystem(**CONFIG)
-        reference_victims = []
-        reference.server_cache.evict_listener = reference_victims.append
-        assert metrics == generic_engine_metrics(reference, ctrace.to_trace())
-        assert victims and victims == reference_victims
-        assert full_state(system) == full_state(reference)
 
     def test_string_keyed_state_falls_back_to_dict_kernel(self, numpy_mode):
         # Warm string-keyed state is outside the kernel's code space:
@@ -367,7 +361,6 @@ def _columnar_cases(draw):
         server_capacity=draw(st.sampled_from((0, 1, 2, 3, 6))),
         group_size=draw(st.sampled_from((1, 2, 3, 5))),
         successor_capacity=draw(st.sampled_from((1, 2, 8))),
-        cooperative=draw(st.booleans()),
     )
     return ColumnarTrace.from_trace(trace), config, draw(st.integers(0, len(pairs)))
 

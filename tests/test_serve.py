@@ -12,7 +12,9 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
+from repro.core.successors import SUCCESSOR_POLICIES
 from repro.obs import host as obs_host
 from repro.obs.timeseries import MetricsServer
 from repro.serve import (
@@ -35,6 +38,7 @@ from repro.serve import (
 from repro.serve import schema as wire
 from repro.serve.client import make_shards
 from repro.serve.scenario import Scenario, scenario_from_dict
+from repro.serve.server import DaemonTelemetry
 from repro.workloads.synthetic import make_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +105,171 @@ class TestScenario:
         again = scenario_from_dict(scenario.to_dict())
         assert again.capacity == 42
         assert again.name == "x"
+
+    def test_unknown_keys_of_mixed_types_rejected(self):
+        # YAML mappings can mix key types; naming them must not fail.
+        with pytest.raises(ScenarioError, match="unknown top-level key"):
+            scenario_from_dict({1: 2, "a": 3})
+
+    def test_unknown_successor_policy_rejected(self):
+        with pytest.raises(ScenarioError, match="successor_policy.*'bogus'"):
+            scenario_from_dict({"cache": {"successor_policy": "bogus"}})
+
+    def test_not_utf8_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(ScenarioError, match="not UTF-8"):
+            load_scenario(bad)
+
+    def test_deep_nesting_rejected(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        with pytest.raises(ScenarioError, match="nested too deeply"):
+            load_scenario(deep)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"journal": {"max_events": 10**20}},
+            {"telemetry": {"retain": 10**20}},
+            {"telemetry": {"window_seconds": 10**20}},
+        ],
+    )
+    def test_out_of_range_sizes_rejected(self, payload):
+        with pytest.raises(ScenarioError, match="must be"):
+            scenario_from_dict(payload)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400"])
+    def test_window_seconds_must_be_finite(self, tmp_path, text):
+        # Python's json reads NaN and Infinity; the sampler cannot wait
+        # either (NaN spins it, Infinity kills it).
+        path = tmp_path / "timer.json"
+        path.write_text(
+            '{"telemetry": {"window_seconds": %s}}' % text, encoding="utf-8"
+        )
+        with pytest.raises(ScenarioError, match="window_seconds"):
+            load_scenario(path)
+
+
+#: Values of every JSON type, including the ones a loose loader lets
+#: through: huge integers, NaN and the infinities, unknown policies.
+_SCENARIO_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([-1, 0, 1, 65536, 2**63 - 1, 2**63, 10**20, -(10**20)]),
+    st.floats(),
+    st.sampled_from(sorted(SUCCESSOR_POLICIES) + ["bogus", ""]),
+    st.text(max_size=6),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+_SIZE = st.one_of(
+    st.integers(1, 1000), st.sampled_from([0, 2**63 - 1, 2**63, 10**20])
+)
+_TEXT = st.text(max_size=6)
+
+#: Each key's own type, with the values that type lets through: huge
+#: integers, non-finite floats, policy names that do not exist.
+_SCENARIO_KEYS = {
+    "server": {
+        "host": _TEXT,
+        "port": st.integers(0, 65535),
+        "allow_shutdown": st.booleans(),
+    },
+    "cache": {
+        "capacity": _SIZE,
+        "group_size": _SIZE,
+        "successor_policy": st.sampled_from(
+            sorted(SUCCESSOR_POLICIES) + ["bogus", ""]
+        ),
+        "successor_capacity": _SIZE,
+    },
+    "workload": {
+        "name": _TEXT,
+        "events": _SIZE,
+        "seed": st.one_of(st.none(), st.integers()),
+    },
+    "journal": {"enabled": st.booleans(), "max_events": _SIZE},
+    "telemetry": {
+        "window_seconds": st.one_of(
+            st.floats(0, 10),
+            st.sampled_from([float("nan"), float("inf"), 1e300, 10**20]),
+        ),
+        "window_events": st.one_of(
+            st.integers(0, 1000), st.sampled_from([-1, 10**20])
+        ),
+        "retain": _SIZE,
+    },
+}
+
+
+def _payloads(value_for):
+    """Scenario objects whose keys draw from ``value_for(typed)``."""
+    return st.fixed_dictionaries(
+        {},
+        optional={
+            "name": value_for(_TEXT),
+            "description": value_for(_TEXT),
+            **{
+                section: st.fixed_dictionaries(
+                    {},
+                    optional={key: value_for(typed) for key, typed in keys.items()},
+                )
+                for section, keys in _SCENARIO_KEYS.items()
+            },
+        },
+    )
+
+
+#: Well-typed payloads reach the range checks; the rest put a value of
+#: any type anywhere, sections included.
+_SCENARIO_PAYLOADS = st.one_of(
+    _payloads(lambda typed: typed),
+    _payloads(lambda typed: st.one_of(typed, _SCENARIO_VALUES)),
+    st.dictionaries(st.sampled_from(sorted(_SCENARIO_KEYS)), _SCENARIO_VALUES),
+)
+
+
+def _check_loaded(path: Path) -> None:
+    """``load_scenario`` either rejects the file with ``ScenarioError`` or
+    returns a scenario the daemon can be built from."""
+    try:
+        scenario = load_scenario(path)
+    except ScenarioError:
+        return
+    scenario.build_cache()
+    deque(maxlen=scenario.journal_max_events)
+    DaemonTelemetry(
+        window_seconds=scenario.telemetry_window_seconds,
+        window_events=scenario.telemetry_window_events,
+        retain=scenario.telemetry_retain,
+        label=scenario.name,
+    )
+    # The sampler thread waits this long between windows; an unlocked
+    # lock checks the timeout the same way and returns at once.
+    assert threading.Lock().acquire(True, scenario.telemetry_window_seconds)
+
+
+class TestScenarioFuzz:
+    """Every scenario file is loaded or rejected with ``ScenarioError``:
+    no traceback, and nothing a daemon then fails to build."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.binary(max_size=64))
+    def test_arbitrary_bytes(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz-bytes.json"
+        path.write_bytes(raw)
+        _check_loaded(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_SCENARIO_PAYLOADS)
+    def test_json_payloads(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "fuzz-payload.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        _check_loaded(path)
 
 
 # -- wire schema -------------------------------------------------------------
@@ -677,6 +846,58 @@ class TestStartFailures:
         assert main(["serve", self.SMOKE, "--host", host]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot listen on {host}:0: ")
+
+    @pytest.fixture
+    def serving(self, monkeypatch):
+        """Daemons that reach :meth:`CacheDaemon.run`, closed at once
+        instead of serving (so a check that fails to reject cannot
+        block the test)."""
+        ran = []
+
+        def run(daemon, **_kwargs):
+            ran.append(daemon)
+            daemon.close()
+            return 0
+
+        monkeypatch.setattr(CacheDaemon, "run", run)
+        return ran
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--stats-window", "-1"),
+            ("--stats-window", "nan"),
+            ("--stats-window", "inf"),
+            ("--stats-window-events", "-1"),
+        ],
+    )
+    def test_stats_window_override_checked(self, option, value, serving, capsys):
+        # The scenario file's checks hold for its CLI overrides too.
+        assert main(["serve", self.SMOKE, option, value]) == 1
+        assert serving == []
+        assert capsys.readouterr().err.startswith(f"error: {option} must be 0..")
+
+    @pytest.mark.parametrize(
+        "option, what", [("--access-log", "access log"), ("--spans", "span log")]
+    )
+    def test_unwritable_log_rejected_before_serving(
+        self, option, what, serving, tmp_path, capsys
+    ):
+        assert main(["serve", self.SMOKE, option, str(tmp_path)]) == 1
+        assert serving == []
+        assert capsys.readouterr().err == (
+            f"error: cannot write {what} {tmp_path}: Is a directory\n"
+        )
+
+    def test_unwritable_port_file_rejected_before_serving(self, tmp_path, capsys):
+        handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+        assert main(["serve", self.SMOKE, "--port-file", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write port file {tmp_path}: Is a directory\n"
+        )
+        # Nothing is left serving and the signal handlers are the caller's.
+        assert not [t for t in threading.enumerate() if t.name == "repro-serve"]
+        assert {sig: signal.getsignal(sig) for sig in handlers} == handlers
 
 
 # -- the shared HTTP host: port-0 and close() contract -----------------------

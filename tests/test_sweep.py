@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
-from repro.obs import collecting, windowing
+from repro.obs import WindowedCollector, collecting, windowing
 from repro.sim.sweep import SweepGrid, pivot, run_sweep
 
 
@@ -211,7 +211,8 @@ class TestInjectedFailures:
         with collecting() as registry, mock.patch.object(
             ProcessPoolExecutor, "submit", failing_submit
         ):
-            with windowing(window=10, on_sample=on_sample):
+            collector = WindowedCollector(window=10, on_sample=on_sample)
+            with windowing(collector=collector):
                 try:
                     records = run_sweep(
                         grid,

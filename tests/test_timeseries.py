@@ -195,11 +195,6 @@ class TestWindowedReplay:
             expected = entropy_timeline(chunk, window=len(chunk))[0][1]
             assert sample.entropy == pytest.approx(expected)
 
-    def test_entropy_flag_off_skips_computation(self):
-        with windowing(window=1000, entropy=False) as collector:
-            _system().replay(_trace(2000))
-        assert all(s.entropy is None for s in collector.samples)
-
     def test_counter_sums_match_final_metrics(self):
         trace = _trace()
         with windowing(window=600) as collector:
@@ -220,7 +215,7 @@ class TestWindowedReplay:
         def spy(sample):
             observed.append(get_collector())
 
-        with windowing(window=1000, on_sample=spy):
+        with windowing(collector=WindowedCollector(window=1000, on_sample=spy)):
             _system().replay(_trace(2000))
         assert observed and all(active is None for active in observed)
 
