@@ -268,46 +268,16 @@ def test_array_lru_throughput(benchmark):
 
 
 def test_columnar_scan_pure_int_throughput(benchmark):
-    # Strict-gated on the *pure-python* fallback so the recorded number
-    # is comparable on machines with and without numpy (the CI gate runs
-    # numpy-free).  C-speed primitives (set construction, bytes.count)
-    # keep even this path above the 10M events/s bar.
-    import repro.sim.kernel as kernel
+    # C-speed primitives (set construction, bytes.count) keep the
+    # column scan above the 10M events/s bar.
+    from repro.sim.kernel import scan_columns
 
     ctrace = _columnar_trace()
     file_codes = ctrace.file_codes
     kind_codes = ctrace.kind_codes
-    n_symbols = len(ctrace.file_symbols)
 
     def run():
-        return kernel.scan_columns(file_codes, kind_codes, n_symbols)
-
-    saved = kernel.HAVE_NUMPY
-    kernel.HAVE_NUMPY = False
-    try:
-        scan = benchmark(run)
-    finally:
-        kernel.HAVE_NUMPY = saved
-    assert scan.events == len(ctrace)
-    _record_throughput(benchmark, len(ctrace))
-
-
-def test_columnar_scan_numpy_throughput(benchmark):
-    # The vectorized path (one bincount per column).  Not in the strict
-    # set: it only exists where numpy is installed.
-    import pytest
-
-    from repro.sim.kernel import HAVE_NUMPY, scan_columns
-
-    if not HAVE_NUMPY:
-        pytest.skip("numpy not installed")
-    ctrace = _columnar_trace()
-    file_codes = ctrace.file_codes
-    kind_codes = ctrace.kind_codes
-    n_symbols = len(ctrace.file_symbols)
-
-    def run():
-        return scan_columns(file_codes, kind_codes, n_symbols)
+        return scan_columns(file_codes, kind_codes)
 
     scan = benchmark(run)
     assert scan.events == len(ctrace)

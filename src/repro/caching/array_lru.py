@@ -41,10 +41,10 @@ array cells per hit (unlink + relink at head) plus head/tail
 bookkeeping; measured on this interpreter a list store is ~13ns while
 the DLL splice costs ~10 indexed ops.  The stamp design moves that
 work to the *miss* path (where a group fetch already dwarfs it) and
-makes the hit path a single store.  numpy, when available, accelerates
-the batch queue rebuild and the ordered export scan — the per-event
-path is pure python either way, and ``array('q')`` stamp storage was
-rejected because its boxed stores measure ~3x a plain list store.
+makes the hit path a single store.  The batch queue rebuild and the
+ordered export share one residency-bitmap scan (``bytearray.find``, a
+C loop); ``array('q')`` stamp storage was rejected because its boxed
+stores measure ~3x a plain list store.
 
 The replay kernel (:func:`repro.sim.kernel.replay_columns_v2`) uses
 instances as state containers and inlines these operations on local
@@ -55,25 +55,25 @@ bindings; the class methods are the reference semantics, held to
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, List, Optional
 
 from ..errors import CacheConfigurationError
 
-# Same import-time override as repro.sim.kernel: REPRO_NO_NUMPY forces
-# the pure scans so CI can run the whole suite numpy-free on a
-# numpy-equipped interpreter.
-if os.environ.get("REPRO_NO_NUMPY"):  # pragma: no cover - CI-only gate
-    _np = None
-    HAVE_NUMPY = False
-else:
-    try:  # pragma: no cover - exercised via the HAVE_NUMPY=False tests
-        import numpy as _np
 
-        HAVE_NUMPY = True
-    except ImportError:  # pragma: no cover
-        _np = None
-        HAVE_NUMPY = False
+def _resident_pairs(in_cache: bytearray, stamp: list) -> List[tuple]:
+    """Every resident's ``(stamp, key)`` pair, in key order.
+
+    ``bytearray.find`` walks the residency bitmap in C, so the python
+    loop runs once per resident, not once per code.
+    """
+    find = in_cache.find
+    pairs = []
+    append = pairs.append
+    position = find(1)
+    while position >= 0:
+        append((stamp[position], position))
+        position = find(1, position + 1)
+    return pairs
 
 
 def refill_queue(queue: list, in_cache: bytearray, stamp: list) -> None:
@@ -83,21 +83,9 @@ def refill_queue(queue: list, in_cache: bytearray, stamp: list) -> None:
     *descending* stamp order, so ``queue.pop()`` yields the
     least-recently-stamped resident.  The caller only invokes this when
     the queue has drained; with at least one resident the refill is
-    never empty, so eviction always terminates.  numpy path and
-    fallback are count-identical (the bitmap scan is ``flatnonzero``
-    vs ``bytearray.find`` — both C loops).
+    never empty, so eviction always terminates.
     """
-    if HAVE_NUMPY:
-        mask = _np.frombuffer(in_cache, dtype=_np.uint8)
-        pairs = [(stamp[key], key) for key in _np.flatnonzero(mask).tolist()]
-    else:
-        find = in_cache.find
-        pairs = []
-        append = pairs.append
-        position = find(1)
-        while position >= 0:
-            append((stamp[position], position))
-            position = find(1, position + 1)
+    pairs = _resident_pairs(in_cache, stamp)
     pairs.sort(reverse=True)
     queue.extend(pairs)
 
@@ -180,19 +168,7 @@ class ArrayLRU:
 
     def export(self) -> List[int]:
         """Resident keys in LRU-to-MRU order (the ``OrderedDict`` order)."""
-        stamp = self.stamp
-        if HAVE_NUMPY:
-            mask = _np.frombuffer(self.in_cache, dtype=_np.uint8)
-            pairs = [
-                (stamp[key], key) for key in _np.flatnonzero(mask).tolist()
-            ]
-        else:
-            find = self.in_cache.find
-            pairs = []
-            position = find(1)
-            while position >= 0:
-                pairs.append((stamp[position], position))
-                position = find(1, position + 1)
+        pairs = _resident_pairs(self.in_cache, self.stamp)
         pairs.sort()
         return [key for _stamp, key in pairs]
 

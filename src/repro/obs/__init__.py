@@ -15,7 +15,7 @@ Typical use::
 
     with obs.collecting() as registry:
         system.replay(trace)
-    obs.write_jsonl(registry, "results/metrics.jsonl")
+    obs.write_jsonl(registry, "metrics.jsonl")
 
 The :mod:`~repro.obs.tracing` sibling answers the per-decision
 question ("why did this open miss?"): a ring-buffered flight recorder

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import argparse
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
+
+
+def _checked(value: Any, check: Callable[[Any, str], Any], option: str) -> Any:
+    """``value`` run through a scenario field's ``check``, unless unset."""
+    return value if value is None else check(value, option)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -25,30 +30,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     from .scenario import (
         check_port,
+        check_ring_size,
         check_window_events,
         check_window_seconds,
         load_scenario,
     )
     from .server import CacheDaemon
 
-    def checked(value, check, name):
-        return value if value is None else check(value, name)
-
     scenario = load_scenario(args.scenario)
     daemon = CacheDaemon(
         scenario,
         host=args.host if args.host else None,
-        port=checked(args.port, check_port, "--port"),
+        port=_checked(args.port, check_port, "--port"),
         access_log=args.access_log,
         access_log_max_bytes=args.access_log_max_bytes,
-        window_seconds=checked(
+        window_seconds=_checked(
             args.stats_window, check_window_seconds, "--stats-window"
         ),
-        window_events=checked(
+        window_events=_checked(
             args.stats_window_events, check_window_events, "--stats-window-events"
         ),
         span_log=args.spans,
-        span_capacity=args.span_capacity,
+        span_capacity=_checked(args.span_capacity, check_ring_size, "--span-capacity"),
         span_sample=args.span_sample,
     )
     return daemon.run(port_file=args.port_file)
@@ -70,7 +73,10 @@ def _cmd_slam(args: argparse.Namespace) -> int:
     from ..traces.reader import read_trace
     from ..workloads.synthetic import make_workload
     from .client import run_slam, write_report
+    from .scenario import check_ring_size
 
+    # Checked here: each worker process builds its own span ring.
+    span_capacity = _checked(args.span_capacity, check_ring_size, "--span-capacity")
     workload, events, seed = args.workload, args.events, args.seed
     if args.scenario is not None:
         from . import load_scenario
@@ -106,7 +112,7 @@ def _cmd_slam(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         span_dir=args.spans,
         span_sample=args.span_sample,
-        span_capacity=args.span_capacity,
+        span_capacity=span_capacity,
     )
     print()
     print(rows_to_markdown(report.rows()))

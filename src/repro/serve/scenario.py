@@ -177,7 +177,7 @@ def check_window_events(events: int, name: str) -> int:
     return _in_range(events, 0, sys.maxsize, name)
 
 
-def _ring_size(size: int, name: str) -> int:
+def check_ring_size(size: int, name: str) -> int:
     """``size`` when a bounded ring (``deque(maxlen=size)``) can hold it."""
     return _in_range(size, 1, sys.maxsize, name)
 
@@ -286,7 +286,7 @@ def scenario_from_dict(
     scenario.journal_enabled = _typed(
         journal.get("enabled", True), bool, source, "journal.enabled"
     )
-    scenario.journal_max_events = _ring_size(
+    scenario.journal_max_events = check_ring_size(
         _typed(
             journal.get("max_events", scenario.journal_max_events),
             int,
@@ -322,7 +322,7 @@ def scenario_from_dict(
         ),
         f"{source}: telemetry.window_events",
     )
-    scenario.telemetry_retain = _ring_size(
+    scenario.telemetry_retain = check_ring_size(
         _typed(
             telemetry.get("retain", scenario.telemetry_retain),
             int,

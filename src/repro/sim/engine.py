@@ -466,8 +466,8 @@ class DistributedFileSystem:
         session = None
         if isinstance(trace, ColumnarTrace):
             if fast:
-                # Deferred: keeps the kernel (and numpy) out of the
-                # import of every module that only needs the engine.
+                # Deferred: keeps the kernel out of the import of
+                # every module that only needs the engine.
                 from . import kernel
 
                 session = kernel.v2_import(self, trace)

@@ -27,10 +27,9 @@ Two kernels live here:
   when it returns None.  Observability deltas are reported through
   the same batched helpers the engine's fast loop uses.
 * :func:`scan_columns` — the pure-int column scan: event counts, unique
-  files, and the kind histogram in one pass.  Vectorized with numpy
-  when available, with a count-identical pure-python fallback built on
-  C-speed primitives (``set`` construction, ``bytes.count``).  This is
-  the 10M+ events/s hot path the strict benchmark gate tracks;
+  files, and the kind histogram in one pass, built on C-speed
+  primitives (``set`` construction, ``bytes.count``).  This is the
+  10M+ events/s hot path the strict benchmark gate tracks;
   ``repro trace info`` and ``ColumnarTrace.unique_files`` ride it.
 
 Every replay entry point records which loop ran under the
@@ -38,35 +37,18 @@ Every replay entry point records which loop ran under the
 ``generic``), so ``repro metrics`` and ``repro report`` can show
 whether a run actually took the path you think it did.
 
-numpy is strictly optional: :data:`HAVE_NUMPY` gates every use, and the
-fallbacks produce identical counts (asserted by ``tests/test_kernel.py``
-with the flag forced off).  The stateful replay loop itself is pure
-python either way — LRU and successor-list updates are inherently
-sequential — numpy accelerates the *batch* work around it: client
-segmentation and column scans.
+The module imports only the standard library, and each batch scan
+(client segmentation, column scans, queue refills) has one
+implementation.  LRU and successor-list updates are inherently
+sequential, so the replay loop is plain python, and the scans around
+it cost a few percent of a pass.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-
-# REPRO_NO_NUMPY forces the pure-python paths even where numpy is
-# importable — the CI numpy leg uses it to prove the fallbacks end to
-# end, without monkeypatching, on a numpy-equipped interpreter.
-if os.environ.get("REPRO_NO_NUMPY"):  # pragma: no cover - CI-only gate
-    _np = None
-    HAVE_NUMPY = False
-else:
-    try:  # pragma: no cover - exercised via the HAVE_NUMPY=False tests
-        import numpy as _np
-
-        HAVE_NUMPY = True
-    except ImportError:  # pragma: no cover
-        _np = None
-        HAVE_NUMPY = False
 
 from ..caching.array_lru import ArrayLRU, refill_queue
 from ..caching.lru import LRUCache
@@ -75,19 +57,6 @@ from ..obs import registry as _obs
 
 #: Default client identity for events that carry none (engine contract).
 DEFAULT_CLIENT = "client00"
-
-
-def _as_ndarray(column, dtype):
-    """A numpy view of an int column, copy-free for buffer-backed ones.
-
-    ``array.array`` and (sliced) ``memoryview`` columns expose the
-    buffer protocol, so ``frombuffer`` wraps them in place; plain
-    sequences (tuples from the memoized workload helpers) are copied.
-    """
-    try:
-        return _np.frombuffer(column, dtype=dtype)
-    except (TypeError, ValueError):
-        return _np.asarray(column, dtype=dtype)
 
 
 # -- column scans -----------------------------------------------------------
@@ -117,41 +86,23 @@ class ColumnScan:
 
 
 def scan_columns(
-    file_codes: Sequence[int],
-    kind_codes: Optional[Sequence[int]] = None,
-    n_file_symbols: Optional[int] = None,
+    file_codes: Sequence[int], kind_codes: Optional[Sequence[int]] = None
 ) -> ColumnScan:
     """Scan integer columns for event count, unique files, kind mix.
 
-    The numpy path runs one ``bincount`` per column; the fallback uses
-    ``set`` construction and ``bytes.count``, both C loops.  Outputs are
-    identical (``tests/test_kernel.py`` forces the fallback and
-    compares).
+    ``set`` construction and ``bytes.count`` do the counting, both C
+    loops.
     """
     n = len(file_codes)
     n_kinds = 6
     if n == 0:
         return ColumnScan(events=0, unique_files=0, kind_counts=(0,) * n_kinds)
-    if HAVE_NUMPY:
-        files = _as_ndarray(file_codes, _np.uint32)
-        minlength = n_file_symbols or 0
-        unique = int(
-            _np.count_nonzero(_np.bincount(files, minlength=minlength))
-        )
-        if kind_codes is None:
-            kinds = (n,) + (0,) * (n_kinds - 1)
-        else:
-            histogram = _np.bincount(
-                _as_ndarray(kind_codes, _np.uint8), minlength=n_kinds
-            )
-            kinds = tuple(int(count) for count in histogram[:n_kinds])
+    unique = len(set(file_codes))
+    if kind_codes is None:
+        kinds = (n,) + (0,) * (n_kinds - 1)
     else:
-        unique = len(set(file_codes))
-        if kind_codes is None:
-            kinds = (n,) + (0,) * (n_kinds - 1)
-        else:
-            raw = bytes(kind_codes)
-            kinds = tuple(raw.count(code) for code in range(n_kinds))
+        raw = bytes(kind_codes)
+        kinds = tuple(raw.count(code) for code in range(n_kinds))
     return ColumnScan(events=n, unique_files=unique, kind_counts=kinds)
 
 
@@ -163,9 +114,7 @@ def client_runs(ctrace) -> List[Tuple[str, int, int]]:
 
     Events with an empty client id belong to :data:`DEFAULT_CLIENT`,
     matching the engine's generic path.  A constant (elided) client
-    column is one run over the whole trace.  Boundary detection is a
-    vectorized diff under numpy and a plain scan otherwise — identical
-    runs either way.
+    column is one run over the whole trace.
     """
     n = len(ctrace)
     codes = ctrace.client_codes
@@ -174,19 +123,14 @@ def client_runs(ctrace) -> List[Tuple[str, int, int]]:
         return []
     if codes is None:
         return [(symbols[0] or DEFAULT_CLIENT, 0, n)]
-    if HAVE_NUMPY:
-        column = _as_ndarray(codes, _np.uint32)
-        boundaries = _np.flatnonzero(column[1:] != column[:-1]) + 1
-        edges = [0] + boundaries.tolist() + [n]
-    else:
-        edges = [0]
-        previous = codes[0]
-        for index in range(1, n):
-            code = codes[index]
-            if code != previous:
-                edges.append(index)
-                previous = code
-        edges.append(n)
+    edges = [0]
+    previous = codes[0]
+    for index in range(1, n):
+        code = codes[index]
+        if code != previous:
+            edges.append(index)
+            previous = code
+    edges.append(n)
     return [
         (symbols[codes[lo]] or DEFAULT_CLIENT, lo, hi)
         for lo, hi in zip(edges[:-1], edges[1:])

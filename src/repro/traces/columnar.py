@@ -259,9 +259,7 @@ class ColumnarTrace:
         """
         from ..sim.kernel import scan_columns
 
-        return scan_columns(
-            self.file_codes, self.kind_codes, len(self.file_symbols)
-        ).unique_files
+        return scan_columns(self.file_codes, self.kind_codes).unique_files
 
     # -- zero-copy views ---------------------------------------------------
     def slice(self, start: int, stop: Optional[int] = None) -> "ColumnarTrace":

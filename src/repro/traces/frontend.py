@@ -204,9 +204,7 @@ def _trace_bench_rows(ctrace) -> list:
     config = dict(client_capacity=250, server_capacity=300, group_size=5)
 
     def run_scan():
-        _kernel.scan_columns(
-            ctrace.file_codes, ctrace.kind_codes, len(ctrace.file_symbols)
-        )
+        _kernel.scan_columns(ctrace.file_codes, ctrace.kind_codes)
 
     def run_kernel_v2():
         _kernel.replay_columns_v2(DistributedFileSystem(**config), ctrace)

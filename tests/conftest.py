@@ -8,6 +8,7 @@ import pytest
 
 from repro.traces.artifacts import CACHE_ENV_VAR
 from repro.traces.events import EventKind, Trace, TraceEvent
+from tests.numpy_hosts import NUMPY_HOSTS, numpy_host
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -20,6 +21,13 @@ def trace_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv(CACHE_ENV_VAR, str(tmp_path_factory.mktemp("trace-cache")))
         yield
+
+
+@pytest.fixture(params=NUMPY_HOSTS)
+def numpy_host_leg(request):
+    """Run the test on each of :data:`NUMPY_HOSTS` (see ``numpy_hosts``)."""
+    with numpy_host(request.param):
+        yield request.param
 
 
 @pytest.fixture

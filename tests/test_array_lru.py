@@ -8,45 +8,24 @@ machines being *count-identical* to their dict-based references:
 :class:`repro.core.successors.SuccessorTracker`.  Hypothesis drives
 both sides of each pair with identical operation streams and asserts
 identical hit/miss results and identical LRU order after every
-operation — with and without numpy, since the array cache's queue refill and
-export scans have separate numpy and pure-python implementations.
+operation — with numpy loaded and with numpy unimportable.
 """
 
-import contextlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.caching.array_lru as array_lru
-from repro.caching.array_lru import ArrayLRU, refill_queue
+from repro.caching.array_lru import ArrayLRU
 from repro.caching.lru import LRUCache
 from repro.core.successors import ArraySuccessorTracker, SuccessorTracker
 from repro.errors import CacheConfigurationError
-
-NUMPY_MODES = (True, False) if array_lru.HAVE_NUMPY else (False,)
-MODE_IDS = ["numpy" if mode else "pure" for mode in NUMPY_MODES]
+from tests.numpy_hosts import NUMPY_HOSTS, numpy_host
 
 #: Small key space so hypothesis streams collide constantly — hits,
 #: repeat installs, and full-capacity evictions all get exercised.
 UNIVERSE = 16
-
-
-@contextlib.contextmanager
-def numpy_mode(enabled):
-    """Force ``array_lru.HAVE_NUMPY`` for the duration of a test body.
-
-    A plain context manager rather than a monkeypatch fixture so that
-    hypothesis can re-run the test body many times without tripping the
-    function-scoped-fixture health check.
-    """
-    saved = array_lru.HAVE_NUMPY
-    array_lru.HAVE_NUMPY = enabled
-    try:
-        yield
-    finally:
-        array_lru.HAVE_NUMPY = saved
 
 
 def _operations():
@@ -81,15 +60,14 @@ def run_differential(capacity, operations):
 
 
 class TestArrayLRUDifferential:
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=MODE_IDS)
+    @pytest.mark.parametrize("host", NUMPY_HOSTS)
     @given(capacity=st.integers(min_value=1, max_value=8), ops=_operations())
     @settings(max_examples=120, deadline=None)
-    def test_matches_dict_lru(self, use_numpy, capacity, ops):
-        with numpy_mode(use_numpy):
+    def test_matches_dict_lru(self, host, capacity, ops):
+        with numpy_host(host):
             run_differential(capacity, ops)
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=MODE_IDS)
-    def test_long_adversarial_stream(self, use_numpy):
+    def test_long_adversarial_stream(self, numpy_host_leg):
         """A long seeded stream at tiny capacity: the queue drains and
         refills many times, cold-stack entries go stale, and the two
         caches must still agree on every single event."""
@@ -101,25 +79,22 @@ class TestArrayLRUDifferential:
             else:
                 group = [rng.randrange(UNIVERSE) for _ in range(rng.randrange(6))]
                 operations.append(("install", group))
-        with numpy_mode(use_numpy):
-            run_differential(capacity=5, operations=operations)
+        run_differential(capacity=5, operations=operations)
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=MODE_IDS)
-    def test_warm_import_matches_dict_lru(self, use_numpy):
+    def test_warm_import_matches_dict_lru(self, numpy_host_leg):
         """`from_keys` seeds the same state as a warmed dict cache."""
         warm = [7, 2, 9, 4]
         dict_cache = LRUCache(5)
         for key in warm:
             dict_cache.access(key)
-        with numpy_mode(use_numpy):
-            array_cache = ArrayLRU.from_keys(warm, capacity=5, universe=UNIVERSE)
-            assert array_cache.export() == warm
-            # The imported LRU entry is the first demand-miss victim.
-            dict_cache.access(11)
-            dict_cache.access(12)
-            array_cache.access(11)
-            array_cache.access(12)
-            assert array_cache.export() == list(dict_cache._order)
+        array_cache = ArrayLRU.from_keys(warm, capacity=5, universe=UNIVERSE)
+        assert array_cache.export() == warm
+        # The imported LRU entry is the first demand-miss victim.
+        dict_cache.access(11)
+        dict_cache.access(12)
+        array_cache.access(11)
+        array_cache.access(12)
+        assert array_cache.export() == list(dict_cache._order)
 
 
 class TestArrayLRUUnit:
@@ -175,25 +150,6 @@ class TestArrayLRUUnit:
         assert 2 not in cache
         cache.access(6)
         assert cache.export() == [6]
-
-    @pytest.mark.skipif(not array_lru.HAVE_NUMPY, reason="numpy not available")
-    def test_refill_and_export_paths_agree(self):
-        """The numpy and pure scans over one state yield identical
-        queues and identical export orders."""
-        cache = ArrayLRU(6, UNIVERSE)
-        for key in (3, 1, 4, 1, 5, 9, 2, 6):
-            cache.access(key)
-        cache.install_tail([7, 8])
-        queues = {}
-        exports = {}
-        for mode in (True, False):
-            with numpy_mode(mode):
-                queue = []
-                refill_queue(queue, cache.in_cache, cache.stamp)
-                queues[mode] = queue
-                exports[mode] = cache.export()
-        assert queues[True] == queues[False]
-        assert exports[True] == exports[False]
 
 
 class TestArraySuccessorTrackerDifferential:

@@ -7,7 +7,9 @@ imports a subcommand's front end only when that subcommand is parsed,
 and the evaluation table names its runners without importing them.  So
 a started daemon has loaded the serving stack and nothing else,
 ``repro --help`` loads no runner, and no start-up loads the replay
-kernel, numpy or the standard library's HTTP stack.
+kernel, numpy or the standard library's HTTP stack.  The columnar
+replay itself runs on the standard library alone: it never even tries
+to import numpy.
 """
 
 import json
@@ -47,6 +49,59 @@ def test_cli_and_daemon_imports_skip_kernel_and_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+NUMPY_TRAP = """
+import json
+import sys
+
+attempts = []
+
+
+class Trap:
+    # Consulted before every other finder, so an import of numpy is
+    # recorded whether or not numpy is installed.
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            attempts.append(name)
+        return None
+
+
+sys.meta_path.insert(0, Trap)
+
+from repro.obs import collecting
+from repro.sim.engine import DistributedFileSystem
+from repro.traces.columnar import ColumnarTrace
+from repro.workloads.synthetic import make_workload
+
+trace = make_workload("write", 3000)
+ctrace = ColumnarTrace.from_trace(trace)
+with collecting() as registry:
+    DistributedFileSystem(client_capacity=60, server_capacity=90).replay(ctrace)
+print(json.dumps({
+    "kernel_v2": registry.snapshot()["counters"].get("engine.replay.path.kernel_v2"),
+    "unique_files": [ctrace.unique_files(), trace.unique_files()],
+    "attempts": attempts,
+}))
+"""
+
+
+def test_columnar_replay_never_imports_numpy():
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_TRAP],
+        cwd=str(REPO_ROOT),
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["kernel_v2"] == 1
+    unique, expected = report["unique_files"]
+    assert unique == expected > 0
+    assert report["attempts"] == []
 
 
 def _repro_modules(importtime: str) -> set:

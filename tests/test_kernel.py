@@ -3,54 +3,25 @@
 The contract mirrors ``test_fast_replay.py`` one rung down: replaying a
 :class:`ColumnarTrace` through the engine must produce metrics
 byte-identical to the generic per-event path — on all four paper
-workloads, with and without numpy, across qualifying and
-non-qualifying configurations, at every trace length.
+workloads, with numpy loaded and with numpy unimportable, across
+qualifying and non-qualifying configurations, at every trace length.
 """
-
-import contextlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.caching.array_lru as array_lru
 import repro.sim.kernel as kernel
 from repro.sim.engine import DistributedFileSystem
 from repro.sim.kernel import client_runs, scan_columns
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.events import Trace, TraceEvent
 from repro.workloads.synthetic import make_workload
+from tests.numpy_hosts import NUMPY_HOSTS, numpy_host
 
 WORKLOADS = ("server", "users", "write", "workstation")
 EVENTS = 4000
 CONFIG = dict(client_capacity=250, server_capacity=300, group_size=5)
-
-NUMPY_MODES = (False, True) if kernel.HAVE_NUMPY else (False,)
-
-
-@pytest.fixture(params=NUMPY_MODES, ids=lambda v: "numpy" if v else "pure")
-def numpy_mode(request, monkeypatch):
-    """Run the test body under both kernel implementations.
-
-    The array eviction core keeps its own module flag for the queue
-    refill / export scans, so both must be forced together for the
-    "pure" leg to actually avoid numpy.
-    """
-    monkeypatch.setattr(kernel, "HAVE_NUMPY", request.param)
-    monkeypatch.setattr(array_lru, "HAVE_NUMPY", request.param)
-    return request.param
-
-
-@contextlib.contextmanager
-def forced_numpy(enabled):
-    """:func:`numpy_mode` for hypothesis tests, which cannot take a
-    function-scoped fixture."""
-    saved = (kernel.HAVE_NUMPY, array_lru.HAVE_NUMPY)
-    kernel.HAVE_NUMPY = array_lru.HAVE_NUMPY = enabled
-    try:
-        yield
-    finally:
-        kernel.HAVE_NUMPY, array_lru.HAVE_NUMPY = saved
 
 
 def generic_engine_metrics(system, trace):
@@ -83,12 +54,10 @@ def full_state(system):
 
 
 class TestScanColumns:
-    def test_counts_match_trace(self, numpy_mode):
+    def test_counts_match_trace(self, numpy_host_leg):
         trace = make_workload("write", EVENTS)
         ctrace = ColumnarTrace.from_trace(trace)
-        scan = scan_columns(
-            ctrace.file_codes, ctrace.kind_codes, len(ctrace.file_symbols)
-        )
+        scan = scan_columns(ctrace.file_codes, ctrace.kind_codes)
         assert scan.events == EVENTS
         assert scan.unique_files == trace.unique_files()
         assert sum(scan.kind_counts) == EVENTS
@@ -99,7 +68,7 @@ class TestScanColumns:
             1 for event in trace if event.is_mutation
         )
 
-    def test_no_kind_column_is_all_opens(self, numpy_mode):
+    def test_no_kind_column_is_all_opens(self, numpy_host_leg):
         ctrace = ColumnarTrace.from_trace(
             Trace.from_file_ids(["a", "b", "a", "c"])
         )
@@ -107,25 +76,13 @@ class TestScanColumns:
         assert scan.kind_counts == (4, 0, 0, 0, 0, 0)
         assert scan.unique_files == 3
 
-    def test_empty_columns(self, numpy_mode):
+    def test_empty_columns(self, numpy_host_leg):
         scan = scan_columns([], None)
         assert scan.events == 0 and scan.unique_files == 0
 
-    @pytest.mark.skipif(not kernel.HAVE_NUMPY, reason="needs numpy")
-    def test_numpy_and_fallback_identical(self, monkeypatch):
-        ctrace = ColumnarTrace.from_trace(make_workload("users", EVENTS))
-        fast = scan_columns(
-            ctrace.file_codes, ctrace.kind_codes, len(ctrace.file_symbols)
-        )
-        monkeypatch.setattr(kernel, "HAVE_NUMPY", False)
-        slow = scan_columns(
-            ctrace.file_codes, ctrace.kind_codes, len(ctrace.file_symbols)
-        )
-        assert fast == slow
-
 
 class TestClientRuns:
-    def test_segments_cover_and_label(self, numpy_mode):
+    def test_segments_cover_and_label(self, numpy_host_leg):
         trace = make_workload("write", EVENTS)  # two clients
         ctrace = ColumnarTrace.from_trace(trace)
         runs = client_runs(ctrace)
@@ -138,21 +95,21 @@ class TestClientRuns:
             event.client_id or "client00" for event in trace
         ]
 
-    def test_constant_client_single_run(self, numpy_mode):
+    def test_constant_client_single_run(self, numpy_host_leg):
         ctrace = ColumnarTrace.from_trace(make_workload("server", 500))
         assert len(client_runs(ctrace)) == 1
 
-    def test_unattributed_events_default_client(self, numpy_mode):
+    def test_unattributed_events_default_client(self, numpy_host_leg):
         ctrace = ColumnarTrace.from_trace(Trace.from_file_ids(["a", "b"]))
         assert client_runs(ctrace) == [("client00", 0, 2)]
 
-    def test_empty_trace_no_runs(self, numpy_mode):
+    def test_empty_trace_no_runs(self, numpy_host_leg):
         assert client_runs(ColumnarTrace.from_trace(Trace())) == []
 
 
 class TestKernelReplay:
     @pytest.mark.parametrize("workload", WORKLOADS)
-    def test_matches_generic_path(self, workload, numpy_mode):
+    def test_matches_generic_path(self, workload, numpy_host_leg):
         trace = make_workload(workload, EVENTS)
         ctrace = ColumnarTrace.from_trace(trace)
         reference = generic_engine_metrics(
@@ -162,7 +119,7 @@ class TestKernelReplay:
         assert system._fast_replay_ok()
         assert system.replay(ctrace) == reference
 
-    def test_no_server_and_small_group_configs(self, numpy_mode):
+    def test_no_server_and_small_group_configs(self, numpy_host_leg):
         ctrace = ColumnarTrace.from_trace(make_workload("write", EVENTS))
         trace = ctrace.to_trace()
         for config in (
@@ -177,7 +134,7 @@ class TestKernelReplay:
                 DistributedFileSystem(**config).replay(ctrace) == reference
             ), config
 
-    def test_non_qualifying_config_falls_back(self, numpy_mode):
+    def test_non_qualifying_config_falls_back(self, numpy_host_leg):
         # An active flight recorder needs per-decision records, which
         # the kernel cannot emit: the columnar trace is decoded and
         # replayed per event, counting exactly like the untraced kernel.
@@ -199,7 +156,7 @@ class TestKernelReplay:
         assert paths == {"engine.replay.path.generic": 1}
         assert metrics == DistributedFileSystem(**CONFIG).replay(ctrace)
 
-    def test_repeated_replay_carries_previous(self, numpy_mode):
+    def test_repeated_replay_carries_previous(self, numpy_host_leg):
         # Two consecutive replays must chain successor state exactly as
         # the string-keyed event path does: tracker._previous crosses
         # the boundary and links the last file to the next replay's
@@ -215,7 +172,7 @@ class TestKernelReplay:
 
 
 class TestWindowedColumnarReplay:
-    def test_samples_identical_to_event_path(self, numpy_mode):
+    def test_samples_identical_to_event_path(self, numpy_host_leg):
         from repro.obs.timeseries import WindowedCollector, windowing
 
         ctrace = ColumnarTrace.from_trace(make_workload("write", EVENTS))
@@ -262,7 +219,7 @@ class TestArrayKernelDispatch:
             if name.startswith("engine.replay.path.")
         }
 
-    def test_eligible_replay_takes_array_kernel(self, numpy_mode):
+    def test_eligible_replay_takes_array_kernel(self, numpy_host_leg):
         from repro.obs import collecting
 
         ctrace = ColumnarTrace.from_trace(make_workload("server", EVENTS))
@@ -272,7 +229,7 @@ class TestArrayKernelDispatch:
             "engine.replay.path.kernel_v2": 1
         }
 
-    def test_small_trace_takes_array_kernel(self, numpy_mode):
+    def test_small_trace_takes_array_kernel(self, numpy_host_leg):
         from repro.obs import collecting
 
         small = ColumnarTrace.from_trace(make_workload("server", 512))
@@ -284,7 +241,7 @@ class TestArrayKernelDispatch:
             "engine.replay.path.kernel_v2": 1
         }
 
-    def test_string_keyed_state_falls_back_to_dict_kernel(self, numpy_mode):
+    def test_string_keyed_state_falls_back_to_dict_kernel(self, numpy_host_leg):
         # Warm string-keyed state is outside the kernel's code space:
         # the columnar replay decodes and counts exactly like replaying
         # the decoded events on the same warm system.
@@ -303,7 +260,7 @@ class TestArrayKernelDispatch:
         assert full_state(system) == full_state(reference)
 
     @pytest.mark.parametrize("workload", WORKLOADS)
-    def test_final_state_identical_to_dict_kernel(self, workload, numpy_mode):
+    def test_final_state_identical_to_dict_kernel(self, workload, numpy_host_leg):
         # Beyond metrics equality: the exported cache orders, successor
         # lists, and carried previous must match the per-event oracle's.
         ctrace = ColumnarTrace.from_trace(make_workload(workload, EVENTS))
@@ -313,7 +270,7 @@ class TestArrayKernelDispatch:
         assert array_metrics == oracle_replay(oracle_system, ctrace)
         assert full_state(array_system) == full_state(oracle_system)
 
-    def test_windowed_replay_reuses_one_session(self, numpy_mode, monkeypatch):
+    def test_windowed_replay_reuses_one_session(self, numpy_host_leg, monkeypatch):
         # A windowed replay imports array state once and replays every
         # window through it — one kernel_v2 record per window, and totals
         # identical to the unwindowed replay.
@@ -370,21 +327,21 @@ class TestColumnarDifferential:
     oracle at every trace length, including chained replays whose
     carried state crosses trace boundaries."""
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda v: "numpy" if v else "pure")
+    @pytest.mark.parametrize("host", NUMPY_HOSTS)
     @given(case=_columnar_cases())
     @settings(max_examples=300, deadline=None)
-    def test_matches_oracle_in_metrics_and_state(self, use_numpy, case):
+    def test_matches_oracle_in_metrics_and_state(self, host, case):
         ctrace, config, split = case
         system = DistributedFileSystem(**config)
         oracle = DistributedFileSystem(**config)
-        with forced_numpy(use_numpy):
+        with numpy_host(host):
             for part in (ctrace.slice(0, split), ctrace.slice(split), ctrace):
                 assert system.replay(part) == oracle_replay(oracle, part)
                 assert full_state(system) == full_state(oracle)
 
 
 class TestKernelObservability:
-    def test_counters_match_fast_loop(self, numpy_mode):
+    def test_counters_match_fast_loop(self, numpy_host_leg):
         from repro.obs import collecting
 
         ctrace = ColumnarTrace.from_trace(make_workload("write", EVENTS))

@@ -877,6 +877,16 @@ class TestStartFailures:
         assert serving == []
         assert capsys.readouterr().err.startswith(f"error: {option} must be 0..")
 
+    @pytest.mark.parametrize("capacity", ["0", "-1", str(10**20)])
+    def test_span_capacity_checked(self, capacity, serving, tmp_path, capsys):
+        # The span ring is held to the scenario's ring-size check: a
+        # capacity deque(maxlen=) cannot take fails before the daemon.
+        spans = str(tmp_path / "spans.jsonl")
+        argv = ["serve", self.SMOKE, "--spans", spans, "--span-capacity", capacity]
+        assert main(argv) == 1
+        assert serving == []
+        assert capsys.readouterr().err.startswith("error: --span-capacity must be 1..")
+
     @pytest.mark.parametrize(
         "option, what", [("--access-log", "access log"), ("--spans", "span log")]
     )
@@ -960,6 +970,20 @@ class TestCli:
         assert "events replayed" in out and "300" in out
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["schema"] == wire.SLAM_SCHEMA
+
+    @pytest.mark.parametrize("capacity", ["0", str(10**20)])
+    def test_slam_span_capacity_checked(self, capacity, tmp_path, capsys):
+        # Each worker builds its own span ring, so the capacity is
+        # checked before the daemon is contacted or a worker starts.
+        argv = [
+            "slam", "--url", "http://127.0.0.1:1", "--events", "20",
+            "--workers", "2", "--spans", str(tmp_path),
+            "--span-capacity", capacity,
+        ]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --span-capacity must be 1..")
 
 # -- per-endpoint telemetry --------------------------------------------------
 
