@@ -4,12 +4,13 @@
 ``MetricsServer``.  ``socketserver.ThreadingTCPServer`` gives it the
 accept loop, one daemon thread per connection and the port-0 bind (read
 back into :attr:`host` and :attr:`port`); the host adds the serve
-thread, an idempotent :meth:`close` and the framing.  It reads each
-request with :func:`read_request`, answers a framing error itself, and
-hands every well-framed ``GET`` and ``POST`` to :meth:`_dispatch` as a
-:class:`Request`: routing, body limits and error mapping stay with the
-subclass.  :func:`read_head` is the one head parser; the daemon's
-client (``repro.serve.client``) reads responses with it too.
+thread, an idempotent :meth:`close` that drains the open connections,
+and the framing.  It reads each request with :func:`read_request`,
+answers a framing error itself, and hands every well-framed ``GET`` and
+``POST`` to :meth:`_dispatch` as a :class:`Request`: routing, body
+limits and error mapping stay with the subclass.  :func:`read_head` is
+the one head parser; the daemon's client (``repro.serve.client``) reads
+responses with it too.
 
 Framing is strict where a lenient reading could frame a body as the
 next request:
@@ -41,7 +42,7 @@ import socket
 import socketserver
 import threading
 import time
-from typing import BinaryIO, Iterable, Optional, Tuple
+from typing import BinaryIO, Iterable, Optional, Set, Tuple
 
 from ..errors import ReproError
 
@@ -61,6 +62,10 @@ __all__ = [
 #: library HTTP server's limit), and most header fields per message.
 MAX_LINE = 65536
 MAX_HEADERS = 100
+
+#: Seconds :meth:`HttpHost.close` waits for the serve loop to stop, and
+#: then for the open connections' handlers to finish.
+CLOSE_TIMEOUT = 5.0
 
 #: Reason phrases of the final statuses the hosts send.
 REASONS = {
@@ -249,8 +254,31 @@ def read_request(rfile: BinaryIO, sock: socket.socket) -> Optional[Request]:
 
 
 class _Server(socketserver.ThreadingTCPServer):
+    """The accept loop, which also tracks each connection until it is closed.
+
+    A connection joins :attr:`open` when accepted, in the serve thread,
+    and leaves it after its handler thread has served it and closed it;
+    :attr:`drained` is notified on every leave.
+    """
+
     allow_reuse_address = True  # a closed host's port rebinds at once
-    daemon_threads = True  # an idle keep-alive client never blocks exit
+    daemon_threads = True  # a handler past close()'s timeout never blocks exit
+
+    def __init__(self, address, handler):
+        self.open: Set[socket.socket] = set()
+        self.drained = threading.Condition()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        with self.drained:
+            self.open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self.drained:
+            self.open.discard(request)
+            self.drained.notify_all()
 
 
 class HttpHost:
@@ -301,7 +329,14 @@ class HttpHost:
         return self
 
     def close(self) -> None:
-        """Stop serving and release the socket; safe to call twice.
+        """Stop serving, drain the open connections, release the socket.
+
+        Safe to call twice.  Once the accept loop has stopped, each open
+        connection's read side is shut: an idle keep-alive handler reads
+        the end of the stream, and a handler mid-request still sends its
+        response.  ``close()`` then waits up to :data:`CLOSE_TIMEOUT`
+        seconds for every handler to finish, so what a handler records
+        after responding is recorded before ``close()`` returns.
 
         ``shutdown()`` is only issued when the serve loop actually ran
         (it blocks forever otherwise); the socket is released either
@@ -310,10 +345,18 @@ class HttpHost:
         if self._closed:
             return
         self._closed = True
+        server = self._server
         if self._thread.is_alive():
-            self._server.shutdown()
-            self._thread.join(timeout=5)
-        self._server.server_close()
+            server.shutdown()
+            self._thread.join(timeout=CLOSE_TIMEOUT)
+            with server.drained:
+                for sock in server.open:
+                    try:
+                        sock.shutdown(socket.SHUT_RD)
+                    except OSError:
+                        pass  # the peer or the handler closed it first
+                server.drained.wait_for(lambda: not server.open, CLOSE_TIMEOUT)
+        server.server_close()
 
     def __enter__(self):
         if not self._thread.is_alive():

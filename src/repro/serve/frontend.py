@@ -31,6 +31,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .scenario import (
         check_port,
         check_ring_size,
+        check_sample_period,
         check_window_events,
         check_window_seconds,
         load_scenario,
@@ -52,7 +53,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         span_log=args.spans,
         span_capacity=_checked(args.span_capacity, check_ring_size, "--span-capacity"),
-        span_sample=args.span_sample,
+        span_sample=_checked(args.span_sample, check_sample_period, "--span-sample"),
     )
     return daemon.run(port_file=args.port_file)
 
@@ -73,10 +74,11 @@ def _cmd_slam(args: argparse.Namespace) -> int:
     from ..traces.reader import read_trace
     from ..workloads.synthetic import make_workload
     from .client import run_slam, write_report
-    from .scenario import check_ring_size
+    from .scenario import check_ring_size, check_sample_period
 
-    # Checked here: each worker process builds its own span ring.
+    # Checked here: each worker process builds its own span ring and sampler.
     span_capacity = _checked(args.span_capacity, check_ring_size, "--span-capacity")
+    span_sample = _checked(args.span_sample, check_sample_period, "--span-sample")
     workload, events, seed = args.workload, args.events, args.seed
     if args.scenario is not None:
         from . import load_scenario
@@ -111,7 +113,7 @@ def _cmd_slam(args: argparse.Namespace) -> int:
         batch=args.batch,
         timeout=args.timeout,
         span_dir=args.spans,
-        span_sample=args.span_sample,
+        span_sample=span_sample,
         span_capacity=span_capacity,
     )
     print()

@@ -182,6 +182,11 @@ def check_ring_size(size: int, name: str) -> int:
     return _in_range(size, 1, sys.maxsize, name)
 
 
+def check_sample_period(every: int, name: str) -> int:
+    """``every`` when it is a 1-in-N sampling period (1 samples all)."""
+    return _in_range(every, 1, sys.maxsize, name)
+
+
 def scenario_from_dict(
     payload: Mapping[str, Any], source: str = "<inline>"
 ) -> Scenario:

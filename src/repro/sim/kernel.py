@@ -3,7 +3,7 @@
 The engine's fused fast loop (:meth:`DistributedFileSystem._replay_fast`)
 removed the per-event call overhead of the generic path, but it still
 starts from event *objects*: every replay pays a pass that pulls
-``event.file_id`` / ``event.client_id`` out of 60k dataclasses before
+``event.file_id`` / ``event.client_id`` out of 60k event objects before
 the hot loop can run.  This module is the next rung down: kernels that
 consume the integer columns of a
 :class:`~repro.traces.columnar.ColumnarTrace` *directly* — no event
@@ -123,18 +123,18 @@ def client_runs(ctrace) -> List[Tuple[str, int, int]]:
         return []
     if codes is None:
         return [(symbols[0] or DEFAULT_CLIENT, 0, n)]
-    edges = [0]
+    names = [symbol or DEFAULT_CLIENT for symbol in symbols]
+    runs: List[Tuple[str, int, int]] = []
+    append = runs.append
+    lo = 0
     previous = codes[0]
-    for index in range(1, n):
-        code = codes[index]
+    for index, code in enumerate(codes):
         if code != previous:
-            edges.append(index)
+            append((names[previous], lo, index))
+            lo = index
             previous = code
-    edges.append(n)
-    return [
-        (symbols[codes[lo]] or DEFAULT_CLIENT, lo, hi)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    ]
+    append((names[previous], lo, n))
+    return runs
 
 
 # -- array-backed system replay (v2) ----------------------------------------

@@ -67,11 +67,13 @@ import struct
 import sys
 import tempfile
 from array import array
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import TraceFormatError
-from .events import EventKind, Trace, TraceEvent
+from .events import EventKind, Trace, TraceEvent, collector_paused, events_from_columns
 from .symbols import SymbolTable
 
 MAGIC = b"RCTRACE\x00"
@@ -89,7 +91,6 @@ _FLAG_PROCESS = 8
 
 #: Fixed kind numbering: EventKind declaration order.
 KINDS: Tuple[EventKind, ...] = tuple(EventKind)
-_KIND_CODES: Dict[EventKind, int] = {kind: code for code, kind in enumerate(KINDS)}
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
@@ -172,23 +173,16 @@ class ColumnarTrace:
         """Pack an event-object trace into in-memory columns."""
         events = trace.events
         files = SymbolTable()
-        file_codes = _column_u32(
-            files.encode(event.file_id for event in events)
-        )
+        file_codes = _column_u32(files.encode(_field(events, "file_id")))
+        kinds = _field(events, "kind")
         kind_codes: Optional[array] = None
-        if any(event.kind is not EventKind.OPEN for event in events):
-            kind_codes = array(
-                "B", (_KIND_CODES[event.kind] for event in events)
-            )
-        client_codes, client_symbols = _pack_attribute(
-            [event.client_id for event in events]
-        )
-        user_codes, user_symbols = _pack_attribute(
-            [event.user_id for event in events]
-        )
-        process_codes, process_symbols = _pack_attribute(
-            [event.process_id for event in events]
-        )
+        if kinds.count(EventKind.OPEN) != len(kinds):
+            # tuple.index compares members by identity in C, where a dict
+            # lookup would call Enum.__hash__ once per event.
+            kind_codes = array("B", map(KINDS.index, kinds))
+        client_codes, client_symbols = _pack_attribute(_field(events, "client_id"))
+        user_codes, user_symbols = _pack_attribute(_field(events, "user_id"))
+        process_codes, process_symbols = _pack_attribute(_field(events, "process_id"))
         return cls(
             name=trace.name,
             file_codes=file_codes,
@@ -244,12 +238,20 @@ class ColumnarTrace:
 
     def to_trace(self) -> Trace:
         """Decode the full trace back to event objects (interchange)."""
-        return Trace(events=list(self.iter_events()), name=self.name)
+        with collector_paused():
+            events = events_from_columns(
+                file_id=map(self.file_symbols.__getitem__, self.file_codes),
+                kind=_decoded(self.kind_codes, KINDS),  # KINDS[0] is OPEN
+                sequence=range(len(self)),
+                client_id=_decoded(self.client_codes, self.client_symbols),
+                user_id=_decoded(self.user_codes, self.user_symbols),
+                process_id=_decoded(self.process_codes, self.process_symbols),
+            )
+        return Trace(events=events, name=self.name)
 
     def file_ids(self) -> List[str]:
         """The access sequence decoded to file-identifier strings."""
-        symbols = self.file_symbols
-        return [symbols[code] for code in self.file_codes]
+        return list(map(self.file_symbols.__getitem__, self.file_codes))
 
     def unique_files(self) -> int:
         """Number of distinct files appearing in the columns.
@@ -319,6 +321,11 @@ class ColumnarTrace:
         return sizes
 
 
+def _field(events: Sequence[TraceEvent], name: str) -> list:
+    """One event attribute as a column, read in C."""
+    return list(map(attrgetter(name), events))
+
+
 def _pack_attribute(
     values: List[str],
 ) -> Tuple[Optional[array], Tuple[str, ...]]:
@@ -326,11 +333,16 @@ def _pack_attribute(
     if not values:
         return None, ("",)
     first = values[0]
-    if all(value == first for value in values):
+    if values.count(first) == len(values):
         return None, (first,)
     table = SymbolTable()
     codes = _column_u32(table.encode(values))
     return codes, tuple(table.decode_sequence(range(len(table))))
+
+
+def _decoded(codes, symbols: Sequence) -> Iterable:
+    """An optional column decoded lazily (an elided one is all code 0)."""
+    return repeat(symbols[0]) if codes is None else map(symbols.__getitem__, codes)
 
 
 # -- writing ----------------------------------------------------------------

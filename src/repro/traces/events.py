@@ -17,8 +17,11 @@ operation kind) that richer analyses can use for conditioning.
 from __future__ import annotations
 
 import enum
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence
+from functools import partial
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 
 class EventKind(enum.Enum):
@@ -52,9 +55,13 @@ class EventKind(enum.Enum):
         raise ValueError(f"unknown event kind {value!r} (expected one of: {names})")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One file-system access event.
+class TraceEvent(NamedTuple):
+    """One file-system access event, immutable.
+
+    A :class:`~typing.NamedTuple`, so building one is a single tuple
+    allocation: traces hold one event per access, and the bulk builders
+    (workload generation, :meth:`ColumnarTrace.to_trace`) make hundreds
+    of thousands at a time.  Equality and hashing are by fields.
 
     Attributes
     ----------
@@ -82,12 +89,12 @@ class TraceEvent:
     def with_sequence(self, sequence: int) -> "TraceEvent":
         """Return a copy of this event carrying the given sequence number."""
         return TraceEvent(
-            file_id=self.file_id,
-            kind=self.kind,
-            sequence=sequence,
-            client_id=self.client_id,
-            user_id=self.user_id,
-            process_id=self.process_id,
+            self.file_id,
+            self.kind,
+            sequence,
+            self.client_id,
+            self.user_id,
+            self.process_id,
         )
 
     @property
@@ -99,6 +106,56 @@ class TraceEvent:
     def is_mutation(self) -> bool:
         """Whether this event mutates the file (write/create/delete)."""
         return self.kind in (EventKind.WRITE, EventKind.CREATE, EventKind.DELETE)
+
+
+#: ``tuple.__new__`` bound to :class:`TraceEvent`: types a packed field
+#: tuple as an event in C, where calling the class runs its Python-level
+#: ``__new__``.
+_event_from_fields = partial(tuple.__new__, TraceEvent)
+
+
+def events_from_columns(
+    *,
+    file_id: Iterable[str],
+    kind: Iterable[EventKind],
+    sequence: Iterable[int],
+    client_id: Iterable[str],
+    user_id: Iterable[str],
+    process_id: Iterable[str],
+) -> List[TraceEvent]:
+    """Build events from one iterable per field, with no Python call per event.
+
+    A constant field is an ``itertools.repeat``; the shortest column
+    ends the list.  ``zip`` packs each event's fields and
+    :data:`_event_from_fields` types the pack, both in C, so the bulk
+    builders (workload generation, :meth:`ColumnarTrace.to_trace`) pay
+    one tuple per event.
+    """
+    return list(
+        map(
+            _event_from_fields,
+            zip(file_id, kind, sequence, client_id, user_id, process_id),
+        )
+    )
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector around a bulk build of records.
+
+    Traces, draws and columns are acyclic, so the collector's passes
+    over a heap growing by hundreds of thousands of them find nothing
+    to free; reference counting frees them all.  The caller's collector
+    state is restored on every exit, exceptions included, so a pause
+    nests and never leaks.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass

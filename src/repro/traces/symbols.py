@@ -41,20 +41,20 @@ class SymbolTable:
         return code
 
     def encode(self, sequence: Iterable[str]) -> List[int]:
-        """Encode a whole sequence (interning new names as they appear)."""
+        """Encode a whole sequence (interning new names as they appear).
+
+        Both passes run in C: ``dict.fromkeys`` lists the distinct names
+        in first-appearance order, the new ones among them take the next
+        codes, and one ``map`` looks every name up.
+        """
+        if not isinstance(sequence, (list, tuple)):
+            sequence = list(sequence)
         codes = self._codes
         names = self._names
-        out: List[int] = []
-        append = out.append
-        get = codes.get
-        for name in sequence:
-            code = get(name)
-            if code is None:
-                code = len(names)
-                codes[name] = code
-                names.append(name)
-            append(code)
-        return out
+        new = [name for name in dict.fromkeys(sequence) if name not in codes]
+        codes.update(zip(new, range(len(names), len(names) + len(new))))
+        names.extend(new)
+        return list(map(codes.__getitem__, sequence))
 
     def decode(self, code: int) -> str:
         """The string for a code; raises IndexError on unknown codes."""

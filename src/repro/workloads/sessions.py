@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import count, repeat
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import WorkloadError
-from ..traces.events import EventKind, Trace, TraceEvent
+from ..traces.events import EventKind, Trace, events_from_columns
 from .activities import Access, Activity
 from .zipf import ZipfSampler, geometric
 
@@ -192,10 +194,12 @@ class Interleaver:
 
 def build_trace(draws: Sequence[Draw], name: str) -> Trace:
     """A trace holding one event per draw, numbered in draw order."""
-    return Trace(
-        events=[
-            TraceEvent(file_id, kind, sequence, client_id)
-            for sequence, (file_id, kind, client_id) in enumerate(draws)
-        ],
-        name=name,
+    events = events_from_columns(
+        file_id=map(itemgetter(0), draws),
+        kind=map(itemgetter(1), draws),
+        sequence=count(),
+        client_id=map(itemgetter(2), draws),
+        user_id=repeat(""),
+        process_id=repeat(""),
     )
+    return Trace(events=events, name=name)

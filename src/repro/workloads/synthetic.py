@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import WorkloadError
-from ..traces.events import EventKind, Trace
+from ..traces.events import EventKind, Trace, collector_paused
 from .activities import Activity, MarkovActivity, ScriptedActivity, make_file_names
 from .sessions import ClientSession, Draw, Interleaver, SessionConfig, build_trace
 from .zipf import ZipfSampler, geometric
@@ -236,8 +236,9 @@ def build_workload(spec: WorkloadSpec, events: int, seed: int) -> Trace:
                 config=config,
             )
         )
-    draws = Interleaver(sessions, run_mean=spec.run_mean).draw(events, rng)
-    return build_trace(_expand_repeats(draws, spec, rng), spec.name)
+    with collector_paused():
+        draws = Interleaver(sessions, run_mean=spec.run_mean).draw(events, rng)
+        return build_trace(_expand_repeats(draws, spec, rng), spec.name)
 
 
 def _expand_repeats(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -21,6 +22,20 @@ def trace_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv(CACHE_ENV_VAR, str(tmp_path_factory.mktemp("trace-cache")))
         yield
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail any test that leaves the cyclic garbage collector disabled.
+
+    The bulk trace builders pause it (``traces.events.collector_paused``)
+    and must hand it back; a pause that leaked would change how every
+    later test allocates.  The collector is re-enabled before failing.
+    """
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture(params=NUMPY_HOSTS)

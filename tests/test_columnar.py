@@ -1,5 +1,6 @@
 """Unit tests for the columnar binary trace format (``repro-ctrace``)."""
 
+import hashlib
 import os
 import pickle
 import struct
@@ -70,6 +71,41 @@ class TestRoundTrip:
         assert [
             ctrace.event_at(index) for index in range(len(ctrace))
         ] == list(ctrace.iter_events())
+
+
+#: SHA-256 of ``write_columnar(ColumnarTrace.from_trace(...))`` per
+#: ``(workload, seed)`` at 3000 events, and of the ``mixed_trace``
+#: fixture (every kind, non-constant user and process columns).  The
+#: generator's own output is pinned by ``test_synthetic.py``'s
+#: ``TestGeneratorDigests``; these pin code assignment and column layout.
+PACKED_DIGESTS = {
+    ("server", None): "2eeada5533447f367a54661328e47c5c2d9953fd365a55a429de745e5e62d2e4",
+    ("server", 7): "52e135466a53248ae643043c5cd517558c37465d93ce6e107f3da6b257f2b108",
+    ("users", None): "e467f3d56e7a4fd4aff70430a91586877dbf7f61bb9bafc536b33902d34138ff",
+    ("users", 7): "101bad6abbe606b48245240b230e6721d25e48edaed3917f29d8668fbc20efbe",
+    ("workstation", None): "0bf11b59d35632585cec635836bd757ca98b1082f41d0d8a4c27a543be341944",
+    ("workstation", 7): "038c355bb90b8ec43d5bc92c337b3276ca0dd12e328fe5842294402eebe6adf6",
+    ("write", None): "63907e898cdaa93caf06508c8f930f3b6600fd73a88a5200642651dc7bc738f7",
+    ("write", 7): "d979f05299a1d955f6e39f0c20490cfb64d7634e32f6ec1b02d5e0496c69ac79",
+    "mixed": "2e72bcc7cb2b9d86e95f610b00e668791ed0a547a20b8c25644487cdf44ed9ec",
+}
+
+
+def _packed_digest(trace, tmp_path) -> str:
+    path = tmp_path / "packed.ctrace"
+    write_columnar(ColumnarTrace.from_trace(trace), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPackedDigests:
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_workload_bytes_match_recorded_digest(self, workload, seed, tmp_path):
+        trace = make_workload(workload, 3000, seed)
+        assert _packed_digest(trace, tmp_path) == PACKED_DIGESTS[(workload, seed)]
+
+    def test_mixed_trace_bytes_match_recorded_digest(self, mixed_trace, tmp_path):
+        assert _packed_digest(mixed_trace, tmp_path) == PACKED_DIGESTS["mixed"]
 
 
 class TestLayout:

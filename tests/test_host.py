@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.host import MAX_HEADERS, MAX_LINE, WireError, read_request
+from repro.obs.host import CLOSE_TIMEOUT, MAX_HEADERS, MAX_LINE, HttpHost, WireError, read_request
 from repro.obs.timeseries import MetricsServer
 from repro.serve import CacheDaemon, ServeConnection, SlamError
 from repro.serve.scenario import Scenario
@@ -395,6 +395,40 @@ def test_pipelined_requests_are_answered_in_order():
     assert (first["hit"], first["seq"]) == (False, 1)
     assert (second["hit"], second["seq"]) == (True, 2)
     assert health["ok"] is True
+
+
+# -- close() drains the open connections -------------------------------------
+
+
+class _LateRecorder(HttpHost):
+    """A host that responds, sleeps, then records the request."""
+
+    def __init__(self, delay: float):
+        super().__init__("127.0.0.1", 0, "late-recorder")
+        self.delay = delay
+        self.recorded = []
+
+    def _dispatch(self, request):
+        request.respond(200, b"{}", "application/json")
+        time.sleep(self.delay)
+        self.recorded.append(request.path)
+
+
+def test_close_waits_for_what_a_handler_records_after_responding():
+    # Longer than the accept loop's 0.5 s poll, which close() waits out
+    # anyway before it can drain.
+    with _LateRecorder(0.75) as host:
+        connection = http.client.HTTPConnection(host.host, host.port, timeout=5)
+        connection.request("GET", "/late")
+        assert connection.getresponse().read() == b"{}"
+        started = time.monotonic()
+    try:
+        assert host.recorded == ["/late"]
+        # The connection, idle in keep-alive, was ended rather than waited on.
+        assert time.monotonic() - started < CLOSE_TIMEOUT
+        assert connection.sock.recv(1) == b""
+    finally:
+        connection.close()
 
 
 # -- interoperability --------------------------------------------------------

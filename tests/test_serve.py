@@ -985,6 +985,20 @@ class TestCli:
         assert out == ""
         assert err.startswith("error: --span-capacity must be 1..")
 
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_slam_span_sample_checked(self, sample, tmp_path, capsys):
+        # Each worker builds its own span sampler, so the period is
+        # checked before the daemon is contacted or a worker starts.
+        argv = [
+            "slam", "--url", "http://127.0.0.1:1", "--events", "20",
+            "--workers", "2", "--spans", str(tmp_path),
+            "--span-sample", sample,
+        ]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --span-sample must be 1..")
+
 # -- per-endpoint telemetry --------------------------------------------------
 
 

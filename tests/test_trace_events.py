@@ -1,8 +1,10 @@
 """Unit tests for the trace event model."""
 
+import gc
+
 import pytest
 
-from repro.traces.events import EventKind, Trace, TraceEvent
+from repro.traces.events import EventKind, Trace, TraceEvent, collector_paused
 
 
 class TestEventKind:
@@ -54,6 +56,51 @@ class TestTraceEvent:
         event = TraceEvent("x")
         with pytest.raises(AttributeError):
             event.file_id = "y"
+
+    def test_equality_and_hash_by_fields(self):
+        fields = ("x", EventKind.WRITE, 3, "c", "u", "p")
+        event = TraceEvent(*fields)
+        assert event == TraceEvent(*fields)
+        # The hash of the field tuple, as a frozen dataclass hashed it.
+        assert hash(event) == hash(TraceEvent(*fields)) == hash(fields)
+        assert len({event, TraceEvent(*fields)}) == 1
+        for index, other in enumerate(("y", EventKind.OPEN, 4, "d", "v", "q")):
+            changed = list(fields)
+            changed[index] = other
+            assert event != TraceEvent(*changed)
+
+    def test_repr_names_every_field(self):
+        event = TraceEvent("x", EventKind.WRITE, 3, "c", "u", "p")
+        assert repr(event) == (
+            "TraceEvent(file_id='x', kind=<EventKind.WRITE: 'write'>, "
+            "sequence=3, client_id='c', user_id='u', process_id='p')"
+        )
+
+
+class TestCollectorPaused:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_callers_state(self, enabled):
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with collector_paused():
+                assert not gc.isenabled()
+                with collector_paused():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_callers_state_when_the_body_raises(self, enabled):
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(KeyError):
+                with collector_paused():
+                    raise KeyError("boom")
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 class TestTrace:
