@@ -354,11 +354,10 @@ class DistributedFileSystem:
                 else:
                     items = slist._items
                     if items[0] != file_id:
-                        try:
+                        if file_id in items:
                             items.remove(file_id)
-                        except ValueError:
-                            if len(items) >= successor_capacity:
-                                items.pop()
+                        elif len(items) >= successor_capacity:
+                            items.pop()
                         items.insert(0, file_id)
             prev = file_id
 

@@ -19,8 +19,15 @@ Two kernels live here:
   :class:`~repro.caching.array_lru.ArrayLRU` (one stamp store per hit,
   lazy exact eviction) and the successor-slot form of
   :class:`~repro.core.successors.ArraySuccessorTracker` (slot lists
-  shared in place with the canonical tracker), iterated over zero-copy
-  column slices per client segment.  State imports from the live
+  shared in place with the canonical tracker), walked client run by
+  client run off one shared ``enumerate`` of the file column.  The
+  miss path is where an interleaved workload spends its time, so it
+  carries no avoidable work: a successor update tests membership
+  before it removes (most non-repeat transitions bring a successor the
+  list does not hold, and a raising ``list.remove`` costs far more
+  than the test), each group-build step starts from the frontier's
+  cached head, and each client's array state and counts live in one
+  record per call.  State imports from the live
   system at entry and exports back at exit, so the caches and tracker
   end byte-identical to the per-event path; :func:`v2_import` decides
   eligibility, and the engine decodes the trace and replays its events
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 from ..caching.array_lru import ArrayLRU, refill_queue
@@ -267,6 +275,36 @@ def v2_import(system, ctrace):
     return state
 
 
+def _client_lru(state: V2ReplayState, client_id: str) -> ArrayLRU:
+    """The array LRU of one client, sharing in or creating its cache.
+
+    A client first seen in this session gets its cache's contents
+    imported, or a new empty cache when the system has none for it.
+    """
+    pair = state.client_lrus.get(client_id)
+    if pair is not None:
+        return pair[0]
+    system = state.system
+    capacity = system.client_capacity
+    cache = system.clients.get(client_id)
+    if cache is None:
+        cache = LRUCache(capacity)
+        cache.trace_name = f"client.{client_id}"
+        system.clients[client_id] = cache
+        lru = ArrayLRU(capacity, state.universe)
+    else:
+        # A cache injected after import: share it in, or bail loudly —
+        # silently diverging state is worse.
+        lru = _import_lru(cache._order, capacity, state.universe)
+        if lru is None:
+            raise ValueError(
+                f"client {client_id!r} cache keys left the trace's"
+                " code space mid-session"
+            )
+    state.client_lrus[client_id] = (lru, cache)
+    return lru
+
+
 def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
     """Replay a columnar trace through the array-backed eviction core.
 
@@ -278,7 +316,12 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
     run, a hit is one stamp store, a miss runs the lazy exact-LRU
     eviction and stamps group installs from the cold clock, and
     successor observations mutate slot lists shared with the canonical
-    tracker.  Cache keys after the replay are codes, so string-keyed
+    tracker.  A successor update tests membership before it removes,
+    so it raises nothing, and each group-build step starts from the
+    frontier's cached head.  Each client's array state and counts live
+    in one record per call, which a run unpacks and stores back; the
+    counts reach the cache stats once per client, after the loop.
+    Cache keys after the replay are codes, so string-keyed
     callers decode first.  Byte-identical
     :class:`~repro.sim.engine.SystemMetrics`, cache contents, tracker
     state, and observability counter deltas to the per-event
@@ -299,7 +342,6 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
                 "system state is not v2-eligible; replay the decoded events"
             )
     runs = client_runs(ctrace)
-    codes = ctrace.file_codes
 
     tracker = system.tracker
     succ = state.succ
@@ -309,23 +351,25 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
     successor_capacity = succ.capacity
     dummy = succ.dummy
     prev = state.prev
-    universe = state.universe
     clock = state.clock
 
     group_size = system.group_size
-    clients = system.clients
     client_capacity = system.client_capacity
-    client_lrus = state.client_lrus
+    # A group install keeps the demanded file resident, so at most
+    # capacity - 1 companions are placed.
+    client_limit = client_capacity - 1 if client_capacity > 1 else 0
     server = system.server_cache
     if server is not None:
         s_lru = state.server_lru
         s_stamp = s_lru.stamp
         s_res = s_lru.in_cache
         s_cold_stack = s_lru.cold_stack
+        s_push = s_cold_stack.append
         s_queue = s_lru.queue
         s_size = s_lru.size
         s_cold = s_lru.cold
         server_capacity = server.capacity
+        server_limit = server_capacity - 1 if server_capacity > 1 else 0
         server_stats = server.stats
         s_hits = s_misses = s_evictions = s_installs = 0
 
@@ -340,52 +384,36 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
         prev_was_none = prev == dummy
         started = time.perf_counter_ns()
 
-    remote_requests = 0
     store_fetches = 0
+    # client id -> (stamp, in_cache, cold_stack, queue, size, cold,
+    # events, misses, evictions, installs) for this call.
+    records = {}
+    events = enumerate(ctrace.file_codes, clock)
 
     for client_id, lo, hi in runs:
-        pair = client_lrus.get(client_id)
-        if pair is None:
-            cache = clients.get(client_id)
-            if cache is None:
-                cache = LRUCache(client_capacity)
-                cache.trace_name = f"client.{client_id}"
-                clients[client_id] = cache
-                lru = ArrayLRU(client_capacity, universe)
-            else:
-                # A cache injected after import: share it in, or bail
-                # loudly — silently diverging state is worse.
-                lru = _import_lru(cache._order, client_capacity, universe)
-                if lru is None:
-                    raise ValueError(
-                        f"client {client_id!r} cache keys left the trace's"
-                        " code space mid-session"
-                    )
-            client_lrus[client_id] = (lru, cache)
-        else:
-            lru, cache = pair
-        stamp = lru.stamp
-        resident = lru.in_cache
-        cold_stack = lru.cold_stack
-        queue = lru.queue
-        size = lru.size
-        cold = lru.cold
-        seg_misses = 0
-        seg_evictions = 0
-        seg_installs = 0
+        client = records.get(client_id)
+        if client is None:
+            lru = _client_lru(state, client_id)
+            client = (
+                lru.stamp, lru.in_cache, lru.cold_stack, lru.queue,
+                lru.size, lru.cold, 0, 0, 0, 0,
+            )
+        (
+            stamp, resident, cold_stack, queue,
+            size, cold, seen, misses, evictions, installs,
+        ) = client
 
-        for i, f in enumerate(codes[lo:hi], clock + lo):
+        for i, f in islice(events, hi - lo):
             if heads[prev] != f:
                 items = slots[prev]
                 if items is None:
                     slots[prev] = [f]
                     new_preds.append(prev)
                 else:
-                    try:
+                    if f in items:
                         items.remove(f)
-                    except ValueError:
-                        if len(items) >= successor_capacity:
-                            items.pop()
+                    elif len(items) >= successor_capacity:
+                        items.pop()
                     items.insert(0, f)
                 heads[prev] = f
             prev = f
@@ -395,7 +423,7 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
                 continue
 
             # ---- client miss: demand admit, one group request ----
-            seg_misses += 1
+            misses += 1
             while size >= client_capacity:
                 while True:
                     if cold_stack:
@@ -412,36 +440,39 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
                     else:
                         refill_queue(queue, resident, stamp)
                 size -= 1
-                seg_evictions += 1
+                evictions += 1
             resident[f] = 1
             stamp[f] = i
             size += 1
-            remote_requests += 1
 
             # ---- group build over the shared slots ----
             members = [f]
             frontier = f
             while len(members) < group_size:
-                candidate = None
-                items = slots[frontier]
-                if items is not None:
-                    for entry in items:
-                        if entry not in members:
-                            candidate = entry
-                            break
-                if candidate is None:
-                    for member in members:
-                        items = slots[member]
-                        if items is None:
-                            continue
+                # heads[frontier] is slots[frontier][0]: the chain's next
+                # member unless it is absent or already taken.
+                candidate = heads[frontier]
+                if candidate is None or candidate in members:
+                    candidate = None
+                    items = slots[frontier]
+                    if items is not None:
                         for entry in items:
                             if entry not in members:
                                 candidate = entry
                                 break
-                        if candidate is not None:
+                    if candidate is None:
+                        for member in members:
+                            items = slots[member]
+                            if items is None:
+                                continue
+                            for entry in items:
+                                if entry not in members:
+                                    candidate = entry
+                                    break
+                            if candidate is not None:
+                                break
+                        if candidate is None:
                             break
-                if candidate is None:
-                    break
                 members.append(candidate)
                 frontier = candidate
             if observe_group is not None:
@@ -487,9 +518,8 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
                         else:
                             newcomers.append(k)
                 if newcomers is not None:
-                    limit = server_capacity - 1 if server_capacity > 1 else 0
-                    if len(newcomers) > limit:
-                        del newcomers[limit:]
+                    if len(newcomers) > server_limit:
+                        del newcomers[server_limit:]
                     if newcomers:
                         overflow = s_size + len(newcomers) - server_capacity
                         if overflow > 0:
@@ -516,12 +546,11 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
                                         refill_queue(s_queue, s_res, s_stamp)
                             s_size -= overflow
                             s_evictions += overflow
-                        push = s_cold_stack.append
                         for k in newcomers:
                             s_res[k] = 1
                             s_stamp[k] = s_cold
-                            push(k)
-                            push(s_cold)
+                            s_push(k)
+                            s_push(s_cold)
                             s_cold -= 1
                         s_size += len(newcomers)
                         s_installs += len(newcomers)
@@ -537,9 +566,8 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
                     else:
                         newcomers.append(k)
             if newcomers is not None:
-                limit = client_capacity - 1 if client_capacity > 1 else 0
-                if len(newcomers) > limit:
-                    del newcomers[limit:]
+                if len(newcomers) > client_limit:
+                    del newcomers[client_limit:]
                 if newcomers:
                     overflow = size + len(newcomers) - client_capacity
                     if overflow > 0:
@@ -565,7 +593,7 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
                                 else:
                                     refill_queue(queue, resident, stamp)
                         size -= overflow
-                        seg_evictions += overflow
+                        evictions += overflow
                     push = cold_stack.append
                     for k in newcomers:
                         resident[k] = 1
@@ -574,16 +602,27 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
                         push(cold)
                         cold -= 1
                     size += len(newcomers)
-                    seg_installs += len(newcomers)
+                    installs += len(newcomers)
 
+        records[client_id] = (
+            stamp, resident, cold_stack, queue,
+            size, cold, seen + hi - lo, misses, evictions, installs,
+        )
+
+    # Every client miss is one remote request.
+    remote_requests = 0
+    client_lrus = state.client_lrus
+    for client_id, client in records.items():
+        size, cold, seen, misses, evictions, installs = client[4:]
+        lru, cache = client_lrus[client_id]
         lru.size = size
         lru.cold = cold
         stats = cache.stats
-        stats.hits += (hi - lo) - seg_misses
-        stats.misses += seg_misses
-        stats.evictions += seg_evictions
-        stats.installs += seg_installs
-
+        stats.hits += seen - misses
+        stats.misses += misses
+        stats.evictions += evictions
+        stats.installs += installs
+        remote_requests += misses
     if server is not None:
         s_lru.size = s_size
         s_lru.cold = s_cold

@@ -1067,9 +1067,13 @@ class TestEndpointTelemetry:
     def test_lock_work_is_bounded_by_buckets_not_requests(self):
         # stats_payload and a window close run the same lines under the
         # lock whether the histograms hold 300 samples or 300,000.
-        import sys
-
+        import repro
         from repro.serve.server import EndpointStats
+
+        # Only the program's own lines count: a collection inside one
+        # window runs whatever gc.callbacks hold (hypothesis installs
+        # one), and those lines are not the daemon's lock work.
+        package = os.path.dirname(repro.__file__) + os.sep
 
         def lines_run(requests):
             daemon = CacheDaemon(tiny_scenario(telemetry_window_seconds=0.0))
@@ -1082,6 +1086,8 @@ class TestEndpointTelemetry:
                 counted = [0]
 
                 def tracer(frame, event, arg):
+                    if not frame.f_code.co_filename.startswith(package):
+                        return None
                     if event == "line" and daemon._lock._is_owned():
                         counted[0] += 1
                     return tracer
