@@ -41,6 +41,7 @@ workers; a site without one checks a ``None`` attribute and moves on.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 from collections import deque
@@ -188,9 +189,11 @@ class SpanBuffer:
         capacity: int = DEFAULT_CAPACITY,
         sample: int = 1,
     ):
-        if capacity < 1:
+        # deque(maxlen=) holds at most sys.maxsize: the same range
+        # serve.scenario.check_ring_size gives --span-capacity.
+        if not 1 <= capacity <= sys.maxsize:
             raise ObservabilityError(
-                f"span buffer capacity must be >= 1, got {capacity}"
+                f"span buffer capacity must be in [1, {sys.maxsize}], got {capacity}"
             )
         if sample < 1:
             raise ObservabilityError(

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import WorkloadError
 from ..traces.events import EventKind
+from .zipf import check_probability
 
 #: One emitted access: (file identifier, operation kind).
 Access = Tuple[str, EventKind]
@@ -43,11 +44,14 @@ class Activity(abc.ABC):
         self.files = list(files)
 
     @abc.abstractmethod
-    def emit(self, rng: random.Random) -> Access:
-        """Produce the next access of this activity."""
+    def accesses(self, rng: random.Random) -> Iterator[Access]:
+        """This activity's endless access stream, from its initial position.
 
-    def reset(self) -> None:
-        """Return the activity to its initial position (default: no-op)."""
+        The stream keeps its position, and anything its rule mutates, in
+        its own locals: the activity is left as built, and each call
+        starts a fresh stream (a new stream is a reset).  Draws come
+        from ``rng`` only as accesses are taken.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name!r}, files={len(self.files)})"
@@ -64,9 +68,11 @@ class ScriptedActivity(Activity):
         Chain positions that emit a *fresh* unique file identifier on
         every pass (and report :attr:`EventKind.CREATE`), modelling
         temporary and output files.  Fresh identifiers are derived from
-        the activity name and a monotonically increasing counter, so
-        they never repeat — these files are the single-access
+        the activity name and the stream's cycle counter, so they never
+        repeat within a stream — these files are the single-access
         population that successor entropy must exclude (Section 4.5).
+        A session and an interleaver take one stream per activity and
+        reject an activity listed twice.
     write_slots:
         Chain positions whose access is reported as
         :attr:`EventKind.WRITE` instead of OPEN (the file identifier is
@@ -101,18 +107,12 @@ class ScriptedActivity(Activity):
         loop_probability: float = 0.0,
     ):
         super().__init__(name, files)
-        for label, probability in (("drift", drift), ("loop_probability", loop_probability)):
-            if not 0.0 <= probability <= 1.0:
-                raise WorkloadError(
-                    f"activity {name!r}: {label} must be in [0, 1], got {probability}"
-                )
-        self._position = 0
-        self._cycle = 0
+        self.drift = check_probability(f"activity {name!r}: drift", drift)
+        self.loop_probability = check_probability(
+            f"activity {name!r}: loop_probability", loop_probability
+        )
         self._ephemeral = frozenset(ephemeral_slots)
         self._writes = frozenset(write_slots)
-        self.drift = drift
-        self.loop_probability = loop_probability
-        self._pending: List[int] = []
         out_of_range = [
             slot
             for slot in (set(self._ephemeral) | set(self._writes))
@@ -124,47 +124,55 @@ class ScriptedActivity(Activity):
                 f"chain of length {len(self.files)}"
             )
 
-    def _emit_slot(self, slot: int) -> Access:
-        if slot in self._ephemeral:
-            fresh = f"{self.name}/tmp{self._cycle}.{slot}"
-            return fresh, EventKind.CREATE
-        kind = EventKind.WRITE if slot in self._writes else EventKind.OPEN
-        return self.files[slot], kind
+    def accesses(self, rng: random.Random) -> Iterator[Access]:
+        """Walk the chain: drift closes each cycle, mini-loops follow a step.
 
-    def _maybe_drift(self, rng: random.Random) -> None:
-        """Once per cycle: swap two random slots with probability drift."""
-        if self.drift and rng.random() < self.drift and len(self.files) >= 2:
-            a = rng.randrange(len(self.files))
-            b = rng.randrange(len(self.files))
-            self.files[a], self.files[b] = self.files[b], self.files[a]
-
-    def _maybe_queue_loop(self, slot: int, rng: random.Random) -> None:
-        """Possibly schedule a mini-loop over the files just visited."""
-        if not self.loop_probability or rng.random() >= self.loop_probability:
-            return
-        span = rng.randint(*self.LOOP_SPAN)
-        repeats = rng.randint(*self.LOOP_REPEATS)
-        window = [
-            (slot - offset) % len(self.files) for offset in range(span - 1, -1, -1)
+        The last slot of a cycle is read after that cycle's drift swap
+        and names its ephemeral file with the new cycle number.  A
+        step's loop draw comes before the step is yielded; the revisits
+        draw nothing, so they follow it as one batch.
+        """
+        random_ = rng.random
+        randint = rng.randint
+        name, drift, loop_probability = self.name, self.drift, self.loop_probability
+        files = list(self.files)  # drift permutes this stream's own copy
+        size = len(files)
+        last = size - 1
+        kinds = [
+            EventKind.WRITE if slot in self._writes else EventKind.OPEN
+            for slot in range(size)
         ]
-        for _ in range(repeats):
-            self._pending.extend(window)
-
-    def emit(self, rng: random.Random) -> Access:
-        if self._pending:
-            return self._emit_slot(self._pending.pop(0))
-        slot = self._position
-        self._position += 1
-        if self._position >= len(self.files):
-            self._position = 0
-            self._cycle += 1
-            self._maybe_drift(rng)
-        self._maybe_queue_loop(slot, rng)
-        return self._emit_slot(slot)
-
-    def reset(self) -> None:
-        self._position = 0
-        self._pending.clear()
+        # Each stable slot's access, built once; None marks an ephemeral
+        # slot, whose file is fresh every cycle.
+        chain: List[Optional[Access]] = [
+            None if slot in self._ephemeral else (files[slot], kinds[slot])
+            for slot in range(size)
+        ]
+        create = EventKind.CREATE
+        cycle = 0
+        while True:
+            for slot in range(size):
+                if slot == last:
+                    cycle += 1
+                    if drift and random_() < drift and size >= 2:
+                        a = rng.randrange(size)
+                        b = rng.randrange(size)
+                        files[a], files[b] = files[b], files[a]
+                        for moved in (a, b):
+                            if chain[moved] is not None:
+                                chain[moved] = (files[moved], kinds[moved])
+                access = chain[slot] or (f"{name}/tmp{cycle}.{slot}", create)
+                if not loop_probability or random_() >= loop_probability:
+                    yield access
+                    continue
+                span = randint(*self.LOOP_SPAN)
+                repeats = randint(*self.LOOP_REPEATS)
+                window = []
+                for revisit in range(slot - span + 1, slot + 1):
+                    revisit %= size
+                    window.append(chain[revisit] or (f"{name}/tmp{cycle}.{revisit}", create))
+                yield access
+                yield from window * repeats
 
 
 class MarkovActivity(Activity):
@@ -188,19 +196,11 @@ class MarkovActivity(Activity):
         rewire_probability: float = 0.0,
     ):
         super().__init__(name, files)
-        if not 0.0 <= stability <= 1.0:
-            raise WorkloadError(f"stability must be in [0, 1], got {stability}")
-        if not 0.0 <= write_fraction <= 1.0:
-            raise WorkloadError(
-                f"write_fraction must be in [0, 1], got {write_fraction}"
-            )
-        if not 0.0 <= rewire_probability <= 1.0:
-            raise WorkloadError(
-                f"rewire_probability must be in [0, 1], got {rewire_probability}"
-            )
-        self.stability = stability
-        self.write_fraction = write_fraction
-        self.rewire_probability = rewire_probability
+        self.stability = check_probability("stability", stability)
+        self.write_fraction = check_probability("write_fraction", write_fraction)
+        self.rewire_probability = check_probability(
+            "rewire_probability", rewire_probability
+        )
         shuffler = rng if rng is not None else random.Random(hash(name) & 0xFFFF)
         order = list(self.files)
         shuffler.shuffle(order)
@@ -208,42 +208,41 @@ class MarkovActivity(Activity):
         self._primary: Dict[str, str] = {
             order[index]: order[(index + 1) % len(order)] for index in range(len(order))
         }
-        self._current = order[0]
         self._initial = order[0]
 
-    def _maybe_rewire(self, rng: random.Random) -> None:
-        """Occasionally swap the primary successors of two random files.
+    def accesses(self, rng: random.Random) -> Iterator[Access]:
+        """Walk from the initial file; each step may first rewire the map.
 
-        Keeps the primary map a permutation while letting relationships
-        evolve over the trace — the Markov analogue of scripted drift.
+        A rewire swaps the primary successors of two random files, which
+        keeps the map a permutation while letting relationships evolve
+        over the trace — the Markov analogue of scripted drift.  The
+        stream rewires its own copy of the map.
         """
-        if not self.rewire_probability or rng.random() >= self.rewire_probability:
-            return
-        if len(self.files) < 2:
-            return
-        a = self.files[rng.randrange(len(self.files))]
-        b = self.files[rng.randrange(len(self.files))]
-        self._primary[a], self._primary[b] = self._primary[b], self._primary[a]
-
-    def emit(self, rng: random.Random) -> Access:
-        self._maybe_rewire(rng)
-        current = self._current
-        if len(self.files) == 1 or rng.random() < self.stability:
-            successor = self._primary[current]
-        else:
-            successor = current
-            while successor == current:
-                successor = self.files[rng.randrange(len(self.files))]
-        self._current = successor
-        kind = (
-            EventKind.WRITE
-            if self.write_fraction and rng.random() < self.write_fraction
-            else EventKind.OPEN
-        )
-        return current, kind
-
-    def reset(self) -> None:
-        self._current = self._initial
+        random_ = rng.random
+        randrange = rng.randrange
+        files = self.files
+        size = len(files)
+        stability, write_fraction = self.stability, self.write_fraction
+        rewire = self.rewire_probability
+        opened, written = EventKind.OPEN, EventKind.WRITE
+        primary = dict(self._primary)
+        current = self._initial
+        while True:
+            if rewire and random_() < rewire and size >= 2:
+                a = files[randrange(size)]
+                b = files[randrange(size)]
+                primary[a], primary[b] = primary[b], primary[a]
+            if size == 1 or random_() < stability:
+                successor = primary[current]
+            else:
+                successor = current
+                while successor == current:
+                    successor = files[randrange(size)]
+            if write_fraction and random_() < write_fraction:
+                yield current, written
+            else:
+                yield current, opened
+            current = successor
 
 
 def make_file_names(prefix: str, count: int) -> List[str]:

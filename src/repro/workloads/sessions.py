@@ -21,17 +21,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from ..errors import WorkloadError
 from ..traces.events import EventKind, Trace, events_from_columns
 from .activities import Access, Activity
-from .zipf import ZipfSampler, geometric
+from .zipf import ZipfSampler, check_mean, check_probability, geometric
 
-#: One interleaved access: (file identifier, operation kind, client id).
-Draw = Tuple[str, EventKind, str]
+
+class Draws(NamedTuple):
+    """Interleaved accesses as three parallel columns, one entry per access."""
+
+    file_id: List[str]
+    kind: List[EventKind]
+    client_id: List[str]
 
 
 @dataclass
@@ -90,7 +95,14 @@ class ClientSession:
             raise WorkloadError(f"session {client_id!r} needs activities")
         self.client_id = client_id
         self.activities = list(activities)
+        if len(set(map(id, self.activities))) < len(self.activities):
+            # Each entry walks its own stream: a repeated object would
+            # repeat its ephemeral files.
+            raise WorkloadError(f"session {client_id!r} lists an activity twice")
         self.config = config if config is not None else SessionConfig()
+        check_mean("burst_mean", self.config.burst_mean)
+        for label in ("shared_probability", "noise_probability", "preference_drift"):
+            check_probability(label, getattr(self.config, label))
         self._activity_sampler = ZipfSampler(
             len(self.activities), self.config.activity_exponent
         )
@@ -104,56 +116,43 @@ class ClientSession:
             if self.config.shared_utilities
             else None
         )
-        self._current: Optional[Activity] = None
-        self._remaining_burst = 0
-        self._pending_shared: Optional[str] = None
-        #: Preference order: rank -> index into self.activities.  The
-        #: Zipf sampler draws ranks; drift reshuffles what lives at the
-        #: top ranks over time.
-        self._preference = list(range(len(self.activities)))
 
-    def _switch_activity(self, rng: random.Random) -> None:
-        """Pick the next activity and schedule its burst."""
-        if (
-            self.config.preference_drift
-            and rng.random() < self.config.preference_drift
-            and len(self._preference) > 1
-        ):
-            promoted = self._preference.pop(rng.randrange(len(self._preference)))
-            self._preference.insert(0, promoted)
-        rank = self._activity_sampler.sample(rng)
-        choice = self._preference[rank]
-        self._current = self.activities[choice]
-        self._remaining_burst = geometric(rng, self.config.burst_mean)
-        if (
-            self._shared_sampler is not None
-            and rng.random() < self.config.shared_probability
-        ):
-            self._pending_shared = self.config.shared_utilities[
-                self._shared_sampler.sample(rng)
-            ]
+    def accesses(self, rng: random.Random) -> Iterator[Access]:
+        """This session's endless access stream.
 
-    def emit(self, rng: random.Random) -> Access:
-        """Produce this session's next access."""
-        if self._pending_shared is not None:
-            shared = self._pending_shared
-            self._pending_shared = None
-            return shared, EventKind.OPEN
-        if self._current is None or self._remaining_burst <= 0:
-            self._switch_activity(rng)
-            if self._pending_shared is not None:
-                shared = self._pending_shared
-                self._pending_shared = None
-                return shared, EventKind.OPEN
-        if (
-            self._noise_sampler is not None
-            and rng.random() < self.config.noise_probability
-        ):
-            noise_file = self.config.noise_files[self._noise_sampler.sample(rng)]
-            return noise_file, EventKind.OPEN
-        self._remaining_burst -= 1
-        assert self._current is not None
-        return self._current.emit(rng)
+        Each activity switch may promote a random activity to the top of
+        the preference order (the Zipf sampler draws ranks, so drift
+        reshuffles what lives at the top ranks over time), picks the
+        next activity and its geometric burst, and may touch a shared
+        utility first.  Within a burst every access may be noise
+        instead, which interrupts the activity without advancing it.
+        Like an activity's, the stream's state is its own: each call
+        starts afresh, with a fresh stream per activity.
+        """
+        random_ = rng.random
+        config = self.config
+        streams = [activity.accesses(rng) for activity in self.activities]
+        # rank -> index into streams
+        preference = list(range(len(streams)))
+        drift = config.preference_drift
+        pick_activity = self._activity_sampler.sample
+        shared = [(file_id, EventKind.OPEN) for file_id in config.shared_utilities]
+        shared_probability = config.shared_probability
+        noise = [(file_id, EventKind.OPEN) for file_id in config.noise_files]
+        noise_probability = config.noise_probability
+        noise_sampler = self._noise_sampler
+        while True:
+            if drift and random_() < drift and len(preference) > 1:
+                preference.insert(0, preference.pop(rng.randrange(len(preference))))
+            stream = streams[preference[pick_activity(rng)]]
+            burst = geometric(rng, config.burst_mean)
+            if shared and random_() < shared_probability:
+                yield shared[self._shared_sampler.sample(rng)]
+            next_access = stream.__next__
+            for _ in range(burst):
+                while noise and random_() < noise_probability:
+                    yield noise[noise_sampler.sample(rng)]
+                yield next_access()
 
 
 class Interleaver:
@@ -169,36 +168,70 @@ class Interleaver:
         if not sessions:
             raise WorkloadError("Interleaver needs at least one session")
         self.sessions = list(sessions)
-        self.run_mean = run_mean
+        owned = [id(activity) for session in self.sessions for activity in session.activities]
+        if len(set(owned)) < len(owned):
+            raise WorkloadError("Interleaver sessions must be distinct and share no activity")
+        self.run_mean = check_mean("run_mean", run_mean)
 
-    def draw(self, events: int, rng: random.Random) -> List[Draw]:
-        """Draw ``events`` accesses as plain ``(file_id, kind, client_id)`` tuples."""
+    def draw(self, events: int, rng: random.Random) -> Draws:
+        """Draw ``events`` accesses, one column per field.
+
+        Each run draws its session as ``rng.randrange(len(sessions))``
+        does, by ``getrandbits`` rejection over ``n.bit_length()`` bits
+        (so even one session draws a bit per run), and its length as
+        :func:`~repro.workloads.zipf.geometric` does, drawing nothing
+        for a mean of 1.  The run's accesses then come off that
+        session's stream, so every draw happens in the order a
+        one-access-at-a-time scheduler would make it, and none is made
+        past the last event.
+        """
         if events < 0:
             raise WorkloadError(f"events must be non-negative, got {events}")
-        draws: List[Draw] = []
-        active: Optional[ClientSession] = None
-        remaining_run = 0
-        for _ in range(events):
-            if active is None or remaining_run <= 0:
-                active = self.sessions[rng.randrange(len(self.sessions))]
-                remaining_run = geometric(rng, self.run_mean)
-            remaining_run -= 1
-            file_id, kind = active.emit(rng)
-            draws.append((file_id, kind, active.client_id))
-        return draws
+        getrandbits = rng.getrandbits
+        random_ = rng.random
+        streams = [session.accesses(rng) for session in self.sessions]
+        sessions = len(streams)
+        width = sessions.bit_length()
+        stop = 1.0 / self.run_mean
+        picks: List[int] = []
+        runs: List[int] = []
+
+        def scheduled() -> Iterator[Iterator[Access]]:
+            """One slice of a session's stream per run, drawn as it is reached."""
+            pick, run_length = picks.append, runs.append
+            while True:
+                index = getrandbits(width)
+                while index >= sessions:
+                    index = getrandbits(width)
+                run = 1
+                if stop < 1.0:
+                    while random_() > stop:
+                        run += 1
+                pick(index)
+                run_length(run)
+                yield islice(streams[index], run)
+
+        accesses = list(islice(chain.from_iterable(scheduled()), events))
+        clients = [session.client_id for session in self.sessions]
+        client_runs = map(repeat, map(clients.__getitem__, picks), runs)
+        return Draws(
+            list(map(itemgetter(0), accesses)),
+            list(map(itemgetter(1), accesses)),
+            list(islice(chain.from_iterable(client_runs), events)),
+        )
 
     def generate(self, events: int, rng: random.Random, name: str = "trace") -> Trace:
         """Produce a trace of ``events`` accesses."""
         return build_trace(self.draw(events, rng), name)
 
 
-def build_trace(draws: Sequence[Draw], name: str) -> Trace:
+def build_trace(draws: Draws, name: str) -> Trace:
     """A trace holding one event per draw, numbered in draw order."""
     events = events_from_columns(
-        file_id=map(itemgetter(0), draws),
-        kind=map(itemgetter(1), draws),
+        file_id=draws.file_id,
+        kind=draws.kind,
         sequence=count(),
-        client_id=map(itemgetter(2), draws),
+        client_id=draws.client_id,
         user_id=repeat(""),
         process_id=repeat(""),
     )

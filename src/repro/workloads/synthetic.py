@@ -32,8 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..errors import WorkloadError
 from ..traces.events import EventKind, Trace, collector_paused
 from .activities import Activity, MarkovActivity, ScriptedActivity, make_file_names
-from .sessions import ClientSession, Draw, Interleaver, SessionConfig, build_trace
-from .zipf import ZipfSampler, geometric
+from .sessions import ClientSession, Draws, Interleaver, SessionConfig, build_trace
+from .zipf import ZipfSampler, check_exponent, check_mean, check_probability
 
 #: Signature shared by the four workload factories.
 WorkloadFactory = Callable[[int, int], Trace]
@@ -102,33 +102,44 @@ class WorkloadSpec:
     preference_drift: float = 0.0
 
     def validate(self) -> None:
-        """Raise :class:`WorkloadError` on out-of-range parameters."""
-        if self.clients <= 0:
-            raise WorkloadError("clients must be positive")
-        if self.activities_per_client <= 0:
-            raise WorkloadError("activities_per_client must be positive")
-        if self.chain_length <= 1:
-            raise WorkloadError("chain_length must exceed 1")
-        for label, fraction in (
-            ("scripted_fraction", self.scripted_fraction),
-            ("ephemeral_fraction", self.ephemeral_fraction),
-            ("write_slot_fraction", self.write_slot_fraction),
-            ("markov_write_fraction", self.markov_write_fraction),
-            ("noise_probability", self.noise_probability),
-            ("shared_probability", self.shared_probability),
-            ("scripted_drift", self.scripted_drift),
-            ("loop_probability", self.loop_probability),
-            ("markov_rewire", self.markov_rewire),
-            ("library_fraction", self.library_fraction),
-            ("repeat_probability", self.repeat_probability),
-            ("preference_drift", self.preference_drift),
+        """Raise :class:`WorkloadError` on out-of-range parameters.
+
+        Every field is checked here, before any draw, so a spec that
+        validates builds the requested number of events.  It can still
+        be too slow to build: a large finite mean is valid, and each
+        geometric draw takes about ``mean`` uniform variates (a mean of
+        ``1e12`` never finishes in practice).
+        """
+        for label, value, least in (
+            ("clients", self.clients, 1),
+            ("activities_per_client", self.activities_per_client, 1),
+            ("chain_length", self.chain_length, 2),
+            ("noise_files", self.noise_files, 0),
+            ("library_files", self.library_files, 0),
         ):
-            if not 0.0 <= fraction <= 1.0:
-                raise WorkloadError(f"{label} must be in [0, 1], got {fraction}")
-        if self.library_files < 0:
-            raise WorkloadError("library_files must be non-negative")
-        if self.repeat_mean < 1.0:
-            raise WorkloadError("repeat_mean must be >= 1")
+            if not isinstance(value, int) or value < least:
+                raise WorkloadError(f"{label} must be an integer >= {least}, got {value!r}")
+        for label in (
+            "scripted_fraction",
+            "markov_stability",
+            "ephemeral_fraction",
+            "write_slot_fraction",
+            "markov_write_fraction",
+            "noise_probability",
+            "shared_probability",
+            "scripted_drift",
+            "loop_probability",
+            "markov_rewire",
+            "library_fraction",
+            "repeat_probability",
+            "preference_drift",
+        ):
+            check_probability(label, getattr(self, label))
+        for label in ("burst_mean", "run_mean", "repeat_mean"):
+            check_mean(label, getattr(self, label))
+        check_exponent(
+            "activity_exponent", self.activity_exponent, self.activities_per_client
+        )
 
 
 def _inject_library_files(
@@ -238,12 +249,15 @@ def build_workload(spec: WorkloadSpec, events: int, seed: int) -> Trace:
         )
     with collector_paused():
         draws = Interleaver(sessions, run_mean=spec.run_mean).draw(events, rng)
-        return build_trace(_expand_repeats(draws, spec, rng), spec.name)
+        draws = _expand_repeats(draws, spec, rng)
+        trace = build_trace(draws, spec.name)
+        # Free the columns while the collector is still paused: only the
+        # events are left for its first pass to walk.
+        del draws
+    return trace
 
 
-def _expand_repeats(
-    draws: List[Draw], spec: WorkloadSpec, rng: random.Random
-) -> List[Draw]:
+def _expand_repeats(draws: Draws, spec: WorkloadSpec, rng: random.Random) -> Draws:
     """Insert immediate re-opens, preserving the requested length.
 
     With probability ``repeat_probability`` each access is followed by a
@@ -251,20 +265,48 @@ def _expand_repeats(
     stat/open/read bursts real system-call traces exhibit.  The result
     is truncated back to the original event count so workload length
     stays a pure function of the request.
+
+    Accesses from ``end`` on no longer fit: each burst moves it down,
+    and no access past it draws.  A burst's length is drawn as
+    :func:`~repro.workloads.zipf.geometric` does, inline; the columns
+    are copied a slice at a time between bursts.
     """
-    if not spec.repeat_probability:
+    probability = spec.repeat_probability
+    if not probability:
         return draws
-    limit = len(draws)
-    expanded: List[Draw] = []
-    for draw in draws:
-        if len(expanded) >= limit:
+    random_ = rng.random
+    stop = 1.0 / spec.repeat_mean
+    file_id, kind, client_id = draws
+    end = len(file_id)
+    file_ids: List[str] = []
+    kinds: List[EventKind] = []
+    client_ids: List[str] = []
+    copied = scanned = 0
+    while scanned < end:
+        for index in range(scanned, end):
+            if random_() < probability:
+                break
+        else:
             break
-        expanded.append(draw)
-        if rng.random() < spec.repeat_probability:
-            extra = geometric(rng, spec.repeat_mean)
-            repeat = (draw[0], EventKind.OPEN, draw[2])
-            expanded.extend([repeat] * min(extra, limit - len(expanded)))
-    return expanded
+        extra = 1
+        if stop < 1.0:
+            while random_() > stop:
+                extra += 1
+        scanned = index + 1
+        extra = min(extra, end - scanned)
+        if extra:
+            file_ids += file_id[copied:scanned]
+            file_ids += [file_id[index]] * extra
+            kinds += kind[copied:scanned]
+            kinds += [EventKind.OPEN] * extra
+            client_ids += client_id[copied:scanned]
+            client_ids += [client_id[index]] * extra
+            copied = scanned
+            end -= extra
+    file_ids += file_id[copied:end]
+    kinds += kind[copied:end]
+    client_ids += client_id[copied:end]
+    return Draws(file_ids, kinds, client_ids)
 
 
 # -- the four paper workloads ---------------------------------------------

@@ -10,6 +10,7 @@ discipline.
 
 import http.client
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,14 @@ class TestSpanBuffer:
         buffer = SpanBuffer(process="test")
         with pytest.raises(ObservabilityError):
             buffer.start_span("x", kind="database")
+
+    def test_rejects_capacity_no_ring_can_hold(self):
+        # deque(maxlen=) would raise a bare OverflowError past sys.maxsize.
+        with pytest.raises(ObservabilityError, match="capacity"):
+            SpanBuffer(process="test", capacity=sys.maxsize + 1)
+        with pytest.raises(ObservabilityError, match="capacity"):
+            SpanBuffer(process="test", capacity=10**20)
+        assert SpanBuffer(process="test", capacity=sys.maxsize).capacity == sys.maxsize
 
     def test_summary_is_honest_about_sampling(self):
         buffer = SpanBuffer(process="test", sample=2)
@@ -280,6 +289,12 @@ class TestDaemonTracing:
             for line in log_path.read_text(encoding="utf-8").splitlines()
         ]
         assert lines and all(line["trace"] is None for line in lines)
+
+    def test_daemon_rejects_span_capacity_no_ring_can_hold(self, tmp_path):
+        with pytest.raises(ObservabilityError, match="capacity"):
+            CacheDaemon(
+                tiny_scenario(), span_log=tmp_path / "spans.jsonl", span_capacity=10**20
+            )
 
     def test_span_log_written_on_close(self, tmp_path):
         span_log = tmp_path / "server-spans.jsonl"

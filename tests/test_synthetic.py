@@ -6,8 +6,15 @@ event accounting, and the spec registry.
 """
 
 import hashlib
+import importlib.util
+import math
+import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.traces.events import EventKind
@@ -16,15 +23,22 @@ from repro.workloads.markov import (
     cycle_with_noise,
     validate_transitions,
 )
+from repro.workloads.sessions import Draws
 from repro.workloads.synthetic import (
     GENERATOR_VERSION,
     SERVER_SPEC,
+    USERS_SPEC,
     WORKLOADS,
+    WORKSTATION_SPEC,
     WRITE_SPEC,
     WorkloadSpec,
+    _expand_repeats,
     build_workload,
     make_workload,
 )
+from repro.workloads.zipf import geometric
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestWorkloadSpec:
@@ -47,6 +61,94 @@ class TestWorkloadSpec:
     def test_rejects_bad_repeat_mean(self):
         with pytest.raises(WorkloadError):
             WorkloadSpec(name="x", repeat_mean=0.5).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # An infinite mean would never end a geometric draw; NaN would read as 1.
+            ("burst_mean", math.inf),
+            ("burst_mean", 0.5),
+            ("run_mean", math.nan),
+            ("run_mean", 0.0),
+            ("repeat_mean", math.nan),
+            ("repeat_mean", math.inf),
+            ("activity_exponent", -1.0),
+            ("activity_exponent", math.nan),
+            ("activity_exponent", math.inf),
+            # 6 ** 2000.0 overflows a float.
+            ("activity_exponent", 2000.0),
+            ("noise_files", -3),
+            ("library_files", -1),
+            ("markov_stability", 1.5),
+            ("markov_stability", math.nan),
+            ("repeat_probability", math.nan),
+            ("clients", 2.5),
+            ("chain_length", 40.0),
+        ],
+    )
+    def test_rejects_bad_field_before_any_draw(self, field, value):
+        spec = replace(USERS_SPEC, **{field: value})
+        with pytest.raises(WorkloadError, match=field):
+            spec.validate()
+        with pytest.raises(WorkloadError, match=field):
+            build_workload(spec, 10, seed=1)
+
+
+_PROBABILITIES = (
+    "scripted_fraction",
+    "markov_stability",
+    "noise_probability",
+    "shared_probability",
+    "ephemeral_fraction",
+    "write_slot_fraction",
+    "markov_write_fraction",
+    "scripted_drift",
+    "loop_probability",
+    "markov_rewire",
+    "library_fraction",
+    "repeat_probability",
+    "preference_drift",
+)
+_MEANS = ("burst_mean", "run_mean", "repeat_mean")
+
+#: A small, valid spec: every field drawn from its own range.
+_VALID_RANGES = {
+    "clients": st.integers(1, 4),
+    "activities_per_client": st.integers(1, 4),
+    "chain_length": st.integers(2, 6),
+    "noise_files": st.integers(0, 5),
+    "library_files": st.integers(0, 5),
+    "activity_exponent": st.floats(0.0, 3.0),
+    **{field: st.floats(0.0, 1.0) for field in _PROBABILITIES},
+    **{field: st.floats(1.0, 20.0) for field in _MEANS},
+}
+_FIELDS = sorted(_VALID_RANGES)
+
+#: Values a careless caller might put in any field: NaN, both
+#: infinities, zero, negatives, fractions, small in-range numbers, and
+#: an exponent whose Zipf weights overflow a float past one activity.
+_WILD_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0, 0.0, -1, -0.5, 0.5, 1, 1.0, 1.5, 2, 7.0, 2000.0]
+)
+
+
+class TestSpecFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fields=st.fixed_dictionaries(_VALID_RANGES),
+        wild=st.dictionaries(st.sampled_from(_FIELDS), _WILD_VALUES, max_size=3),
+        events=st.integers(min_value=0, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_spec_fails_validation_or_builds_exactly(self, fields, wild, events, seed):
+        spec = WorkloadSpec(name="fuzz", **{**fields, **wild})
+        try:
+            spec.validate()
+        except WorkloadError:
+            with pytest.raises(WorkloadError):
+                build_workload(spec, events, seed)
+            return
+        assert len(build_workload(spec, events, seed)) == events
 
 
 class TestBuildWorkload:
@@ -160,6 +262,122 @@ class TestGeneratorDigests:
             "GENERATOR_VERSION in repro.workloads.synthetic (so cached "
             "artifacts are regenerated) and record the new digests under it"
         )
+
+
+def _expand_one_access_at_a_time(rows, probability, mean, rng):
+    """Repeat expansion as a per-access loop drawing through :func:`geometric`."""
+    if not probability:
+        return rows
+    limit = len(rows)
+    expanded = []
+    for row in rows:
+        if len(expanded) >= limit:
+            break
+        expanded.append(row)
+        if rng.random() < probability:
+            extra = geometric(rng, mean)
+            repeat = (row[0], EventKind.OPEN, row[2])
+            expanded.extend([repeat] * min(extra, limit - len(expanded)))
+    return expanded
+
+
+class TestExpandRepeats:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c"]),
+                st.sampled_from([EventKind.OPEN, EventKind.WRITE, EventKind.CREATE]),
+                st.sampled_from(["c0", "c1"]),
+            ),
+            max_size=200,
+        ),
+        probability=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        mean=st.sampled_from([1.0, 1.5, 4.0]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_matches_a_per_access_loop(self, rows, probability, mean, seed):
+        spec = WorkloadSpec(name="x", repeat_probability=probability, repeat_mean=mean)
+        columns = Draws(*map(list, zip(*rows))) if rows else Draws([], [], [])
+        expanded, reference = random.Random(seed), random.Random(seed)
+        got = _expand_repeats(columns, spec, expanded)
+        assert list(zip(*got)) == _expand_one_access_at_a_time(
+            rows, probability, mean, reference
+        )
+        assert expanded.getstate() == reference.getstate()
+
+
+#: Specs that reach generator branches the presets do not.  Means of 1
+#: draw no variate; with 16 clients ``randrange`` draws 5-bit words
+#: (``n.bit_length()``), where ``(n - 1).bit_length()`` would draw 4.
+CORNER_SPECS = {
+    "means-one": replace(USERS_SPEC, run_mean=1.0, burst_mean=1.0, repeat_mean=1.0),
+    "server-means-one": replace(SERVER_SPEC, run_mean=1.0, burst_mean=1.0, repeat_mean=1.0),
+    "quiet": replace(WORKSTATION_SPEC, noise_files=0, library_fraction=0.0),
+    "all-markov": replace(WRITE_SPEC, scripted_fraction=0.0),
+    "all-scripted": replace(WRITE_SPEC, scripted_fraction=1.0),
+    "unstable-pairs": replace(USERS_SPEC, markov_stability=0.0, chain_length=2),
+    "drifting-preference": replace(WORKSTATION_SPEC, preference_drift=1.0),
+    "sixteen-clients": replace(USERS_SPEC, clients=16),
+    "certain-drift": replace(
+        WRITE_SPEC, scripted_drift=1.0, markov_rewire=1.0, loop_probability=0.5
+    ),
+}
+
+#: Digests of ``CORNER_SPECS`` (3,000 events, seeds 1 and 7) and of the
+#: trace ``examples/custom_workload.py`` composes by hand from
+#: activities, sessions and an interleaver (25,000 events), keyed by
+#: ``GENERATOR_VERSION`` as ``GENERATOR_DIGESTS`` is.  They were
+#: recorded from the per-access generator, before it became streams.
+CORNER_DIGESTS = {
+    1: {
+        ("all-markov", 1): "b5fbea127c5d0bde10325c5e3e09b48d87fff3e6c22d576ea457c374ac79145c",
+        ("all-markov", 7): "d1bf7a09db38a65f7df2647d442a0fcc6e4c7c07b0e278904e2836b957c3ae0d",
+        ("all-scripted", 1): "a62b2148b7729407f539aefbd67237e0869e3013507463899604bb090a5249ae",
+        ("all-scripted", 7): "682767f51bee39dc7dba219fc97e38edf06d700fae77a4be69a84da7d26139fe",
+        ("certain-drift", 1): "1908bfffa2c130cda3a9dd8a4c158dd224e3532c61346109c805f5978bd32cbe",
+        ("certain-drift", 7): "824eabc91dcee48f108afc58fc15d10519f9a6bc9b91620a4fc8ea6a270ecc8b",
+        ("drifting-preference", 1): "ffacbdcd078879f7b48c6898bb2666fcd9f2f1351b113c90654489172b6d96b7",
+        ("drifting-preference", 7): "d2f8910221c7f79c33abec4e91b49d38751d73b5faac7769b891e01e8d59dee5",
+        ("means-one", 1): "52ea707e83d3f4b4f43941a3cca8b7cf51fc8ba40894774ab98028dd295e94dd",
+        ("means-one", 7): "b57721b299d5da93f20d18addacca1fa9889aa359cdb06bc5e4e5e4c8fb1e396",
+        ("quiet", 1): "7b5f82968844808fe6a55cb16f7e7bdba8e8dcd2e5ceb63f2a790f9f6b479295",
+        ("quiet", 7): "ef745da454989cabc351c6b60f91c3f5b99fc5b05490f5d498a1d6703a2113b3",
+        ("server-means-one", 1): "18f85be7f6cbbe28e72d46deeaecd4e982da364bd936a50a0d148c0ab920eba9",
+        ("server-means-one", 7): "69fac88c3ae5f93a1a0eb2c4b379db948eb804a24c750afd8213bd85dbd9cb6f",
+        ("sixteen-clients", 1): "0663f234845dd4313f9894dd9562c5c4c8966859485d7f1c4179fc4469da87de",
+        ("sixteen-clients", 7): "9039b253ec455db86e221ced5644160260332ebccbd2dfaf268cf0036afcc54c",
+        ("unstable-pairs", 1): "470851daff94938135d8b684607db8ef6263ffa6aae4dc61e33b4b87116cad44",
+        ("unstable-pairs", 7): "c19002adb39ff1f768a8a80de7c320d14cac955b06ca00a592b6e0f2e3b4de7e",
+        ("custom_workload.py", None): "621bb933f4f40a35aa66b1632cc169259e8f6d1f2dd9738d74982b8d13e7b387",
+    },
+}
+
+
+def _recorded_corner(key) -> str:
+    recorded = CORNER_DIGESTS.get(GENERATOR_VERSION)
+    assert recorded is not None, (
+        f"no corner digests recorded for GENERATOR_VERSION {GENERATOR_VERSION}; "
+        "record the new output's digests under the new version"
+    )
+    return recorded[key]
+
+
+class TestCornerDigests:
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("label", sorted(CORNER_SPECS))
+    def test_corner_spec_matches_recorded_digest(self, label, seed):
+        spec = replace(CORNER_SPECS[label], name=label)
+        digest = _trace_digest(build_workload(spec, 3000, seed))
+        assert digest == _recorded_corner((label, seed))
+
+    def test_hand_built_example_matches_recorded_digest(self):
+        path = EXAMPLES / "custom_workload.py"
+        module_spec = importlib.util.spec_from_file_location("custom_workload", path)
+        module = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(module)
+        digest = _trace_digest(module.build_nightly_build_workload())
+        assert digest == _recorded_corner(("custom_workload.py", None))
 
 
 class TestMarkovGenerator:

@@ -1,8 +1,12 @@
 """Unit tests for workload building blocks: zipf, activities, sessions."""
 
+import math
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.traces.events import EventKind
@@ -15,12 +19,41 @@ from repro.workloads.sessions import ClientSession, Interleaver, SessionConfig
 from repro.workloads.zipf import ZipfSampler, geometric, zipf_choice
 
 
+def _take(stream, count):
+    """The next ``count`` accesses of a stream."""
+    return list(islice(stream, count))
+
+
+def _files(stream, count):
+    """The file identifiers of the next ``count`` accesses of a stream."""
+    return [file_id for file_id, _ in _take(stream, count)]
+
+
 class TestZipfSampler:
     def test_rejects_bad_parameters(self):
         with pytest.raises(WorkloadError):
             ZipfSampler(0)
         with pytest.raises(WorkloadError):
             ZipfSampler(5, exponent=-1)
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf])
+    def test_rejects_non_finite_exponent(self, exponent):
+        # Either would make every draw rank 0.
+        with pytest.raises(WorkloadError):
+            ZipfSampler(5, exponent)
+
+    @pytest.mark.parametrize("n", [2.5, math.nan])
+    def test_rejects_non_integer_size(self, n):
+        with pytest.raises(WorkloadError):
+            ZipfSampler(n)
+
+    def test_rejects_exponent_whose_weights_overflow(self, rng):
+        # 2 ** 1024.0 is past the largest float; 2 ** 1023.0 is not.
+        with pytest.raises(WorkloadError, match="too large"):
+            ZipfSampler(2, 1024.0)
+        assert ZipfSampler(2, 1023.0).sample(rng) in (0, 1)
+        # One rank weighs 1 ** exponent, which never overflows.
+        assert ZipfSampler(1, 2000.0).sample(rng) == 0
 
     def test_rank_zero_most_likely(self, rng):
         sampler = ZipfSampler(50, exponent=1.0)
@@ -72,6 +105,17 @@ class TestGeometric:
         with pytest.raises(WorkloadError):
             geometric(rng, 0.5)
 
+    @pytest.mark.parametrize("mean", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_mean(self, rng, mean):
+        # An infinite mean would never stop drawing; NaN would read as 1.
+        with pytest.raises(WorkloadError):
+            geometric(rng, mean)
+
+    def test_mean_one_draws_nothing(self, rng):
+        state = rng.getstate()
+        assert geometric(rng, 1.0) == 1
+        assert rng.getstate() == state
+
 
 class TestMakeFileNames:
     def test_distinct(self):
@@ -87,19 +131,20 @@ class TestMakeFileNames:
 class TestScriptedActivity:
     def test_cycles_deterministically(self, rng):
         activity = ScriptedActivity("t", ["a", "b", "c"])
-        emitted = [activity.emit(rng)[0] for _ in range(7)]
+        emitted = _files(activity.accesses(rng), 7)
         assert emitted == ["a", "b", "c", "a", "b", "c", "a"]
 
     def test_ephemeral_slots_fresh_each_cycle(self, rng):
         activity = ScriptedActivity("t", ["a", "b"], ephemeral_slots=[1])
-        first_cycle = [activity.emit(rng) for _ in range(2)]
-        second_cycle = [activity.emit(rng) for _ in range(2)]
+        stream = activity.accesses(rng)
+        first_cycle = _take(stream, 2)
+        second_cycle = _take(stream, 2)
         assert first_cycle[1][0] != second_cycle[1][0]
         assert first_cycle[1][1] is EventKind.CREATE
 
     def test_write_slots(self, rng):
         activity = ScriptedActivity("t", ["a", "b"], write_slots=[0])
-        access = activity.emit(rng)
+        access = next(activity.accesses(rng))
         assert access == ("a", EventKind.WRITE)
 
     def test_rejects_out_of_range_slots(self):
@@ -114,26 +159,40 @@ class TestScriptedActivity:
         rng = random.Random(0)
         activity = ScriptedActivity("t", [f"f{i}" for i in range(10)], drift=1.0)
         original = list(activity.files)
-        for _ in range(40):  # several cycles with certain drift
-            activity.emit(rng)
-        assert activity.files != original
-        assert sorted(activity.files) == sorted(original)
+        emitted = _files(activity.accesses(rng), 40)  # four cycles, certain drift
+        assert emitted != original * 4
+        assert set(emitted) <= set(original)
+        # The stream permutes its own copy: the activity is left as built.
+        assert activity.files == original
 
     def test_loops_revisit_recent_files(self):
         rng = random.Random(0)
         activity = ScriptedActivity(
             "t", [f"f{i}" for i in range(20)], loop_probability=1.0
         )
-        emitted = [activity.emit(rng)[0] for _ in range(50)]
+        emitted = _files(activity.accesses(rng), 50)
         # With certain looping, files must repeat well before the cycle
         # would naturally return (20 steps).
         assert len(set(emitted[:10])) < 10
 
     def test_reset(self, rng):
         activity = ScriptedActivity("t", ["a", "b", "c"])
-        activity.emit(rng)
-        activity.reset()
-        assert activity.emit(rng)[0] == "a"
+        stream = activity.accesses(rng)
+        assert _files(stream, 2) == ["a", "b"]
+        # A fresh stream is a reset; the first keeps its own position.
+        assert _files(activity.accesses(rng), 1) == ["a"]
+        assert _files(stream, 1) == ["c"]
+
+    def test_streams_draw_only_as_accesses_are_taken(self):
+        rng = random.Random(11)
+        activity = ScriptedActivity(
+            "t", [f"f{i}" for i in range(5)], drift=0.5, loop_probability=0.5
+        )
+        state = rng.getstate()
+        stream = activity.accesses(rng)
+        assert rng.getstate() == state
+        next(stream)
+        assert rng.getstate() != state
 
     def test_requires_files(self):
         with pytest.raises(WorkloadError):
@@ -144,32 +203,36 @@ class TestMarkovActivity:
     def test_high_stability_follows_primary(self):
         rng = random.Random(1)
         activity = MarkovActivity("t", [f"f{i}" for i in range(5)], stability=1.0)
-        emitted = [activity.emit(rng)[0] for _ in range(15)]
+        emitted = _files(activity.accesses(rng), 15)
         # Fully stable: the walk is a fixed permutation cycle of 5.
         assert emitted[:5] == emitted[5:10] == emitted[10:15]
 
     def test_zero_stability_still_valid(self):
         rng = random.Random(2)
         activity = MarkovActivity("t", ["a", "b", "c"], stability=0.0)
-        emitted = {activity.emit(rng)[0] for _ in range(100)}
-        assert emitted <= {"a", "b", "c"}
+        emitted = _files(activity.accesses(rng), 100)
+        assert set(emitted) <= {"a", "b", "c"}
+        # Zero stability re-draws until the walk moves.
+        assert all(a != b for a, b in zip(emitted, emitted[1:]))
 
     def test_write_fraction(self):
         rng = random.Random(3)
         activity = MarkovActivity("t", ["a", "b"], write_fraction=1.0)
-        assert activity.emit(rng)[1] is EventKind.WRITE
+        assert next(activity.accesses(rng))[1] is EventKind.WRITE
 
     def test_rewire_changes_primary_map(self):
         rng = random.Random(4)
+        files = [f"f{i}" for i in range(8)]
         activity = MarkovActivity(
-            "t", [f"f{i}" for i in range(8)], stability=1.0, rewire_probability=1.0
+            "t", files, stability=1.0, rewire_probability=1.0
         )
         before = dict(activity._primary)
-        for _ in range(20):
-            activity.emit(rng)
-        assert activity._primary != before
-        # Still covers all files as values (permutation preserved).
-        assert sorted(activity._primary.values()) == sorted(before.values())
+        walk = _files(activity.accesses(rng), 20)
+        # Fully stable: without rewiring every step would follow the map.
+        assert any(before[a] != b for a, b in zip(walk, walk[1:]))
+        assert set(walk) <= set(files)
+        # The stream rewires its own copy: the activity is left as built.
+        assert activity._primary == before
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(WorkloadError):
@@ -182,15 +245,14 @@ class TestMarkovActivity:
     def test_single_file(self):
         rng = random.Random(5)
         activity = MarkovActivity("t", ["only"], stability=0.5)
-        assert activity.emit(rng)[0] == "only"
+        assert _files(activity.accesses(rng), 3) == ["only"] * 3
 
     def test_reset(self):
         rng = random.Random(6)
         activity = MarkovActivity("t", ["a", "b", "c"], stability=1.0)
-        first = activity.emit(rng)[0]
-        activity.emit(rng)
-        activity.reset()
-        assert activity.emit(rng)[0] == first
+        walk = _files(activity.accesses(rng), 2)
+        # A fresh stream is a reset: it starts from the same file.
+        assert _files(activity.accesses(rng), 2) == walk
 
 
 class TestClientSession:
@@ -205,10 +267,39 @@ class TestClientSession:
         with pytest.raises(WorkloadError):
             ClientSession("c0", [])
 
+    def test_rejects_an_activity_listed_twice(self):
+        # Two streams of one activity would repeat its ephemeral files.
+        activity = ScriptedActivity("a", ["x", "y"], ephemeral_slots=[1])
+        with pytest.raises(WorkloadError, match="twice"):
+            ClientSession("c0", [activity, activity])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("burst_mean", math.inf),
+            ("burst_mean", math.nan),
+            ("burst_mean", 0.5),
+            ("activity_exponent", -1.0),
+            ("activity_exponent", math.nan),
+            ("shared_probability", math.nan),
+            ("noise_probability", 1.5),
+            ("preference_drift", -0.1),
+        ],
+    )
+    def test_rejects_bad_config_when_built(self, field, value):
+        with pytest.raises(WorkloadError):
+            self._session(**{field: value})
+
+    def test_fresh_stream_restarts(self):
+        session = self._session(burst_mean=3.0, shared_probability=0.0)
+        first = _take(session.accesses(random.Random(5)), 30)
+        # The session keeps no stream state: a new stream replays it.
+        assert _take(session.accesses(random.Random(5)), 30) == first
+
     def test_emits_activity_files(self, rng):
         session = self._session(burst_mean=10.0, shared_probability=0.0)
-        emitted = {session.emit(rng)[0] for _ in range(100)}
-        assert emitted <= {"x0", "x1", "x2", "y0", "y1", "y2"}
+        emitted = _files(session.accesses(rng), 100)
+        assert set(emitted) <= {"x0", "x1", "x2", "y0", "y1", "y2"}
 
     def test_shared_utility_on_switch(self, rng):
         session = self._session(
@@ -216,7 +307,7 @@ class TestClientSession:
             shared_probability=1.0,
             shared_utilities=("bin/sh",),
         )
-        emitted = [session.emit(rng)[0] for _ in range(50)]
+        emitted = _files(session.accesses(rng), 50)
         assert "bin/sh" in emitted
 
     def test_noise_injection(self, rng):
@@ -227,7 +318,7 @@ class TestClientSession:
             noise_probability=1.0,
         )
         # After the initial switch, every access is noise.
-        emitted = [session.emit(rng)[0] for _ in range(20)]
+        emitted = _files(session.accesses(rng), 20)
         assert all(f.startswith("noise/") for f in emitted)
 
     def test_preference_drift_changes_top_choice(self):
@@ -242,15 +333,77 @@ class TestClientSession:
             preference_drift=1.0,
         )
         session = ClientSession("c0", activities, config)
-        emitted = {session.emit(rng)[0].split(".")[0] for _ in range(300)}
+        emitted = {file_id.split(".")[0] for file_id in _files(session.accesses(rng), 300)}
         # With certain drift, many different activities reach the top.
         assert len(emitted) >= 4
+
+
+def _one_access_at_a_time(sessions, run_mean, events, rng):
+    """The interleaving rule as a per-access scheduler, drawing through
+    ``randrange`` and :func:`geometric`: the reference ``draw`` must match."""
+    streams = [session.accesses(rng) for session in sessions]
+    rows = []
+    active, remaining = None, 0
+    for _ in range(events):
+        if active is None or remaining <= 0:
+            active = rng.randrange(len(sessions))
+            remaining = geometric(rng, run_mean)
+        remaining -= 1
+        file_id, kind = next(streams[active])
+        rows.append((file_id, kind, sessions[active].client_id))
+    return rows
 
 
 class TestInterleaver:
     def test_requires_sessions(self):
         with pytest.raises(WorkloadError):
             Interleaver([])
+
+    def test_rejects_a_shared_activity_or_session(self):
+        activity = ScriptedActivity("a", ["x", "y"], ephemeral_slots=[1])
+        first = ClientSession("c0", [activity])
+        with pytest.raises(WorkloadError, match="share no activity"):
+            Interleaver([first, ClientSession("c1", [activity])])
+        with pytest.raises(WorkloadError, match="share no activity"):
+            Interleaver([first, first])
+
+    @pytest.mark.parametrize("run_mean", [math.inf, math.nan, 0.0, 0.99])
+    def test_rejects_bad_run_mean_when_built(self, run_mean):
+        sessions = [ClientSession("c", [ScriptedActivity("a", ["x", "y"])])]
+        with pytest.raises(WorkloadError):
+            Interleaver(sessions, run_mean=run_mean)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # 1 and the powers of two are where the bounded draw's word
+        # width matters: randrange(n) draws n.bit_length() bits.
+        clients=st.sampled_from([1, 2, 3, 4, 5, 8, 12, 16, 17]),
+        run_mean=st.sampled_from([1.0, 1.5, 2.5, 8.0]),
+        events=st.integers(min_value=0, max_value=400),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_draw_matches_a_one_access_scheduler(self, clients, run_mean, events, seed):
+        sessions = [
+            ClientSession(
+                f"c{index}",
+                [
+                    ScriptedActivity(f"s{index}", [f"s{index}/{n}" for n in range(5)],
+                                     loop_probability=0.3, drift=0.5),
+                    MarkovActivity(f"m{index}", [f"m{index}/{n}" for n in range(4)],
+                                   stability=0.5, rng=random.Random(index)),
+                ],
+                SessionConfig(burst_mean=3.0, noise_files=("n0", "n1"),
+                              noise_probability=0.2, shared_utilities=("bin/sh",)),
+            )
+            for index in range(clients)
+        ]
+        drawn, reference = random.Random(seed), random.Random(seed)
+        draws = Interleaver(sessions, run_mean=run_mean).draw(events, drawn)
+        assert list(zip(*draws)) == _one_access_at_a_time(
+            sessions, run_mean, events, reference
+        )
+        # Same draws, and none past the last event.
+        assert drawn.getstate() == reference.getstate()
 
     def test_event_count_and_clients(self, rng):
         sessions = [
